@@ -43,7 +43,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -107,15 +106,13 @@ def _emit_json(obj) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(points: np.ndarray, degree: int, workers: int) -> MomentVector:
+def _accumulate(points: np.ndarray, degree: int, chunks: int) -> MomentVector:
+    """Moments about the centroid, accumulated in ``chunks`` merged parts."""
+    if len(points) == 0:
+        raise NoCircle("need at least 3 points, got 0")
     centroid = (float(points[:, 0].mean()), float(points[:, 1].mean()))
-    if workers <= 1:
-        return MomentVector.from_points(points, degree, offset=centroid)
-    chunks = [c for c in np.array_split(points, workers) if len(c)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda c: MomentVector.from_points(c, degree, offset=centroid),
-            chunks))
+    parts = [MomentVector.from_points(c, degree, offset=centroid)
+             for c in np.array_split(points, max(chunks, 1)) if len(c)]
     return reduce(moments_mod.merge, parts)
 
 
@@ -150,7 +147,7 @@ def cmd_fit(args) -> int:
     else:
         if not args.input:
             raise InvalidSpec("no input: give a point file or --moments")
-        points = np.asarray(ingest(args.input), dtype=float)
+        points = ingest(args.input)
     if args.algo in ("reduced", "generic") and args.family != "circle":
         raise InvalidSpec(f"--algo {args.algo} supports --family circle only")
     if args.algo == "geometric" and args.family != "circle":

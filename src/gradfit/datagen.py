@@ -6,13 +6,15 @@ standard deviation sigma per coordinate. The generator is numpy's seeded
 PCG64 (``np.random.default_rng``), so a fixed seed reproduces the point set
 bit for bit across runs.
 
-Text format: one ``x,y`` pair per line; ``#`` starts a comment (full-line or
-trailing); blank lines are skipped.
+Text format: UTF-8, one ``x,y`` pair per line; ``#`` starts a comment
+(full-line or trailing); blank lines are skipped. ``ingest`` returns the
+points as an (n, 2) float64 array.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +63,45 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
     return pts
 
 
-def ingest(path) -> list:
-    """Parse a point-per-line text file into [(x, y), ...]."""
+def ingest(path) -> np.ndarray:
+    """Parse a point-per-line text file into an (n, 2) float64 array.
+
+    numpy's C reader parses the whole file in one call; every value it
+    reads, ``float`` reads the same. Whatever it refuses (a parse error, a
+    warning such as "no data", other than two columns, a non-finite value)
+    is parsed again line by line, which returns the same array or raises
+    ParseError / NonFiniteValue with the line number. The file is opened
+    here, not by numpy, which would also decompress ``.gz`` names and fetch
+    URLs.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = np.loadtxt(fh, delimiter=",", comments="#", dtype=float,
+                             ndmin=2)
+    except (ValueError, Warning):
+        pass
+    else:
+        if pts.shape[1] == 2 and np.isfinite(pts).all():
+            return pts
+    return _parse_lines(path)
+
+
+def _parse_lines(path) -> np.ndarray:
+    """The reference parser behind ``ingest``: one ``float`` pair per line."""
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes survive as lone surrogates, so universal newlines
+    # still number the lines and the bad one is reported by number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    bad = raw.encode("utf-8", "surrogateescape").strip()
+                    raise ParseError(f"{path}: line {lineno}: not UTF-8 "
+                                     f"text: {bad!r}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -83,7 +119,7 @@ def ingest(path) -> list:
                 raise NonFiniteValue(
                     f"{path}: line {lineno}: non-finite value {raw.strip()!r}")
             points.append((x, y))
-    return points
+    return np.array(points, dtype=float).reshape(-1, 2)
 
 
 def write_points(path, points, header: str | None = None) -> None:

@@ -127,6 +127,23 @@ def test_fit_nonfinite_exit(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_fit_non_utf8_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+    rc, _, err = run(capsys, "fit", str(bad))
+    assert rc == 3
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("algo", ["reduced", "generic", "geometric", "reweight"])
+def test_fit_empty_input_exit(tmp_path, capsys, algo):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# header only\n\n")
+    rc, _, err = run(capsys, "fit", str(empty), "--algo", algo)
+    assert rc == 6
+    assert "got 0" in err
+
+
 def test_fit_collinear_exit(tmp_path, capsys):
     bad = tmp_path / "line.csv"
     bad.write_text("0,0\n1,1\n2,2\n3,3\n")

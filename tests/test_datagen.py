@@ -1,11 +1,16 @@
 """Synthetic generation determinism, noise statistics, text ingestion."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from gradfit.datagen import SyntheticSpec, generate, ingest, write_points
+from gradfit import datagen
+from gradfit.datagen import (SyntheticSpec, _parse_lines, generate, ingest,
+                             write_points)
 from gradfit.errors import InvalidSpec, NonFiniteValue, ParseError
 from gradfit.families import FAMILIES, get_family
 
@@ -86,16 +91,23 @@ def test_every_registered_family_generates():
 # -- ingestion ---------------------------------------------------------------
 
 
+def assert_same_array(got, want):
+    """Same shape, float64 and the same bits (so 0.0 and -0.0 differ)."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
 def test_ingest_basic(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("1,0\n0,1\n")
-    assert ingest(f) == [(1.0, 0.0), (0.0, 1.0)]
+    assert_same_array(ingest(f), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_ingest_skips_comments_and_blanks(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("#hdr\n\n1, 2 # trailing note\n  # another\n-3.5,4e-1\n")
-    assert ingest(f) == [(1.0, 2.0), (-3.5, 0.4)]
+    assert_same_array(ingest(f), np.array([[1.0, 2.0], [-3.5, 0.4]]))
 
 
 def test_ingest_parse_error_reports_line(tmp_path):
@@ -128,7 +140,124 @@ def test_ingest_rejects_non_finite(tmp_path):
 def test_ingest_empty_file(tmp_path):
     f = tmp_path / "empty.csv"
     f.write_text("# only a comment\n")
-    assert ingest(f) == []
+    assert_same_array(ingest(f), np.empty((0, 2)))
+
+
+# -- ingest against the line parser --------------------------------------------
+
+_PADS = ["", " ", "\t", "  ", "\xa0"]
+_EOLS = st.sampled_from([b"\n", b"\r\n"])
+_DIGIT_ZEROS = [0x0660, 0xFF10]  # Arabic-Indic and full-width digits
+
+
+@st.composite
+def number_texts(draw, exotic):
+    """A field ``float`` reads: a repr float, or (exotic) an integer
+    written with an underscore or in non-ASCII digits."""
+    kind = draw(st.sampled_from(["repr", "underscore", "unicode"]
+                                if exotic else ["repr"]))
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    digits = str(draw(st.integers(10, 10**9)))
+    if kind == "underscore":
+        cut = draw(st.integers(1, len(digits) - 1))
+        return digits[:cut] + "_" + digits[cut:]
+    zero = draw(st.sampled_from(_DIGIT_ZEROS))
+    return "".join(chr(zero + int(d)) for d in digits)
+
+
+@st.composite
+def point_files(draw, exotic=True):
+    """(lines, expected points): data lines with padding and trailing
+    comments, mixed with comment and blank (exotic: whitespace-only) lines."""
+    lines, expected = [], []
+    kinds = ["data", "data", "comment", "blank"] + (["space"] if exotic else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        pad = draw(st.sampled_from(_PADS))
+        if kind == "data":
+            x, y = draw(number_texts(exotic)), draw(number_texts(exotic))
+            note = draw(st.sampled_from(["", "# note", " #1,2,3"]))
+            lines.append(f"{pad}{x}{pad},{pad}{y}{pad}{note}")
+            expected.append((float(x), float(y)))
+        elif kind == "comment":
+            lines.append(("  " if exotic else "") + "# header, a=1")
+        elif kind == "blank":
+            lines.append("")
+        else:
+            lines.append(pad or " \t")
+    return [ln.encode("utf-8") for ln in lines], expected
+
+
+def _write(path, lines, eol, final_eol):
+    path.write_bytes(eol.join(lines) + (eol if final_eol and lines else b""))
+
+
+_file_settings = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_file_settings
+@given(point_files(), _EOLS, st.booleans())
+def test_ingest_agrees_with_line_parser(tmp_path, file, eol, final_eol):
+    lines, expected = file
+    f = tmp_path / "pts.csv"
+    _write(f, lines, eol, final_eol)
+    want = np.array(expected, dtype=float).reshape(-1, 2)
+    assert_same_array(_parse_lines(f), want)
+    assert_same_array(ingest(f), want)
+
+
+@_file_settings
+@given(point_files(exotic=False), _EOLS)
+def test_ingest_fast_path_takes_plain_files(tmp_path, file, eol):
+    lines, expected = file
+    assume(expected)  # an empty file is a refusal by design
+    f = tmp_path / "pts.csv"
+    _write(f, lines, eol, True)
+    with mock.patch.object(datagen, "_parse_lines",
+                           side_effect=AssertionError("fell back")):
+        got = ingest(f)
+    assert_same_array(got, np.array(expected, dtype=float))
+
+
+_BAD_LINES = [
+    (b"1,2,3", ParseError),
+    (b"7", ParseError),
+    (b"1,", ParseError),
+    (b"nan,1", NonFiniteValue),
+    (b"1, -inf", NonFiniteValue),
+    (b"1e400,0", NonFiniteValue),
+    (b"\xff\xfe,3", ParseError),
+    (b"0,0 # caf\xe9", ParseError),
+]
+
+
+@_file_settings
+@given(point_files(), st.sampled_from(_BAD_LINES), _EOLS, st.data())
+def test_ingest_malformed_matches_line_parser(tmp_path, file, bad, eol, data):
+    lines, _ = file
+    text, cls = bad
+    at = data.draw(st.integers(0, len(lines)))
+    f = tmp_path / "bad.csv"
+    _write(f, lines[:at] + [text] + lines[at:], eol, True)
+    with pytest.raises(cls, match=f": line {at + 1}: ") as slow:
+        _parse_lines(f)
+    with pytest.raises(cls) as fast:
+        ingest(f)
+    assert str(fast.value) == str(slow.value)
+
+
+@_file_settings
+@given(st.lists(st.sampled_from([b"", b"# c", b"3", b"-1.5e3", b" 2 # x"]),
+                min_size=1, max_size=8))
+def test_ingest_single_column_is_parse_error(tmp_path, lines):
+    lines = [b"# one value per line"] + lines + [b"4.25"]
+    first = next(i for i, ln in enumerate(lines, start=1)
+                 if ln.split(b"#")[0].strip())
+    f = tmp_path / "col.csv"
+    _write(f, lines, b"\n", True)
+    with pytest.raises(ParseError, match=f": line {first}: expected 'x,y'"):
+        ingest(f)
 
 
 def test_write_read_roundtrip_is_exact(tmp_path):
