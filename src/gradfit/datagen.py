@@ -14,7 +14,6 @@ points as an (n, 2) float64 array.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,62 +62,89 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
     return pts
 
 
+# Text handed to numpy per call: about 25,000 lines of ``x,y``. A chunk numpy
+# refuses is parsed again line by line, so this also bounds what one such
+# line costs.
+_CHUNK_CHARS = 1 << 20
+
+
 def ingest(path) -> np.ndarray:
     """Parse a point-per-line text file into an (n, 2) float64 array.
 
-    numpy's C reader parses the whole file in one call; every value it
-    reads, ``float`` reads the same. Whatever it refuses (a parse error, a
-    warning such as "no data", other than two columns, a non-finite value)
-    is parsed again line by line, which returns the same array or raises
-    ParseError / NonFiniteValue with the line number. The file is opened
-    here, not by numpy, which would also decompress ``.gz`` names and fetch
-    URLs.
+    The file is read once, front to back, so pipes and FIFOs work as well as
+    regular files. Each chunk of about ``_CHUNK_CHARS`` characters goes to
+    numpy's C reader; every value it reads, ``float`` reads the same. A chunk
+    it refuses (a parse error, no data, other than two columns, a non-finite
+    value, undecodable bytes) is parsed again by the line parser, which
+    returns the same points or raises ParseError / NonFiniteValue with the
+    line number in the file. Only that chunk pays for the slow parse. The
+    file is opened here, not by numpy, which would also decompress ``.gz``
+    names and fetch URLs.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pts = np.loadtxt(fh, delimiter=",", comments="#", dtype=float,
-                             ndmin=2)
-    except (ValueError, Warning):
-        pass
-    else:
-        if pts.shape[1] == 2 and np.isfinite(pts).all():
-            return pts
-    return _parse_lines(path)
-
-
-def _parse_lines(path) -> np.ndarray:
-    """The reference parser behind ``ingest``: one ``float`` pair per line."""
-    points = []
+    parts, done = [], 0
     # undecodable bytes survive as lone surrogates, so universal newlines
     # still number the lines and the bad one is reported by number
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    bad = raw.encode("utf-8", "surrogateescape").strip()
-                    raise ParseError(f"{path}: line {lineno}: not UTF-8 "
-                                     f"text: {bad!r}") from None
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'x,y', got {raw.strip()!r}")
+        while lines := fh.readlines(_CHUNK_CHARS):
+            pts = _read_chunk(lines)
+            parts.append(pts if pts is not None
+                         else _parse_lines(lines, path, done))
+            done += len(lines)
+    return np.concatenate([np.empty((0, 2)), *parts])
+
+
+def _read_chunk(lines):
+    """numpy's reading of ``lines``, or None unless it is certainly the
+    line parser's."""
+    text = "".join(lines)
+    if not text.isascii():
+        try:
+            text.encode("utf-8")  # numpy would skip bad bytes in a comment
+        except UnicodeEncodeError:
+            return None
+    if not any(ln.split("#", 1)[0].strip() for ln in lines):
+        return None  # numpy warns on input without data
+    try:
+        pts = np.loadtxt(lines, delimiter=",", comments="#", dtype=float,
+                         ndmin=2)
+    except ValueError:
+        return None
+    return pts if pts.shape[1] == 2 and np.isfinite(pts).all() else None
+
+
+def _parse_lines(lines, path, done=0) -> np.ndarray:
+    """The reference parser behind ``ingest``: one ``float`` pair per line.
+
+    ``lines`` come from a text file opened with ``errors="surrogateescape"``
+    and follow the first ``done`` lines of ``path``, which names the file
+    in error messages.
+    """
+    points = []
+    for lineno, raw in enumerate(lines, start=done + 1):
+        if not raw.isascii():
             try:
-                x, y = float(fields[0]), float(fields[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: not a number pair: "
-                    f"{raw.strip()!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFiniteValue(
-                    f"{path}: line {lineno}: non-finite value {raw.strip()!r}")
-            points.append((x, y))
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                bad = raw.encode("utf-8", "surrogateescape").strip()
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 "
+                                 f"text: {bad!r}") from None
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise ParseError(
+                f"{path}: line {lineno}: expected 'x,y', got {raw.strip()!r}")
+        try:
+            x, y = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: not a number pair: "
+                f"{raw.strip()!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFiniteValue(
+                f"{path}: line {lineno}: non-finite value {raw.strip()!r}")
+        points.append((x, y))
     return np.array(points, dtype=float).reshape(-1, 2)
 
 

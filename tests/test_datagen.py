@@ -1,6 +1,8 @@
 """Synthetic generation determinism, noise statistics, text ingestion."""
 
 import math
+import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -192,19 +194,30 @@ def _write(path, lines, eol, final_eol):
     path.write_bytes(eol.join(lines) + (eol if final_eol and lines else b""))
 
 
+def parse_slowly(path):
+    """The line parser alone over the whole file."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_lines(fh, path)
+
+
+# chunks of one line, of a few lines, and the default (the whole file here)
+_CHUNKS = st.sampled_from([1, 40, datagen._CHUNK_CHARS])
+
+
 _file_settings = settings(max_examples=150, deadline=None,
                           suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @_file_settings
-@given(point_files(), _EOLS, st.booleans())
-def test_ingest_agrees_with_line_parser(tmp_path, file, eol, final_eol):
+@given(point_files(), _EOLS, st.booleans(), _CHUNKS)
+def test_ingest_agrees_with_line_parser(tmp_path, file, eol, final_eol, chunk):
     lines, expected = file
     f = tmp_path / "pts.csv"
     _write(f, lines, eol, final_eol)
     want = np.array(expected, dtype=float).reshape(-1, 2)
-    assert_same_array(_parse_lines(f), want)
-    assert_same_array(ingest(f), want)
+    assert_same_array(parse_slowly(f), want)
+    with mock.patch.object(datagen, "_CHUNK_CHARS", chunk):
+        assert_same_array(ingest(f), want)
 
 
 @_file_settings
@@ -233,16 +246,18 @@ _BAD_LINES = [
 
 
 @_file_settings
-@given(point_files(), st.sampled_from(_BAD_LINES), _EOLS, st.data())
-def test_ingest_malformed_matches_line_parser(tmp_path, file, bad, eol, data):
+@given(point_files(), st.sampled_from(_BAD_LINES), _EOLS, _CHUNKS, st.data())
+def test_ingest_malformed_matches_line_parser(tmp_path, file, bad, eol, chunk,
+                                             data):
     lines, _ = file
     text, cls = bad
     at = data.draw(st.integers(0, len(lines)))
     f = tmp_path / "bad.csv"
     _write(f, lines[:at] + [text] + lines[at:], eol, True)
     with pytest.raises(cls, match=f": line {at + 1}: ") as slow:
-        _parse_lines(f)
-    with pytest.raises(cls) as fast:
+        parse_slowly(f)
+    with pytest.raises(cls) as fast, \
+            mock.patch.object(datagen, "_CHUNK_CHARS", chunk):
         ingest(f)
     assert str(fast.value) == str(slow.value)
 
@@ -258,6 +273,54 @@ def test_ingest_single_column_is_parse_error(tmp_path, lines):
     _write(f, lines, b"\n", True)
     with pytest.raises(ParseError, match=f": line {first}: expected 'x,y'"):
         ingest(f)
+
+
+def test_ingest_reparses_only_the_refused_chunk(tmp_path):
+    lines = [f"{i},{-i}" for i in range(1000)]
+    lines[500] = "   "  # float-parser blank, numpy refuses it
+    f = tmp_path / "pts.csv"
+    f.write_text("\n".join(lines) + "\n")
+    slow = mock.Mock(wraps=_parse_lines)
+    with mock.patch.object(datagen, "_CHUNK_CHARS", 200), \
+            mock.patch.object(datagen, "_parse_lines", slow):
+        got = ingest(f)
+    want = [(i, -i) for i in range(1000) if i != 500]
+    assert_same_array(got, np.array(want, dtype=float))
+    (chunk, _, done), _ = slow.call_args
+    assert slow.call_count == 1 and len(chunk) < 50
+    assert chunk[500 - done] == "   \n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ingest_reads_a_pipe_once(tmp_path):
+    """Points from a pipe (as in ``gradfit fit <(zcat pts.csv.gz)``) all
+    arrive, also past a chunk numpy refuses."""
+    want = np.arange(1000.0).reshape(-1, 2) / 7
+    text = "".join(f"{x!r},{y!r}\n" for x, y in want.tolist())
+    text = "# header\n" + text.replace("\n", "\n \n  # x\n", 1)
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "w", encoding="utf-8") as fh:
+            fh.write(text)  # about 20 kB, within a pipe's buffer
+        with mock.patch.object(datagen, "_CHUNK_CHARS", 4096):
+            got = ingest(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert_same_array(got, want)
+
+
+def test_ingest_leaves_warnings_alone(tmp_path):
+    """A chunk without data warns nothing, and ingest never swaps the
+    process-wide warning filters, which other threads share."""
+    f = tmp_path / "pts.csv"
+    f.write_text("# only comments\n" * 100 + "1,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(datagen, "_CHUNK_CHARS", 64), \
+                mock.patch.object(warnings, "catch_warnings",
+                                  side_effect=AssertionError("swapped")):
+            got = ingest(f)
+    assert_same_array(got, np.array([[1.0, 2.0]]))
 
 
 def test_write_read_roundtrip_is_exact(tmp_path):
