@@ -18,9 +18,9 @@ linear system in the unknown coefficients of U and W, degree by degree.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class ReductionCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "U": format_poly(self.U if self.U.exact else self.U),
+            "U": format_poly(self.U),
             "W": format_poly(self.W),
             "identity_residual": self.identity_residual,
             "degree": self.degree,
@@ -106,18 +106,13 @@ def _rel_residual(P: BivariatePoly, x: complex, y: complex) -> float:
 
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of an ascending complex coefficient array: companion-matrix
-    eigenvalues, then a few Newton polish steps."""
+    eigenvalues. They are not Newton-polished: at a multiple root the
+    derivative vanishes too, and polishing moves an accurate eigenvalue
+    away from the true root."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size <= 1:
         return np.empty(0, dtype=complex)
-    roots = np.roots(c[::-1])
-    dc = c[1:] * np.arange(1, c.size)
-    for _ in range(3):
-        vals = np.polyval(c[::-1], roots)
-        dvals = np.polyval(dc[::-1], roots) if dc.size else np.zeros_like(roots)
-        safe = np.abs(dvals) > 1e-30
-        roots = np.where(safe, roots - vals / np.where(safe, dvals, 1.0), roots)
-    return roots
+    return np.roots(c[::-1])
 
 
 def _slice_coeffs(P: BivariatePoly, val: complex, elim: str) -> np.ndarray | None:
@@ -352,33 +347,53 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
 # ---------------------------------------------------------------------------
 
 
-def _monomials(d: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(d + 1) for q in range(d + 1 - p)]
+@lru_cache(maxsize=64)
+def _monomials(d: int) -> tuple[tuple[int, int], ...]:
+    return tuple((p, q) for p in range(d + 1) for q in range(d + 1 - p))
 
 
-def _build_system(P: BivariatePoly, Q: BivariatePoly, d: int):
-    """Linear system A s = e0 equating coefficients of P*U + Q*W with 1."""
+def _row(p: int, q: int) -> int:
+    """Row of x^p y^q: rows run by total degree, so the rows of a system of
+    lower row degree are a prefix of a higher one's."""
+    t = p + q
+    return t * (t + 1) // 2 + q
+
+
+def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
+    """The linear system A s = b equating the coefficients of P*U + Q*W with 1.
+
+    The unknowns s are U's then W's coefficients on the monomials ``cols`` of
+    total degree <= d. The rows are the monomials of total degree
+    <= d + max(deg P, deg Q), ordered by total degree, so x^0 y^0 is row 0
+    and the system of a lower-degree pair is the leading rows of a
+    higher-degree one's. A and b hold Fractions (dtype object) when P and Q
+    are both exact, float64 otherwise. Returns (A, b, cols).
+    """
+    exact = P.exact and Q.exact
     cols = _monomials(d)
+    k = len(cols)
     drow = d + max(_int_degree(P), _int_degree(Q))
-    rows = _monomials(drow)
-    ridx = {m: i for i, m in enumerate(rows)}
-    return cols, rows, ridx
-
-
-def _fill_float(A, P, cols, ridx, col_base):
-    for j, (p, q) in enumerate(cols):
-        for (a, b), c in P.terms.items():
-            A[ridx[(a + p, b + q)], col_base + j] += complex(c).real
+    nrows = (drow + 1) * (drow + 2) // 2
+    if exact:
+        A = np.full((nrows, 2 * k), Fraction(0), dtype=object)
+        b = np.full(nrows, Fraction(0), dtype=object)
+        b[0] = Fraction(1)
+    else:
+        A = np.zeros((nrows, 2 * k))
+        b = np.zeros(nrows)
+        b[0] = 1.0
+    for base, poly in ((0, P), (k, Q)):
+        for (a, e), c in poly.terms.items():
+            c = c if exact else c.real
+            # distinct terms land in distinct rows of each column
+            for j, (p, q) in enumerate(cols):
+                A[_row(a + p, e + q), base + j] = c
+    return A, b, cols
 
 
 def _solve_float_at(P, Q, d):
-    cols, rows, ridx = _build_system(P, Q, d)
+    A, b, cols = certificate_system(P, Q, d)
     k = len(cols)
-    A = np.zeros((len(rows), 2 * k))
-    _fill_float(A, P, cols, ridx, 0)
-    _fill_float(A, Q, cols, ridx, k)
-    b = np.zeros(len(rows))
-    b[ridx[(0, 0)]] = 1.0
     sol, *_ = np.linalg.lstsq(A, b, rcond=RANK_CUTOFF)
     if np.linalg.norm(A @ sol - b) > 1e-8:
         return None
@@ -411,15 +426,10 @@ def _rref(M: list[list[Fraction]]):
 
 
 def _solve_exact_at(P, Q, d):
-    cols, rows, ridx = _build_system(P, Q, d)
+    A, b, cols = certificate_system(P, Q, d)
     k = len(cols)
     ncols = 2 * k
-    M = [[Fraction(0)] * (ncols + 1) for _ in rows]
-    for base, poly in ((0, P), (k, Q)):
-        for j, (p, q) in enumerate(cols):
-            for (a, b), c in poly.terms.items():
-                M[ridx[(a + p, b + q)]][base + j] += Fraction(c)
-    M[ridx[(0, 0)]][ncols] = Fraction(1)
+    M = [row + [bi] for row, bi in zip(A.tolist(), b.tolist())]
     pivots = _rref(M)
     piv_set = set(pivots)
     for row in M:
@@ -669,7 +679,7 @@ def _analyze_one(family: CurveFamily, idx: int, theta: dict, exact: bool,
 
 
 def analyze_family(family, samples: int, rng=None, exact: bool = True,
-                   max_degree: int | None = None, workers: int = 0) -> FamilyReport:
+                   max_degree: int | None = None) -> FamilyReport:
     """Per-sample admissibility verdicts over random parameters of a family.
 
     Errors in individual samples are recorded, never abort the batch. The
@@ -681,15 +691,8 @@ def analyze_family(family, samples: int, rng=None, exact: bool = True,
     if rng is None:
         rng = np.random.default_rng(0)
     thetas = [family.sample_theta(rng) for _ in range(samples)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda it: _analyze_one(family, it[0], it[1], exact, max_degree),
-                enumerate(thetas)))
-    else:
-        reports = [_analyze_one(family, i, t, exact, max_degree)
-                   for i, t in enumerate(thetas)]
-    reports.sort(key=lambda r: r.index)
+    reports = [_analyze_one(family, i, t, exact, max_degree)
+               for i, t in enumerate(thetas)]
     decided = {r.verdict for r in reports if r.verdict in ("admissible", "not_admissible")}
     consistent = len(decided) <= 1
     if not decided:

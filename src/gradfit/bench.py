@@ -84,39 +84,24 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _time_reduced(pts: np.ndarray, reps: int):
-    accs, totals, iter_samples = [], [], []
-    result = None
+def _time_reduced(pts: np.ndarray):
+    """One lap: (setup seconds, total seconds, result)."""
     cfg = FitConfig(init=_START)
-    for rep in range(reps + 1):  # first lap is the discarded warm-up
-        t0 = time.perf_counter()
-        centroid = (float(pts[:, 0].mean()), float(pts[:, 1].mean()))
-        mv = MomentVector.from_points(pts, 4, offset=centroid)
-        t1 = time.perf_counter()
-        result = fit_circle_reduced(mv, cfg)
-        t2 = time.perf_counter()
-        if rep == 0:
-            continue
-        accs.append(t1 - t0)
-        totals.append(t2 - t0)
-        iter_samples.extend(result.iteration_seconds)
-    return accs, totals, iter_samples, result
+    t0 = time.perf_counter()
+    centroid = (float(pts[:, 0].mean()), float(pts[:, 1].mean()))
+    mv = MomentVector.from_points(pts, 4, offset=centroid)
+    t1 = time.perf_counter()
+    result = fit_circle_reduced(mv, cfg)
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t0, result
 
 
-def _time_reweight(pts: np.ndarray, reps: int):
-    accs, totals, iter_samples = [], [], []
-    result = None
-    for rep in range(reps + 1):
-        t0 = time.perf_counter()
-        result = fit_conic_reweight(pts)
-        t1 = time.perf_counter()
-        if rep == 0:
-            continue
-        spent_iterating = sum(result.iteration_seconds)
-        accs.append((t1 - t0) - spent_iterating)  # setup + diagnostics
-        totals.append(t1 - t0)
-        iter_samples.extend(result.iteration_seconds)
-    return accs, totals, iter_samples, result
+def _time_reweight(pts: np.ndarray):
+    t0 = time.perf_counter()
+    result = fit_conic_reweight(pts)
+    t1 = time.perf_counter()
+    # setup + diagnostics
+    return (t1 - t0) - sum(result.iteration_seconds), t1 - t0, result
 
 
 _TIMERS = {"reduced": _time_reduced, "reweight": _time_reweight}
@@ -131,20 +116,31 @@ def run_bench(ns, repetitions: int = 5, seed: int = 0,
         raise InvalidSpec(f"dataset sizes must be >= 10, got {ns}")
     if repetitions < 5:
         raise InvalidSpec("medians need at least 5 repetitions")
-    rows = []
-    for i, n in enumerate(ns):
-        pts = generate(SyntheticSpec("circle", _TRUE, n=n, sigma=sigma,
-                                     seed=seed + i))
+    data = [generate(SyntheticSpec("circle", _TRUE, n=n, sigma=sigma,
+                                   seed=seed + i))
+            for i, n in enumerate(ns)]
+    laps = {(i, algo): [] for i in range(len(ns)) for algo in _TIMERS}
+    # every lap times each algorithm on every size back to back, so the
+    # sizes compared in a per-iteration ratio share the machine's state;
+    # the first lap is the discarded warm-up
+    for rep in range(repetitions + 1):
         for algo, timer in _TIMERS.items():
-            accs, totals, iter_samples, result = timer(pts, repetitions)
-            rows.append(BenchRow(
-                algorithm=algo,
-                n=n,
-                accumulation_seconds=median(accs),
-                per_iteration_seconds=(median(iter_samples)
-                                       if iter_samples else math.nan),
-                iterations=result.iterations,
-                total_seconds=median(totals),
-                objective=result.objective,
-            ))
+            for i, pts in enumerate(data):
+                lap = timer(pts)
+                if rep:
+                    laps[i, algo].append(lap)
+    rows = []
+    for (i, algo), cell in laps.items():
+        setups, totals, results = zip(*cell)
+        iter_samples = [t for r in results for t in r.iteration_seconds]
+        rows.append(BenchRow(
+            algorithm=algo,
+            n=ns[i],
+            accumulation_seconds=median(setups),
+            per_iteration_seconds=(median(iter_samples)
+                                   if iter_samples else math.nan),
+            iterations=results[-1].iterations,
+            total_seconds=median(totals),
+            objective=results[-1].objective,
+        ))
     return BenchReport(tuple(rows), repetitions, seed, sigma)

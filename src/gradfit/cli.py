@@ -43,11 +43,9 @@ import argparse
 import json
 import os
 import sys
-from functools import reduce
 
 import numpy as np
 
-from . import moments as moments_mod
 from .analyzer import analyze_family, decide_reduction
 from .bench import run_bench
 from .datagen import SyntheticSpec, generate, ingest, write_points
@@ -106,14 +104,12 @@ def _emit_json(obj) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(points: np.ndarray, degree: int, chunks: int) -> MomentVector:
-    """Moments about the centroid, accumulated in ``chunks`` merged parts."""
+def _accumulate(points: np.ndarray, degree: int) -> MomentVector:
+    """Moments about the centroid."""
     if len(points) == 0:
         raise NoCircle("need at least 3 points, got 0")
     centroid = (float(points[:, 0].mean()), float(points[:, 1].mean()))
-    parts = [MomentVector.from_points(c, degree, offset=centroid)
-             for c in np.array_split(points, max(chunks, 1)) if len(c)]
-    return reduce(moments_mod.merge, parts)
+    return MomentVector.from_points(points, degree, offset=centroid)
 
 
 def _circle_certificate():
@@ -154,7 +150,7 @@ def cmd_fit(args) -> int:
         raise InvalidSpec("--algo geometric supports --family circle only")
 
     if mv is None and args.algo in ("reduced", "generic"):
-        mv = _accumulate(points, 4, args.parallel)
+        mv = _accumulate(points, 4)
     if args.save_moments:
         if mv is None:
             raise InvalidSpec(
@@ -221,7 +217,7 @@ def cmd_analyze(args) -> int:
     fam = get_family(args.family)
     rng = np.random.default_rng(args.seed)
     report = analyze_family(fam, args.samples, rng=rng, exact=not args.float,
-                            max_degree=args.max_degree, workers=args.parallel)
+                            max_degree=args.max_degree)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -326,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit from a saved moment file instead of points")
     p_fit.add_argument("--save-moments", metavar="FILE",
                        help="serialize the accumulated moments")
-    p_fit.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="accumulate moments in N merged chunks")
     p_fit.add_argument("--max-iterations", type=int, default=100)
     p_fit.add_argument("--gradient-tol", type=float, default=1e-10)
     p_fit.add_argument("--step-tol", type=float, default=1e-12)
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--float", action="store_true",
                       help="use floating-point elimination instead of exact")
     p_an.add_argument("--seed", type=int, default=seed_default)
-    p_an.add_argument("--parallel", type=int, default=0)
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import ReductionCertificate, _build_system, _fill_float
+from .analyzer import ReductionCertificate, certificate_system
 from .errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .families import CurveFamily, get_family
 from .moments import MomentVector
-from .poly import BivariatePoly, partial_derivative
+from .poly import BivariatePoly
 
 __all__ = [
     "CircleParams",
@@ -577,13 +577,11 @@ class _CertObjective:
     The system degree is pinned by the certificate, so the per-evaluation
     cost is independent of the number of data points."""
 
-    def __init__(self, family: CurveFamily, degree: int, mv: MomentVector,
-                 shift=(0.0, 0.0)):
+    def __init__(self, family: CurveFamily, degree: int, mv: MomentVector):
         self.family = family
         self.names = family.param_names
         self.degree = degree
         self.mv = mv
-        self.shift = shift  # raw = centered + shift, circle centers only
 
     def theta_dict(self, vec) -> dict:
         return {k: float(v) for k, v in zip(self.names, vec)}
@@ -600,16 +598,11 @@ class _CertObjective:
     def _solve(self, vec):
         th = self.theta_dict(vec)
         P = self.family.build_poly(th, False)
-        px = partial_derivative(P, "x")
-        py = partial_derivative(P, "y")
+        px = P.partial("x")
+        py = P.partial("y")
         Q = px * px + py * py
-        cols, rows, ridx = _build_system(P, Q, self.degree)
+        A, b, cols = certificate_system(P, Q, self.degree)
         k = len(cols)
-        A = np.zeros((len(rows), 2 * k))
-        _fill_float(A, P, cols, ridx, 0)
-        _fill_float(A, Q, cols, ridx, k)
-        b = np.zeros(len(rows))
-        b[ridx[(0, 0)]] = 1.0
         Ap = np.linalg.pinv(A, rcond=1e-12)
         s = Ap @ b
         if float(np.linalg.norm(A @ s - b)) > _CERT_ACCEPT:
@@ -617,25 +610,23 @@ class _CertObjective:
                 f"certificate of degree {self.degree} lost at theta={th}")
         W = BivariatePoly({mn: s[k + j] for j, mn in enumerate(cols)},
                           exact=False)
-        return th, P, (px, py), W, (cols, ridx, k, A, Ap, s)
+        return th, P, (px, py), W, (cols, k, A, Ap, s)
 
     def value_grad(self, vec):
-        th, P, (px, py), W, (cols, ridx, k, A, Ap, s) = self._solve(vec)
+        th, P, (px, py), W, (cols, k, A, Ap, s) = self._solve(vec)
         F = float(self.mv.contract(W * P * P))
         AtpS = Ap.T @ s
         grads = []
         for name in self.names:
             dP = self.family.poly_dtheta(th, name)
-            dQ = 2.0 * (px * partial_derivative(dP, "x")
-                        + py * partial_derivative(dP, "y"))
-            # dP, dQ fit in A's row space (their degrees never exceed those
-            # of P, Q), so the same monomial index applies
-            dA = np.zeros_like(A)
-            _fill_float(dA, dP, cols, ridx, 0)
-            _fill_float(dA, dQ, cols, ridx, k)
+            dQ = 2.0 * (px * dP.partial("x") + py * dP.partial("y"))
+            # deg dP <= deg P and deg dQ <= deg Q, so dA's rows are the
+            # first rows of A's and the rows below them are zero
+            dA, _, _ = certificate_system(dP, dQ, self.degree)
+            m = len(dA)
             # min-norm solution derivative (zero-residual case)
-            v = dA.T @ AtpS
-            ds = -Ap @ (dA @ s) + (v - Ap @ (A @ v))
+            v = dA.T @ AtpS[:m]
+            ds = -Ap[:, :m] @ (dA @ s) + (v - Ap @ (A @ v))
             dW = BivariatePoly({mn: ds[k + j] for j, mn in enumerate(cols)},
                                exact=False)
             dG = dW * P * P + 2.0 * (W * P * dP)

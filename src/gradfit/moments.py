@@ -35,6 +35,14 @@ def moment_keys(D: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(D + 1) for q in range(D + 1 - p)]
 
 
+def _add_compensated(s: np.ndarray, c: np.ndarray, vals: np.ndarray) -> None:
+    """Add ``vals`` into the running sums ``s`` in place, carrying the
+    rounding error of each addition into the compensations ``c`` (Neumaier)."""
+    t = s + vals
+    c += np.where(np.abs(s) >= np.abs(vals), (s - t) + vals, (vals - t) + s)
+    s[:] = t
+
+
 class MomentVector:
     """Accumulator for raw moments up to a fixed total degree.
 
@@ -71,34 +79,18 @@ class MomentVector:
         """Absorb one point; every m[p,q] grows by x^p y^q."""
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NonFiniteInput(f"non-finite point ({x}, {y})")
+        if not self.exact:
+            return self.extend([x], [y])
         D = self.max_total_degree
-        if self.exact:
-            u = Fraction(x) - Fraction(self.offset[0])
-            v = Fraction(y) - Fraction(self.offset[1])
-            up = [Fraction(1)]
-            vq = [Fraction(1)]
-            for _ in range(D):
-                up.append(up[-1] * u)
-                vq.append(vq[-1] * v)
-            for i, (p, q) in enumerate(self._keys):
-                self._frac[i] += up[p] * vq[q]
-        else:
-            u = float(x) - self.offset[0]
-            v = float(y) - self.offset[1]
-            up = [1.0]
-            vq = [1.0]
-            for _ in range(D):
-                up.append(up[-1] * u)
-                vq.append(vq[-1] * v)
-            s, c = self._sum, self._comp
-            for i, (p, q) in enumerate(self._keys):
-                val = up[p] * vq[q]
-                t = s[i] + val
-                if abs(s[i]) >= abs(val):
-                    c[i] += (s[i] - t) + val
-                else:
-                    c[i] += (val - t) + s[i]
-                s[i] = t
+        u = Fraction(x) - Fraction(self.offset[0])
+        v = Fraction(y) - Fraction(self.offset[1])
+        up = [Fraction(1)]
+        vq = [Fraction(1)]
+        for _ in range(D):
+            up.append(up[-1] * u)
+            vq.append(vq[-1] * v)
+        for i, (p, q) in enumerate(self._keys):
+            self._frac[i] += up[p] * vq[q]
         self.n += 1
         return self
 
@@ -115,7 +107,6 @@ class MomentVector:
                 self.accumulate(x, y)
             return self
         D = self.max_total_degree
-        s, c = self._sum, self._comp
         for lo in range(0, xs.size, _CHUNK):
             u = xs[lo:lo + _CHUNK] - self.offset[0]
             v = ys[lo:lo + _CHUNK] - self.offset[1]
@@ -124,14 +115,8 @@ class MomentVector:
             for _ in range(D):
                 up.append(up[-1] * u)
                 vq.append(vq[-1] * v)
-            for i, (p, q) in enumerate(self._keys):
-                val = float(np.sum(up[p] * vq[q]))
-                t = s[i] + val
-                if abs(s[i]) >= abs(val):
-                    c[i] += (s[i] - t) + val
-                else:
-                    c[i] += (val - t) + s[i]
-                s[i] = t
+            vals = np.array([np.sum(up[p] * vq[q]) for p, q in self._keys])
+            _add_compensated(self._sum, self._comp, vals)
         self.n += int(xs.size)
         return self
 
@@ -141,10 +126,6 @@ class MomentVector:
         mv = cls(max_total_degree, offset=offset, exact=exact)
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
-            return mv
-        if exact:
-            for x, y in np.atleast_2d(pts):
-                mv.accumulate(float(x), float(y))
             return mv
         pts = np.atleast_2d(pts)
         return mv.extend(pts[:, 0], pts[:, 1])
@@ -167,14 +148,9 @@ class MomentVector:
             return out
         a_sum, a_comp = self._float_parts()
         b_sum, b_comp = other._float_parts()
-        s = a_sum.copy()
-        c = a_comp.copy()
-        for add in (b_sum, b_comp):
-            t = s + add
-            big = np.abs(s) >= np.abs(add)
-            c += np.where(big, (s - t) + add, (add - t) + s)
-            s = t
-        out._sum, out._comp = s, c
+        out._sum, out._comp = a_sum.copy(), a_comp.copy()
+        _add_compensated(out._sum, out._comp, b_sum)
+        _add_compensated(out._sum, out._comp, b_comp)
         return out
 
     def _float_parts(self):

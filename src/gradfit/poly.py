@@ -289,10 +289,6 @@ def _coerce(value, exact_hint: bool):
     return NotImplemented
 
 
-def partial_derivative(P: BivariatePoly, var: str) -> BivariatePoly:
-    return P.partial(var)
-
-
 def gradient_norm_squared(P: BivariatePoly) -> BivariatePoly:
     """Squared gradient magnitude (dP/dx)^2 + (dP/dy)^2 as a polynomial."""
     px = P.partial("x")

@@ -11,6 +11,7 @@ from gradfit.analyzer import (
     CommonZeroWitness,
     ReductionCertificate,
     analyze_family,
+    certificate_system,
     decide_reduction,
     default_degree_bound,
     find_common_zero,
@@ -75,6 +76,16 @@ def test_parabola_witness_is_i_over_2c():
         assert abs(w.y - (-1.0 / (4 * c))) < 1e-8
 
 
+def test_parabola_double_root_witness_is_found():
+    # the x-eliminated resultant is (y + 1/(4c))^2: the witness lies on its
+    # double root, which root finding must not move off the true value
+    for c in (0.6055845711802689, 0.6925030583875271):
+        P = get_family("parabola").poly({"c": c}, exact=True)
+        decision = decide_reduction(P)
+        assert not decision.admissible
+        assert abs(decision.witness.y + 1.0 / (4 * c)) < 1e-8
+
+
 def test_witness_residuals_meet_tolerance():
     rng = np.random.default_rng(31)
     seen = 0
@@ -124,6 +135,34 @@ def test_both_univariate_same_variable():
 
 
 # -- certificates -----------------------------------------------------------
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_certificate_system_exact_and_float_agree(d):
+    rng = np.random.default_rng(90 + d)
+    P, Q = random_poly(rng), random_poly(rng, max_deg=4)
+    A, b, cols = certificate_system(P.to_exact(), Q.to_exact(), d)
+    Af, bf, cols_f = certificate_system(P, Q, d)
+    assert all(isinstance(v, Fraction) for v in [*A.flat, *b])
+    assert Af.dtype == bf.dtype == np.float64
+    assert cols == cols_f and len(cols) == (d + 1) * (d + 2) // 2
+    assert np.array_equal(A.astype(float), Af)
+    assert np.array_equal(b.astype(float), bf)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_certificate_system_lower_degree_rows_are_a_prefix(d):
+    # the generic fit builds dA from (dP, dQ), of lower degree than (P, Q),
+    # and uses it as the leading rows of A's shape
+    low_P, low_Q = X * Y + 3 * X - 2, X ** 2 - Y + 5
+    high_P, high_Q = X ** 3 - 2 * Y ** 2, 4 * X * Y ** 3
+    A, b, cols = certificate_system(low_P, low_Q, d)
+    A2, _, _ = certificate_system(high_P, high_Q, d)
+    Asum, bsum, _ = certificate_system(low_P + high_P, low_Q + high_Q, d)
+    m = len(A)
+    assert m < len(A2) == len(Asum)
+    assert (Asum[:m] == A + A2[:m]).all() and (Asum[m:] == A2[m:]).all()
+    assert (bsum[:m] == b).all() and not bsum[m:].any()
+
 
 def test_circle_certificate_exact_at_degree_zero():
     P = circle_poly(Fraction(1), Fraction(-2), Fraction(3, 2))

@@ -90,20 +90,6 @@ def test_fit_offline_from_saved_moments(circle_csv, tmp_path, capsys):
             == strip_seconds(json.loads(offline)))
 
 
-def test_fit_parallel_merge_matches_serial(circle_csv, capsys):
-    _, serial, _ = run(capsys, "fit", circle_csv, "--algo", "reduced", "--json")
-    _, par, _ = run(capsys, "fit", circle_csv, "--algo", "reduced",
-                    "--parallel", "4", "--json")
-    a = json.loads(serial)["params"]
-    b = json.loads(par)["params"]
-    # merge order may move the last ulp of a statistic
-    for k in ("a", "b", "R"):
-        assert abs(a[k] - b[k]) < 1e-12
-    _, par2, _ = run(capsys, "fit", circle_csv, "--algo", "reduced",
-                     "--parallel", "4", "--json")
-    assert strip_seconds(json.loads(par)) == strip_seconds(json.loads(par2))
-
-
 def test_fit_not_converged_exit_code(circle_csv, capsys):
     rc, out, _ = run(capsys, "fit", circle_csv, "--algo", "reweight",
                      "--max-iterations", "1")

@@ -17,7 +17,6 @@ from gradfit.poly import (
     format_poly,
     gradient_norm_squared,
     parse_poly,
-    partial_derivative,
     sylvester_resultant,
     univariate_coeffs,
 )
@@ -141,8 +140,8 @@ def test_mixed_mode_promotes_to_float():
 
 def test_partial_derivative_basic():
     P = BivariatePoly({(2, 1): 3, (0, 0): 2})
-    assert partial_derivative(P, "x") == BivariatePoly({(1, 1): 6})
-    assert partial_derivative(P, "y") == BivariatePoly({(2, 0): 3})
+    assert P.partial("x") == BivariatePoly({(1, 1): 6})
+    assert P.partial("y") == BivariatePoly({(2, 0): 3})
 
 
 def test_gradient_norm_circle_identity():
