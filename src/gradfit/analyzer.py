@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BoundExhausted,
     DegenerateInput,
+    InvalidSpec,
     NumericalFailure,
 )
 from .families import CurveFamily, get_family
@@ -453,7 +454,10 @@ def _solve_exact_at(P, Q, d):
         G = [[sum(basis[i][t] * basis[j][t] for t in range(ncols))
               for j in range(m)] for i in range(m)]
         h = [-sum(basis[i][t] * x0[t] for t in range(ncols)) for i in range(m)]
-        coef = _solve_spd_exact(G, h)
+        # G is the Gram matrix of independent vectors: every column pivots
+        Gh = [row + [hi] for row, hi in zip(G, h)]
+        _rref(Gh)
+        coef = [row[m] for row in Gh]
         for i in range(m):
             if coef[i] != 0:
                 for t in range(ncols):
@@ -461,22 +465,6 @@ def _solve_exact_at(P, Q, d):
     U = BivariatePoly({mno: x0[j] for j, mno in enumerate(cols)}, exact=True)
     W = BivariatePoly({mno: x0[k + j] for j, mno in enumerate(cols)}, exact=True)
     return U, W
-
-
-def _solve_spd_exact(G, h):
-    """Gaussian elimination for a symmetric positive-definite Fraction system."""
-    m = len(G)
-    M = [row[:] + [h[i]] for i, row in enumerate(G)]
-    for c in range(m):
-        pivot = next(i for i in range(c, m) if M[i][c] != 0)
-        M[c], M[pivot] = M[pivot], M[c]
-        pv = M[c][c]
-        M[c] = [v / pv for v in M[c]]
-        for i in range(m):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return [M[i][m] for i in range(m)]
 
 
 def _identity_residual(P, Q, U, W) -> float:
@@ -688,6 +676,8 @@ def analyze_family(family, samples: int, rng=None, exact: bool = True,
     """
     if isinstance(family, str):
         family = get_family(family)
+    if samples < 1:
+        raise InvalidSpec(f"samples must be at least 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     thetas = [family.sample_theta(rng) for _ in range(samples)]

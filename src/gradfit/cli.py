@@ -32,7 +32,8 @@ code  meaning
 14    DegenerateInput / DegenerateElimination
 ====  =======================================================
 
-``GRADFIT_SEED`` provides the default seed wherever ``--seed`` is accepted.
+``GRADFIT_SEED`` provides the default seed wherever ``--seed`` is accepted;
+a value that is not an integer is a usage error.
 Structured output (``--json``) is byte-identical across runs with the same
 seed and flags, apart from the ``*_seconds`` timing fields.
 """
@@ -92,7 +93,14 @@ def exit_code_for(exc: BaseException) -> int:
 
 def _default_seed():
     raw = os.environ.get("GRADFIT_SEED")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        print(f"error: GRADFIT_SEED must be an integer, got {raw!r}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _emit_json(obj) -> None:
@@ -366,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

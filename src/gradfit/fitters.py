@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,16 +146,13 @@ class FitConfig:
     max_iterations: int = 100
     gradient_tol: float = 1e-10
     step_tol: float = 1e-12
-    max_halvings: int = 60
-    init: object = None  # CircleParams or parameter dict; None = default
+    init: object = None  # start: CircleParams, (a, b, R) or parameter dict
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidSpec("max_iterations must be at least 1")
         if self.gradient_tol <= 0 or self.step_tol <= 0:
             raise InvalidSpec("tolerances must be positive")
-        if self.max_halvings < 1:
-            raise InvalidSpec("max_halvings must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -220,11 +219,19 @@ def _fa_val_grad_hess(z, n, a, b, R):
     return F, grad, hess
 
 
-def _circle_triplet(p) -> tuple:
+def _circle_start(p) -> CircleParams:
+    """A circle given as CircleParams, a dict with keys a, b, R, or an
+    (a, b, R) sequence. InvalidRadius unless finite with R > 0."""
     if isinstance(p, CircleParams):
-        return p.a, p.b, p.R
-    a, b, R = (float(v) for v in p)
-    return a, b, R
+        return p
+    try:
+        return CircleParams(**p) if isinstance(p, dict) else CircleParams(*p)
+    except TypeError as exc:
+        raise InvalidSpec(f"a circle needs a, b and R: {exc}") from None
+
+
+def _circle_feasible(th) -> bool:
+    return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
 
 
 def eval_Fa_circle(z, n, p):
@@ -235,12 +242,10 @@ def eval_Fa_circle(z, n, p):
     live in the same frame as the accumulator (centered if it was centered).
     Cost is independent of the number of data points.
     """
-    a, b, R = _circle_triplet(p)
-    if not (math.isfinite(R) and R > 0.0):
-        raise InvalidRadius(f"radius must be positive, got {R}")
+    p = _circle_start(p)
     if len(z) != 9:
         raise DegreeMismatch("expected the nine-statistic circle view")
-    F, grad, _ = _fa_val_grad_hess(z, n, a, b, R)
+    F, grad, _ = _fa_val_grad_hess(z, n, p.a, p.b, p.R)
     return float(F), grad
 
 
@@ -269,11 +274,15 @@ def _newton_step(H, g):
 
 
 _NOISE_BAND = 1024.0 * np.finfo(float).eps
+_MAX_HALVINGS = 60
+
+# one _damped_newton run; evals counts objective evaluations, the start's too
+_Run = namedtuple("_Run", "theta F g iterations converged times evals trace")
 
 
-def _damped_newton(fun, theta0, cfg: FitConfig, feasible=None):
+def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
     """Minimize fun: R^k -> (value, gradient, Hessian) by Newton steps with
-    halving on ascent.
+    halving on ascent and on leaving ``feasible``.
 
     Accepted steps never increase the objective beyond its evaluation-noise
     band: once the true decrease of a Newton step falls below the float
@@ -298,9 +307,9 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible=None):
         delta = _newton_step(H, g)
         gmax = float(np.max(np.abs(g)))
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = theta + delta
-            if feasible is not None and not feasible(cand):
+            if not feasible(cand):
                 delta = 0.5 * delta
                 continue
             Fc, gc, Hc = fun(cand)
@@ -322,7 +331,23 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible=None):
         trace.append(float(F))
         if _grad_ok(g, F) or step <= cfg.step_tol:
             converged = True
-    return theta, F, g, iters, converged, times, evals, trace
+    return _Run(theta, F, g, iters, converged, times, evals, trace)
+
+
+def _result(family: str, params, run: _Run, data_passes: int,
+            **extra) -> FitResult:
+    """The FitResult of a Newton fit; ``extra`` adds diagnostics."""
+    return FitResult(
+        family=family,
+        params=params,
+        objective=float(run.F),
+        iterations=run.iterations,
+        converged=run.converged,
+        iteration_seconds=tuple(run.times),
+        data_passes=data_passes,
+        diagnostics={"gradient_inf_norm": float(np.max(np.abs(run.g))),
+                     "objective_trace": tuple(run.trace), **extra},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +392,23 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     z, n = mv.circle_z_view()
     if n < 3:
         raise NoCircle(f"need at least 3 points, got {n}")
-    ox, oy = mv.offset
     if cfg.init is not None:
-        init = cfg.init
-        if not isinstance(init, CircleParams):
-            init = CircleParams(**init) if isinstance(init, dict) \
-                else CircleParams(*init)
+        init = _circle_start(cfg.init)
     else:
         try:
             init = kasa_init(mv)
         except (DegenerateData, ImaginaryRadius) as exc:
             raise NoCircle(f"linear initializer failed: {exc}") from exc
-    theta0 = np.array([init.a - ox, init.b - oy, init.R])
+    ox, oy = mv.offset
 
     def fun(th):
         return _fa_val_grad_hess(z, n, th[0], th[1], th[2])
 
-    def feasible(th):
-        return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
-
-    theta, F, g, iters, converged, times, _, trace = _damped_newton(
-        fun, theta0, cfg, feasible)
-    params = CircleParams(theta[0] + ox, theta[1] + oy, theta[2])
-    return FitResult(
-        family="circle",
-        params=params,
-        objective=float(F),
-        iterations=iters,
-        converged=converged,
-        iteration_seconds=tuple(times),
-        data_passes=1,
-        diagnostics={"gradient_inf_norm": float(np.max(np.abs(g))),
-                     "objective_trace": tuple(trace),
-                     "init": init.to_dict()},
-    )
+    run = _damped_newton(fun, [init.a - ox, init.b - oy, init.R], cfg,
+                         _circle_feasible)
+    a, b, R = run.theta
+    return _result("circle", CircleParams(a + ox, b + oy, R), run, 1,
+                   init=init.to_dict())
 
 
 def _as_points(points) -> np.ndarray:
@@ -412,8 +420,7 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def fit_circle_geometric(points, init: CircleParams = None,
-                         cfg: FitConfig = None) -> FitResult:
+def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
     """Damped Gauss-Newton on the distance residuals r_i = d_i - R.
 
     One pass over all n points per objective/Jacobian evaluation."""
@@ -424,7 +431,9 @@ def fit_circle_geometric(points, init: CircleParams = None,
         raise DegenerateData(f"need at least 3 points, got {n}")
     x = pts[:, 0]
     y = pts[:, 1]
-    if init is None:
+    if cfg.init is not None:
+        init = _circle_start(cfg.init)
+    else:
         centroid = (float(x.mean()), float(y.mean()))
         init = kasa_init(MomentVector.from_points(pts, 3, offset=centroid))
     ones = np.ones(n)
@@ -443,25 +452,9 @@ def fit_circle_geometric(points, init: CircleParams = None,
         H = 2.0 * (J.T @ J)  # Gauss-Newton curvature
         return float(r @ r), g, H
 
-    def feasible(th):
-        return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
-
-    theta0 = np.array([init.a, init.b, init.R])
-    theta, F, g, iters, converged, times, evals, trace = _damped_newton(
-        fun, theta0, cfg, feasible)
-    params = CircleParams(theta[0], theta[1], theta[2])
-    return FitResult(
-        family="circle",
-        params=params,
-        objective=float(F),
-        iterations=iters,
-        converged=converged,
-        iteration_seconds=tuple(times),
-        data_passes=evals,
-        diagnostics={"gradient_inf_norm": float(np.max(np.abs(g))),
-                     "objective_trace": tuple(trace),
-                     "init": init.to_dict()},
-    )
+    run = _damped_newton(fun, [init.a, init.b, init.R], cfg, _circle_feasible)
+    return _result("circle", CircleParams(*run.theta), run, run.evals,
+                   init=init.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +564,15 @@ def _conic_stationarity(theta, Z, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _scale_free(family: CurveFamily) -> bool:
+    """Whether P(2 theta) = 2 P(theta), as for the line u x + v y + w; then
+    W scales like 1 / |grad P|^2 and F(s theta) = F(theta)."""
+    th = family.sample_theta(np.random.default_rng(0))
+    double = family.build_poly({k: 2.0 * v for k, v in th.items()}, True)
+    return double == 2 * family.build_poly(th, True)
+
+
 class _CertObjective:
     """Assembles F(theta) = <moments, W_theta * P_theta^2> where W_theta is
     re-solved from the tiny certificate system at each parameter value.
@@ -582,6 +584,7 @@ class _CertObjective:
         self.names = family.param_names
         self.degree = degree
         self.mv = mv
+        self.scale_free = _scale_free(family)
 
     def theta_dict(self, vec) -> dict:
         return {k: float(v) for k, v in zip(self.names, vec)}
@@ -655,7 +658,17 @@ class _CertObjective:
                 H[:, j] = (g - gd) / h
             else:
                 H[j, j] = 1.0
-        return F, g, 0.5 * (H + H.T)
+        H = 0.5 * (H + H.T)
+        if self.scale_free:
+            # Euler's identity gives H theta = -g, so a plain Newton step
+            # mostly rescales theta; keep the step orthogonal to theta and
+            # give theta's own direction H's scale
+            t = np.asarray(vec, dtype=float)
+            t = t / np.linalg.norm(t)
+            proj = np.eye(k) - np.outer(t, t)
+            g = proj @ g
+            H = proj @ H @ proj + float(np.max(np.abs(H))) * np.outer(t, t)
+        return F, g, H
 
 
 def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
@@ -671,31 +684,32 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"certificate not verified: identity residual "
             f"{cert.identity_residual} exceeds {_CERT_ACCEPT}")
     ox, oy = mv.offset
-    centered = (ox, oy) != (0.0, 0.0)
-    if centered and fam.name != "circle":
+    if fam.name == "circle":
+        # the circle alone starts from Kasa's fit and moves with the
+        # accumulator's frame
+        init = _circle_start(cfg.init) if cfg.init is not None \
+            else kasa_init(mv)
+        theta0 = [init.a - ox, init.b - oy, init.R]
+
+        def params(th):
+            return CircleParams(th[0] + ox, th[1] + oy, th[2])
+    elif (ox, oy) != (0.0, 0.0):
         raise InvalidSpec(
             "centered accumulators are only supported for the circle family; "
             "rebuild the moments with offset (0, 0)")
-
-    if cfg.init is not None:
-        init = cfg.init
-        if isinstance(init, CircleParams):
-            theta_raw = {"a": init.a, "b": init.b, "R": init.R}
-        else:
-            theta_raw = {k: float(v) for k, v in dict(init).items()}
-    elif fam.name == "circle":
-        k0 = kasa_init(mv)
-        theta_raw = {"a": k0.a, "b": k0.b, "R": k0.R}
-    else:
+    elif cfg.init is None:
         raise InvalidSpec(f"family {fam.name!r} needs an explicit initializer "
                           "in FitConfig.init")
-    fam.validate(theta_raw)
+    else:
+        init = cfg.init.to_dict() if isinstance(cfg.init, CircleParams) \
+            else {k: float(v) for k, v in dict(cfg.init).items()}
+        fam.validate(init)
+        theta0 = [init[k] for k in fam.param_names]
 
-    shift = {"a": ox, "b": oy} if fam.name == "circle" else {}
-    theta0 = np.array([theta_raw[k] - shift.get(k, 0.0) for k in fam.param_names])
+        def params(th):
+            return {k: float(v) for k, v in zip(fam.param_names, th)}
 
-    P0 = fam.build_poly({k: float(theta0[i])
-                         for i, k in enumerate(fam.param_names)}, False)
+    P0 = fam.build_poly(dict(zip(fam.param_names, theta0)), False)
     need = cert.degree + 2 * int(P0.degree())
     if mv.max_total_degree < need:
         raise DegreeMismatch(
@@ -703,22 +717,6 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"(certificate degree {cert.degree}, curve degree {P0.degree()})")
 
     obj = _CertObjective(fam, cert.degree, mv)
-    theta, F, g, iters, converged, times, _, trace = _damped_newton(
-        obj.value_grad_hess, theta0, cfg, obj.feasible)
-
-    final = {k: float(theta[i]) + shift.get(k, 0.0)
-             for i, k in enumerate(fam.param_names)}
-    params = CircleParams(final["a"], final["b"], final["R"]) \
-        if fam.name == "circle" else final
-    return FitResult(
-        family=fam.name,
-        params=params,
-        objective=float(F),
-        iterations=iters,
-        converged=converged,
-        iteration_seconds=tuple(times),
-        data_passes=1,
-        diagnostics={"gradient_inf_norm": float(np.max(np.abs(g))),
-                     "objective_trace": tuple(trace),
-                     "certificate_degree": cert.degree},
-    )
+    run = _damped_newton(obj.value_grad_hess, theta0, cfg, obj.feasible)
+    return _result(fam.name, params(run.theta), run, 1,
+                   certificate_degree=cert.degree)

@@ -535,11 +535,6 @@ def _up_trim(c: list) -> tuple:
     return tuple(c)
 
 
-def _up_add(a, b):
-    n = max(len(a), len(b))
-    return _up_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def _up_sub(a, b):
     n = max(len(a), len(b))
     return _up_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])

@@ -18,6 +18,7 @@ from gradfit.analyzer import (
     restriction_residual,
     solve_nullstellensatz,
     verify_certificate,
+    _solve_exact_at,
 )
 from gradfit.errors import BoundExhausted, DegenerateInput
 from gradfit.families import CurveFamily, get_family
@@ -162,6 +163,19 @@ def test_certificate_system_lower_degree_rows_are_a_prefix(d):
     assert m < len(A2) == len(Asum)
     assert (Asum[:m] == A + A2[:m]).all() and (Asum[m:] == A2[m:]).all()
     assert (bsum[:m] == b).all() and not bsum[m:].any()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_solve_above_minimal_degree_is_minimum_norm(d):
+    # above degree 0 the circle's system has free columns, so the exact
+    # solver projects onto the solution set through its Gram system
+    P = circle_poly(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 4))
+    Q = gradient_norm_squared(P)
+    U, W = _solve_exact_at(P, Q, d)
+    A, b, cols = certificate_system(P.to_float(), Q.to_float(), d)
+    assert np.linalg.matrix_rank(A) < A.shape[1]
+    exact = [float(poly.coeff(p, q)) for poly in (U, W) for p, q in cols]
+    assert np.max(np.abs(np.array(exact) - np.linalg.pinv(A) @ b)) < 1e-12
 
 
 def test_circle_certificate_exact_at_degree_zero():

@@ -205,6 +205,15 @@ def test_analyze_requires_exactly_one_target(capsys):
     assert rc == 5
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_analyze_rejects_fewer_than_one_sample(capsys, samples):
+    rc, out, err = run(capsys, "analyze", "--family", "circle",
+                       "--samples", samples)
+    assert rc == 5
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_analyze_json_reproducible(capsys):
     argv = ("analyze", "--family", "parabola", "--samples", "2",
             "--seed", "9", "--json")
@@ -232,6 +241,14 @@ def test_generate_env_var_supplies_seed(capsys, monkeypatch):
     monkeypatch.delenv("GRADFIT_SEED")
     _, explicit, _ = run(capsys, *(argv + ("--seed", "42")))
     assert from_env == explicit
+
+
+def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GRADFIT_SEED", "abc")
+    rc, out, err = run(capsys, "analyze", "--family", "circle")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "GRADFIT_SEED" in err
 
 
 def test_generate_json_points_lie_on_curve(capsys):

@@ -119,6 +119,12 @@ def test_value_requires_positive_radius():
             eval_Fa_circle(z, n, (0.0, 0.0, bad))
 
 
+def test_value_rejects_non_finite_centre():
+    z, n = MomentVector.from_points([(1.0, 0.0)], 4).circle_z_view()
+    with pytest.raises(InvalidRadius):
+        eval_Fa_circle(z, n, (math.nan, 0.0, 1.0))
+
+
 def test_value_rejects_short_view():
     with pytest.raises(DegreeMismatch):
         eval_Fa_circle((1.0, 2.0, 3.0), 1, (0.0, 0.0, 1.0))
@@ -301,7 +307,7 @@ def test_geometric_rejects_tiny_dataset():
 def test_geometric_center_on_sample():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
     with pytest.raises(CenterHitsDataPoint):
-        fit_circle_geometric(pts, init=CircleParams(0.0, 0.0, 1.0))
+        fit_circle_geometric(pts, FitConfig(init=CircleParams(0.0, 0.0, 1.0)))
 
 
 def test_geometric_close_to_reduced_on_small_noise():
@@ -316,10 +322,21 @@ def test_geometric_close_to_reduced_on_small_noise():
 
 def test_geometric_descent_is_monotone():
     pts = circle_points(0.0, 0.0, 1.0, 40, noise=0.1, seed=3)
-    res = fit_circle_geometric(pts, init=CircleParams(1.5, -1.5, 0.4))
+    res = fit_circle_geometric(pts,
+                               FitConfig(init=CircleParams(1.5, -1.5, 0.4)))
     trace = res.diagnostics["objective_trace"]
     assert all(b <= a + 1e-12 * (1.0 + abs(a))
                for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("start", [CircleParams(0.2, -0.1, 1.3),
+                                   {"a": 0.2, "b": -0.1, "R": 1.3},
+                                   (0.2, -0.1, 1.3)])
+def test_geometric_starts_from_config_init(start):
+    pts = circle_points(0.0, 0.0, 1.0, 40, noise=0.01, seed=5)
+    res = fit_circle_geometric(pts, cfg=FitConfig(init=start))
+    assert res.diagnostics["init"] == {"a": 0.2, "b": -0.1, "R": 1.3}
+    assert res.converged
 
 
 # -- conic reweight ----------------------------------------------------------
@@ -454,6 +471,35 @@ def test_generic_line_family_scale_invariant_fit():
     got = np.array([res.params["u"], res.params["v"], res.params["w"]])
     got /= math.hypot(got[0], got[1])
     assert np.max(np.abs(got - np.array([u, v, w]))) < 1e-6
+
+
+def test_generic_line_fit_keeps_its_scale():
+    # W P^2 is unchanged when (u, v, w) is scaled, so a plain Newton step
+    # along the scale direction would mostly rescale the start
+    fam = get_family("line")
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        u, v, w = math.cos(phi), math.sin(phi), rng.uniform(-2.0, 2.0)
+        t = rng.uniform(-1.0, 1.0, 300)
+        pts = np.column_stack([-w * u - v * t, -w * v + u * t])
+        pts += rng.normal(0.0, 0.01, pts.shape)
+        # ordinary least squares along the wider coordinate
+        if np.ptp(pts[:, 0]) >= np.ptp(pts[:, 1]):
+            m, c = np.polyfit(pts[:, 0], pts[:, 1], 1)
+            start = {"u": m, "v": -1.0, "w": c}
+        else:
+            m, c = np.polyfit(pts[:, 1], pts[:, 0], 1)
+            start = {"u": -1.0, "v": m, "w": c}
+        P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
+        cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+        res = fit_reduced_generic("line", cert,
+                                  MomentVector.from_points(pts, 2),
+                                  FitConfig(init=start))
+        assert res.converged and res.iterations <= 10
+        scale = (math.hypot(res.params["u"], res.params["v"])
+                 / math.hypot(start["u"], start["v"]))
+        assert scale == pytest.approx(1.0, abs=0.03)
 
 
 def test_generic_rejects_unverified_certificate():
