@@ -349,7 +349,9 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
 
 
 @lru_cache(maxsize=64)
-def _monomials(d: int) -> tuple[tuple[int, int], ...]:
+def monomials(d: int) -> tuple[tuple[int, int], ...]:
+    """The exponents (p, q) of x^p y^q with p + q <= d, in lexicographic
+    order: the basis of a coefficient vector of a polynomial of degree d."""
     return tuple((p, q) for p in range(d + 1) for q in range(d + 1 - p))
 
 
@@ -358,6 +360,48 @@ def _row(p: int, q: int) -> int:
     lower row degree are a prefix of a higher one's."""
     t = p + q
     return t * (t + 1) // 2 + q
+
+
+class CertificateLayout:
+    """Where the coefficients of P and Q sit in the system A s = b of P*U +
+    Q*W = 1 (see ``certificate_system``).
+
+    ``fill(p, q)`` takes P's coefficient vector on ``monomials(p_degree)``
+    and Q's on ``monomials(q_degree)`` and returns A, of shape ``shape``;
+    leading axes of p and q are kept, so one call fills a stack of systems.
+    """
+
+    def __init__(self, p_degree: int, q_degree: int, d: int):
+        self.cols = monomials(d)
+        k = len(self.cols)
+        drow = d + max(p_degree, q_degree)
+        self.shape = ((drow + 1) * (drow + 2) // 2, 2 * k)
+        rows, cols, src = [], [], []
+        for base, degree, first in ((0, p_degree, 0),
+                                    (k, q_degree, len(monomials(p_degree)))):
+            for i, (a, e) in enumerate(monomials(degree)):
+                # distinct monomials land in distinct rows of each column
+                for j, (p, q) in enumerate(self.cols):
+                    rows.append(_row(a + p, e + q))
+                    cols.append(base + j)
+                    src.append(first + i)
+        self._at = (np.array(rows), np.array(cols))
+        self._src = np.array(src)
+
+    def fill(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        pq = np.concatenate([p, q], axis=-1)
+        zero = Fraction(0) if pq.dtype == object else 0.0
+        A = np.full(pq.shape[:-1] + self.shape, zero, dtype=pq.dtype)
+        A[(...,) + self._at] = pq[..., self._src]
+        return A
+
+
+@lru_cache(maxsize=64)
+def certificate_layout(p_degree: int, q_degree: int,
+                       d: int) -> CertificateLayout:
+    """The shared layout of the certificate systems of every pair (P, Q) of
+    degrees (p_degree, q_degree) at certificate degree d."""
+    return CertificateLayout(p_degree, q_degree, d)
 
 
 def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
@@ -371,25 +415,25 @@ def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
     are both exact, float64 otherwise. Returns (A, b, cols).
     """
     exact = P.exact and Q.exact
-    cols = _monomials(d)
-    k = len(cols)
-    drow = d + max(_int_degree(P), _int_degree(Q))
-    nrows = (drow + 1) * (drow + 2) // 2
+    dp, dq = _int_degree(P), _int_degree(Q)
+    layout = certificate_layout(dp, dq, d)
+    A = layout.fill(_coefficients(P, dp, exact), _coefficients(Q, dq, exact))
+    one = Fraction(1) if exact else 1.0
+    b = np.full(len(A), 0 * one, dtype=A.dtype)
+    b[0] = one
+    return A, b, layout.cols
+
+
+def _coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
+    """P's coefficient vector on ``monomials(degree)``."""
+    index = {mn: i for i, mn in enumerate(monomials(degree))}
     if exact:
-        A = np.full((nrows, 2 * k), Fraction(0), dtype=object)
-        b = np.full(nrows, Fraction(0), dtype=object)
-        b[0] = Fraction(1)
+        vec = np.full(len(index), Fraction(0), dtype=object)
     else:
-        A = np.zeros((nrows, 2 * k))
-        b = np.zeros(nrows)
-        b[0] = 1.0
-    for base, poly in ((0, P), (k, Q)):
-        for (a, e), c in poly.terms.items():
-            c = c if exact else c.real
-            # distinct terms land in distinct rows of each column
-            for j, (p, q) in enumerate(cols):
-                A[_row(a + p, e + q), base + j] = c
-    return A, b, cols
+        vec = np.zeros(len(index))
+    for mn, c in P.terms.items():
+        vec[index[mn]] = c if exact else c.real
+    return vec
 
 
 def _solve_float_at(P, Q, d):
@@ -608,6 +652,17 @@ def decide_reduction(P: BivariatePoly, Q: BivariatePoly | None = None,
             f"no witness and no certificate through degree {max_degree}"
         )
     return ReductionDecision(True, None, cert, max_degree)
+
+
+def circle_certificate() -> ReductionCertificate:
+    """The unit circle's certificate. Every circle's minimal certificate has
+    the same degree, and the generic fit re-solves W at each iterate and
+    reads only that degree, so this one serves any circle fit."""
+    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
+    decision = decide_reduction(P)
+    if not decision.admissible or decision.certificate is None:
+        raise NumericalFailure("no certificate for the unit circle")
+    return decision.certificate
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Timing benchmark: one-pass reduced circle fit versus the per-point
-reweight baseline across dataset sizes.
+"""Timing benchmark: the one-pass reduced circle fit, the certificate-driven
+generic fit and the per-point reweight baseline across dataset sizes.
 
 The point of the comparison: after the single accumulation pass the reduced
-fit iterates on ten numbers, so its per-iteration cost is flat in n, while
-the reweight baseline revisits every point each iteration. All reported
-times are medians over at least five repetitions on a monotonic clock, with
-one warm-up run discarded.
+and generic fits iterate on a fixed set of moments, so their per-iteration
+cost is flat in n, while the reweight baseline revisits every point each
+iteration. The generic fit minimizes the same circle objective through the
+certificate, so its per-iteration time over the reduced fit's is the price
+of the generic engine. All reported times are medians over at least five
+repetitions on a monotonic clock, with one warm-up run discarded.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from statistics import median
 
 import numpy as np
 
+from .analyzer import circle_certificate
 from .datagen import SyntheticSpec, generate
 from .errors import InvalidSpec
 from .fitters import CircleParams, FitConfig, fit_circle_reduced, \
-    fit_conic_reweight
+    fit_conic_reweight, fit_reduced_generic
 from .moments import MomentVector
 
 _TRUE = {"a": 0.3, "b": -0.2, "R": 1.0}
@@ -84,16 +87,27 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _time_reduced(pts: np.ndarray):
-    """One lap: (setup seconds, total seconds, result)."""
+def _time_moments(pts: np.ndarray, fit):
+    """One lap of ``fit(mv, cfg)`` on centred degree-4 moments from
+    ``_START``: (setup seconds, total seconds, result)."""
     cfg = FitConfig(init=_START)
     t0 = time.perf_counter()
     centroid = (float(pts[:, 0].mean()), float(pts[:, 1].mean()))
     mv = MomentVector.from_points(pts, 4, offset=centroid)
     t1 = time.perf_counter()
-    result = fit_circle_reduced(mv, cfg)
+    result = fit(mv, cfg)
     t2 = time.perf_counter()
     return t1 - t0, t2 - t0, result
+
+
+def _time_reduced(pts: np.ndarray):
+    return _time_moments(pts, fit_circle_reduced)
+
+
+def _time_generic(pts: np.ndarray):
+    cert = circle_certificate()
+    return _time_moments(
+        pts, lambda mv, cfg: fit_reduced_generic("circle", cert, mv, cfg))
 
 
 def _time_reweight(pts: np.ndarray):
@@ -104,7 +118,8 @@ def _time_reweight(pts: np.ndarray):
     return (t1 - t0) - sum(result.iteration_seconds), t1 - t0, result
 
 
-_TIMERS = {"reduced": _time_reduced, "reweight": _time_reweight}
+_TIMERS = {"reduced": _time_reduced, "generic": _time_generic,
+           "reweight": _time_reweight}
 
 
 def run_bench(ns, repetitions: int = 5, seed: int = 0,

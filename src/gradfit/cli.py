@@ -8,7 +8,8 @@ Subcommands
               the gradient-weight reduction; print verdict plus witness or
               certificate.
 ``generate``  write synthetic noisy samples of a curve family as CSV.
-``bench``     time reduced vs reweight fits across dataset sizes.
+``bench``     time the reduced, generic and reweight fits across dataset
+              sizes.
 
 Exit codes are stable per error class so scripts can branch on them:
 
@@ -18,9 +19,9 @@ code  meaning
 0     success (fits: converged)
 1     unexpected error
 2     usage error
-3     ParseError                (malformed text input)
+3     ParseError                (malformed text input or moment file)
 4     NonFiniteValue / NonFiniteInput
-5     InvalidSpec
+5     InvalidSpec               (also: a file that cannot be read or written)
 6     NoCircle / DegenerateData
 7     fit finished without converging
 8     GradientVanishesAtSample
@@ -47,7 +48,7 @@ import sys
 
 import numpy as np
 
-from .analyzer import analyze_family, decide_reduction
+from .analyzer import analyze_family, circle_certificate, decide_reduction
 from .bench import run_bench
 from .datagen import SyntheticSpec, generate, ingest, write_points
 from .errors import (BoundExhausted, CenterHitsDataPoint, DegenerateData,
@@ -120,15 +121,20 @@ def _accumulate(points: np.ndarray, degree: int) -> MomentVector:
     return MomentVector.from_points(points, degree, offset=centroid)
 
 
-def _circle_certificate():
-    # certificate template at the unit circle; the generic fitter re-solves
-    # the weight at every iterate, only the ansatz degree is carried over
-    fam = get_family("circle")
-    P = fam.poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
-    decision = decide_reduction(P)
-    if not decision.admissible or decision.certificate is None:
-        raise NumericalFailure("no certificate for the circle template")
-    return decision.certificate
+def _cannot(verb: str, path, exc: OSError) -> InvalidSpec:
+    return InvalidSpec(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
+def _load_moments(path) -> MomentVector:
+    """A saved moment file; unreadable is InvalidSpec, malformed ParseError."""
+    try:
+        return MomentVector.load(path)
+    except OSError as exc:
+        raise _cannot("read", path, exc) from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # JSON syntax, a missing field, a wrong format tag or a wrong type
+        raise ParseError(f"{path}: not a moment file: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 def _fit_config(args) -> FitConfig:
@@ -147,11 +153,14 @@ def cmd_fit(args) -> int:
                 f"--algo {args.algo} reads raw points, not a moment file")
         if args.input:
             raise InvalidSpec("give either a point file or --moments, not both")
-        mv = MomentVector.load(args.moments)
+        mv = _load_moments(args.moments)
     else:
         if not args.input:
             raise InvalidSpec("no input: give a point file or --moments")
-        points = ingest(args.input)
+        try:
+            points = ingest(args.input)
+        except OSError as exc:
+            raise _cannot("read", args.input, exc) from None
     if args.algo in ("reduced", "generic") and args.family != "circle":
         raise InvalidSpec(f"--algo {args.algo} supports --family circle only")
     if args.algo == "geometric" and args.family != "circle":
@@ -163,14 +172,17 @@ def cmd_fit(args) -> int:
         if mv is None:
             raise InvalidSpec(
                 "--save-moments needs a moment-based algorithm (reduced, generic)")
-        mv.dump(args.save_moments)
+        try:
+            mv.dump(args.save_moments)
+        except OSError as exc:
+            raise _cannot("write", args.save_moments, exc) from None
 
     cfg = _fit_config(args)
     if args.algo == "reduced":
         result = fit_circle_reduced(mv, cfg)
     elif args.algo == "generic":
         result = fit_reduced_generic(get_family("circle"),
-                                     _circle_certificate(), mv, cfg)
+                                     circle_certificate(), mv, cfg)
     elif args.algo == "geometric":
         result = fit_circle_geometric(points, cfg=cfg)
     else:
@@ -361,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--json", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_bench = sub.add_parser("bench", help="time reduced vs reweight fits")
+    p_bench = sub.add_parser(
+        "bench", help="time the reduced, generic and reweight fits")
     p_bench.add_argument("--n", type=int, nargs="+",
                          default=[1000, 10000, 100000])
     p_bench.add_argument("--reps", type=int, default=5)

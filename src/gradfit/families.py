@@ -78,12 +78,11 @@ def _circle_poly(theta, exact):
 
 
 def _circle_dtheta(theta, name):
-    a, b, R = (float(theta[k]) for k in ("a", "b", "R"))
-    return {
-        "a": BivariatePoly({(1, 0): -2.0, (0, 0): 2.0 * a}, exact=False),
-        "b": BivariatePoly({(0, 1): -2.0, (0, 0): 2.0 * b}, exact=False),
-        "R": BivariatePoly({(0, 0): -2.0 * R}, exact=False),
-    }[name]
+    if name == "R":
+        return BivariatePoly({(0, 0): -2.0 * float(theta["R"])}, exact=False)
+    var = (1, 0) if name == "a" else (0, 1)
+    return BivariatePoly({var: -2.0, (0, 0): 2.0 * float(theta[name])},
+                         exact=False)
 
 
 def _circle_sample(rng):
@@ -112,11 +111,8 @@ def _conic_poly(theta, exact):
 
 
 def _conic_dtheta(theta, name):
-    return {
-        "a": BivariatePoly({(2, 0): 1.0}, exact=False),
-        "b": BivariatePoly({(0, 2): 1.0}, exact=False),
-        "c": BivariatePoly({(0, 0): 1.0}, exact=False),
-    }[name]
+    pos = {"a": (2, 0), "b": (0, 2), "c": (0, 0)}[name]
+    return BivariatePoly({pos: 1.0}, exact=False)
 
 
 def _ellipse_sample(rng):

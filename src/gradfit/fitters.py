@@ -13,6 +13,9 @@ Four fitting routines around one damped-Newton core:
 * ``fit_reduced_generic``  the certificate-driven reduction: given W with
   P*U + |grad P|^2*W = 1, minimizes the contraction of W*P^2 against a
   moment vector, re-solving the (tiny) certificate system at each iterate.
+  Its objective is compiled once per fit into coefficient maps and a moment
+  tensor, so an evaluation does no polynomial arithmetic; the
+  finite-difference Hessian evaluates all its points as one stack.
 
 Non-convergence is reported through ``FitResult.converged``, never raised.
 Every accepted iteration is non-increasing in its objective up to the
@@ -29,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analyzer import ReductionCertificate, certificate_system
+from .analyzer import (ReductionCertificate, certificate_layout,
+                       monomials)
 from .errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -565,26 +569,57 @@ def _conic_stationarity(theta, Z, x, y) -> float:
 
 
 @lru_cache(maxsize=None)
-def _scale_free(family: CurveFamily) -> bool:
-    """Whether P(2 theta) = 2 P(theta), as for the line u x + v y + w; then
-    W scales like 1 / |grad P|^2 and F(s theta) = F(theta)."""
+def _family_shape(family: CurveFamily) -> tuple[int, bool]:
+    """deg P at a generic theta, which no theta exceeds, and whether
+    P(2 theta) = 2 P(theta), as for the line u x + v y + w; then W scales
+    like 1 / |grad P|^2 and F(s theta) = F(theta)."""
     th = family.sample_theta(np.random.default_rng(0))
+    P = family.build_poly(th, True)
     double = family.build_poly({k: 2.0 * v for k, v in th.items()}, True)
-    return double == 2 * family.build_poly(th, True)
+    return int(P.degree()), double == 2 * P
 
 
 class _CertObjective:
-    """Assembles F(theta) = <moments, W_theta * P_theta^2> where W_theta is
-    re-solved from the tiny certificate system at each parameter value.
-    The system degree is pinned by the certificate, so the per-evaluation
-    cost is independent of the number of data points."""
+    """F(theta) = <moments, W_theta * P_theta^2>, where W_theta is the
+    minimum-norm solution of the certificate system P*U + Q*W = 1 at theta.
+
+    Compiled once per fit. Polynomials are coefficient vectors: P's on the
+    monomials alpha of degree <= deg P, W's on the monomials gamma of the
+    certificate degree. ``_square`` is the bilinear map p -> Q = Px^2 + Py^2,
+    the analyzer's layout fills A from (p, q), and T[i, j, l] =
+    m(gamma_i + alpha_j + alpha_l) holds the moments, so F = w.(T p p). An
+    evaluation is a few small array operations on a stack of thetas, and
+    its cost is independent of the number of data points."""
 
     def __init__(self, family: CurveFamily, degree: int, mv: MomentVector):
+        if family.build_poly_dtheta is None:
+            raise InvalidSpec(
+                f"{family.name}: parameter derivatives unavailable")
         self.family = family
         self.names = family.param_names
         self.degree = degree
-        self.mv = mv
-        self.scale_free = _scale_free(family)
+        deg, self.scale_free = _family_shape(family)
+        alpha = monomials(deg)
+        self._index = {mn: i for i, mn in enumerate(alpha)}
+        self._layout = certificate_layout(deg, 2 * deg - 2, degree)
+        # Q_k = sum over x and y of (D p)_i (D p)_j over the pairs with
+        # beta_i + beta_j = kappa_k, D the partial derivative on alpha
+        beta = {mn: i for i, mn in enumerate(monomials(deg - 1))}
+        kappa = {mn: i for i, mn in enumerate(monomials(2 * deg - 2))}
+        D = np.zeros((2, len(beta), len(alpha)))
+        for i, (a, e) in enumerate(alpha):
+            if a:
+                D[0, beta[a - 1, e], i] = a
+            if e:
+                D[1, beta[a, e - 1], i] = e
+        prod = np.zeros((len(kappa), len(beta), len(beta)))
+        for (a1, e1), i in beta.items():
+            for (a2, e2), j in beta.items():
+                prod[kappa[a1 + a2, e1 + e2], i, j] = 1.0
+        self._square = np.einsum("cia,kij,cjb->kab", D, prod, D)
+        self._T = np.array([[[float(mv.entry(g0 + a0 + b0, g1 + a1 + b1))
+                              for b0, b1 in alpha] for a0, a1 in alpha]
+                            for g0, g1 in self._layout.cols])
 
     def theta_dict(self, vec) -> dict:
         return {k: float(v) for k, v in zip(self.names, vec)}
@@ -598,64 +633,78 @@ class _CertObjective:
             return False
         return True
 
-    def _solve(self, vec):
-        th = self.theta_dict(vec)
-        P = self.family.build_poly(th, False)
-        px = P.partial("x")
-        py = P.partial("y")
-        Q = px * px + py * py
-        A, b, cols = certificate_system(P, Q, self.degree)
-        k = len(cols)
+    def _coefficients(self, poly, out) -> None:
+        for mn, c in poly.terms.items():
+            out[self._index[mn]] = c.real
+
+    def _evaluate(self, thetas):
+        """F and its gradient at each row of ``thetas``, all feasible."""
+        m, k = thetas.shape
+        kc = len(self._layout.cols)
+        p = np.zeros((m, len(self._index)))
+        dp = np.zeros((m, k, len(self._index)))
+        for r, vec in enumerate(thetas):
+            th = self.theta_dict(vec)
+            self._coefficients(self.family.build_poly(th, False), p[r])
+            for t, name in enumerate(self.names):
+                self._coefficients(self.family.build_poly_dtheta(th, name),
+                                   dp[r, t])
+        Bp = np.einsum("kab,mb->mka", self._square, p)
+        A = self._layout.fill(p, np.einsum("mka,ma->mk", Bp, p))
+        dA = self._layout.fill(dp, 2.0 * np.einsum("mka,mta->mtk", Bp, dp))
         Ap = np.linalg.pinv(A, rcond=1e-12)
-        s = Ap @ b
-        if float(np.linalg.norm(A @ s - b)) > _CERT_ACCEPT:
+        s = Ap[..., 0]  # b is the first unit vector
+        res = np.einsum("mrc,mc->mr", A, s)
+        res[:, 0] -= 1.0
+        lost = np.linalg.norm(res, axis=1) > _CERT_ACCEPT
+        if lost.any():
             raise NumericalFailure(
-                f"certificate of degree {self.degree} lost at theta={th}")
-        W = BivariatePoly({mn: s[k + j] for j, mn in enumerate(cols)},
-                          exact=False)
-        return th, P, (px, py), W, (cols, k, A, Ap, s)
+                f"certificate of degree {self.degree} lost at "
+                f"theta={self.theta_dict(thetas[np.argmax(lost)])}")
+        # minimum-norm solution derivative (zero-residual case), all
+        # parameters at once: ds = -A+ dA s + (I - A+ A) dA^T A+^T s
+        v = np.einsum("mtrc,mr->mtc", dA, np.einsum("mcr,mc->mr", Ap, s))
+        ds = v - np.einsum("mcr,mtr->mtc", Ap,
+                           np.einsum("mtrc,mc->mtr", dA, s)
+                           + np.einsum("mrc,mtc->mtr", A, v))
+        w, dw = s[:, kc:], ds[:, :, kc:]
+        Tp = np.einsum("ijl,ml->mij", self._T, p)
+        Tpp = np.einsum("mij,mj->mi", Tp, p)
+        F = np.einsum("mi,mi->m", w, Tpp)
+        grad = (np.einsum("mti,mi->mt", dw, Tpp)
+                + 2.0 * np.einsum("mi,mij,mtj->mt", w, Tp, dp))
+        return F, grad
 
     def value_grad(self, vec):
-        th, P, (px, py), W, (cols, k, A, Ap, s) = self._solve(vec)
-        F = float(self.mv.contract(W * P * P))
-        AtpS = Ap.T @ s
-        grads = []
-        for name in self.names:
-            dP = self.family.poly_dtheta(th, name)
-            dQ = 2.0 * (px * dP.partial("x") + py * dP.partial("y"))
-            # deg dP <= deg P and deg dQ <= deg Q, so dA's rows are the
-            # first rows of A's and the rows below them are zero
-            dA, _, _ = certificate_system(dP, dQ, self.degree)
-            m = len(dA)
-            # min-norm solution derivative (zero-residual case)
-            v = dA.T @ AtpS[:m]
-            ds = -Ap[:, :m] @ (dA @ s) + (v - Ap @ (A @ v))
-            dW = BivariatePoly({mn: ds[k + j] for j, mn in enumerate(cols)},
-                               exact=False)
-            dG = dW * P * P + 2.0 * (W * P * dP)
-            grads.append(float(self.mv.contract(dG)))
-        return F, np.array(grads)
+        F, grad = self._evaluate(np.asarray(vec, dtype=float)[None, :])
+        return float(F[0]), grad[0]
 
     def value_grad_hess(self, vec):
-        F, g = self.value_grad(vec)
+        vec = np.asarray(vec, dtype=float)
         k = len(vec)
-        H = np.zeros((k, k))
+        # the centre, then each parameter's feasible neighbours, evaluated
+        # as one stack
+        points, steps = [vec], []
         for j in range(k):
             h = 1e-6 * (1.0 + abs(float(vec[j])))
-            up = np.array(vec, dtype=float)
-            dn = np.array(vec, dtype=float)
-            up[j] += h
-            dn[j] -= h
-            if self.feasible(up) and self.feasible(dn):
-                _, gu = self.value_grad(up)
-                _, gd = self.value_grad(dn)
-                H[:, j] = (gu - gd) / (2.0 * h)
-            elif self.feasible(up):
-                _, gu = self.value_grad(up)
-                H[:, j] = (gu - g) / h
-            elif self.feasible(dn):
-                _, gd = self.value_grad(dn)
-                H[:, j] = (g - gd) / h
+            sides = []
+            for sign in (1.0, -1.0):
+                cand = vec.copy()
+                cand[j] += sign * h
+                sides.append(self.feasible(cand))
+                if sides[-1]:
+                    points.append(cand)
+            steps.append((h, *sides))
+        Fs, G = self._evaluate(np.array(points))
+        F, g = float(Fs[0]), G[0]
+        H = np.zeros((k, k))
+        at = 1
+        for j, (h, up, dn) in enumerate(steps):
+            gu = G[at] if up else g
+            gd = G[at + up] if dn else g
+            at += up + dn
+            if up or dn:
+                H[:, j] = (gu - gd) / ((up + dn) * h)
             else:
                 H[j, j] = 1.0
         H = 0.5 * (H + H.T)
@@ -663,8 +712,7 @@ class _CertObjective:
             # Euler's identity gives H theta = -g, so a plain Newton step
             # mostly rescales theta; keep the step orthogonal to theta and
             # give theta's own direction H's scale
-            t = np.asarray(vec, dtype=float)
-            t = t / np.linalg.norm(t)
+            t = vec / np.linalg.norm(vec)
             proj = np.eye(k) - np.outer(t, t)
             g = proj @ g
             H = proj @ H @ proj + float(np.max(np.abs(H))) * np.outer(t, t)

@@ -14,8 +14,9 @@ def report():
 def test_rows_cover_every_cell(report):
     cells = {(r.algorithm, r.n) for r in report.rows}
     assert cells == {("reduced", 20), ("reduced", 60),
+                     ("generic", 20), ("generic", 60),
                      ("reweight", 20), ("reweight", 60)}
-    assert len(report.rows) == 4
+    assert len(report.rows) == 6
 
 
 def test_row_fields_sane(report):
@@ -58,7 +59,7 @@ def test_to_dict_roundtrips_rows(report):
     blob = report.to_dict()
     assert blob["repetitions"] == 5
     assert blob["seed"] == 7
-    assert len(blob["rows"]) == 4
+    assert len(blob["rows"]) == 6
     assert set(blob["rows"][0]) == {
         "algorithm", "n", "accumulation_seconds", "per_iteration_seconds",
         "iterations", "total_seconds", "objective"}

@@ -121,6 +121,46 @@ def test_fit_non_utf8_is_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("flag", [(), ("--moments",)],
+                         ids=["points", "moments"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_fit_unreadable_input_is_invalid_spec(tmp_path, capsys, flag, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    rc, out, err = run(capsys, "fit", *flag, str(path))
+    assert rc == 5
+    assert err.startswith("error: cannot read") and str(path) in err
+    assert out == ""
+
+
+def test_fit_unwritable_moment_file_is_invalid_spec(circle_csv, tmp_path,
+                                                   capsys):
+    target = tmp_path / "no-such-dir" / "m.json"
+    rc, out, err = run(capsys, "fit", circle_csv, "--save-moments",
+                       str(target))
+    assert rc == 5
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "not json\n",
+    '{"format": "moment-vector/1", "max_total_degree": 4, "n": 3, '
+    '"exact": false, "entries": []}\n',
+    '{"format": "moment-vector/0", "max_total_degree": 4, "n": 3, '
+    '"offset": [0, 0], "exact": false, "entries": []}\n',
+    "[1, 2]\n",
+], ids=["not-json", "no-offset", "wrong-format", "not-a-record"])
+def test_fit_malformed_moment_file_is_parse_error(tmp_path, capsys, text):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(text)
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 3
+    assert err.startswith("error:") and "not a moment file" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("algo", ["reduced", "generic", "geometric", "reweight"])
 def test_fit_empty_input_exit(tmp_path, capsys, algo):
     empty = tmp_path / "empty.csv"
@@ -290,9 +330,10 @@ def test_bench_json_shape_and_exit(capsys):
                      "--seed", "3", "--json")
     assert rc == 0
     blob = json.loads(out)
-    assert len(blob["rows"]) == 4
+    assert len(blob["rows"]) == 6
     cells = {(r["algorithm"], r["n"]) for r in blob["rows"]}
     assert cells == {("reduced", 20), ("reduced", 50),
+                     ("generic", 20), ("generic", 50),
                      ("reweight", 20), ("reweight", 50)}
 
 

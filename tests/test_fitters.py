@@ -1,11 +1,13 @@
 """Circle and conic fitters: frozen values, oracles, descent, equivariance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gradfit.analyzer import ReductionCertificate, solve_nullstellensatz
+from gradfit.analyzer import (ReductionCertificate, certificate_system,
+                              solve_nullstellensatz)
 from gradfit.errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -28,9 +30,10 @@ from gradfit.fitters import (
     fit_conic_reweight,
     fit_reduced_generic,
     kasa_init,
+    _CertObjective,
 )
 from gradfit.moments import MomentVector
-from gradfit.poly import gradient_norm_squared
+from gradfit.poly import BivariatePoly, gradient_norm_squared
 
 
 def circle_points(a, b, R, n, noise=0.0, seed=None):
@@ -48,9 +51,14 @@ def centered_mv(pts, degree=4):
                              float(np.mean(pts[:, 1]))))
 
 
-def circle_cert(max_degree=4):
+def circle_cert(max_degree=4, degree=None):
+    """The unit circle's certificate; ``degree`` relabels its degree, which
+    is all the generic fit reads of it besides the residual."""
     P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
-    return solve_nullstellensatz(P, gradient_norm_squared(P), max_degree)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P), max_degree)
+    if degree is None:
+        return cert
+    return dataclasses.replace(cert, degree=degree)
 
 
 # -- parameter containers ----------------------------------------------------
@@ -500,6 +508,155 @@ def test_generic_line_fit_keeps_its_scale():
         scale = (math.hypot(res.params["u"], res.params["v"])
                  / math.hypot(start["u"], start["v"]))
         assert scale == pytest.approx(1.0, abs=0.03)
+
+
+def test_generic_circle_above_minimal_certificate_degree():
+    # at d <= 1 the identity forces W = 1 / (4 R^2), so the d = 1 fit is
+    # the d = 0 fit; moments of degree 4 + d
+    pts = circle_points(1.0, -0.5, 2.0, 60, noise=0.02, seed=3)
+    low, high = (fit_reduced_generic("circle", circle_cert(degree=d),
+                                     centered_mv(pts, 4 + d))
+                 for d in (0, 1))
+    assert low.converged and high.converged
+    for name in "abR":
+        assert getattr(high.params, name) == pytest.approx(
+            getattr(low.params, name), abs=1e-9)
+
+
+def test_generic_circle_at_certificate_degree_two_recovers_clean_circle():
+    pts = circle_points(1.0, -0.5, 2.0, 60)
+    res = fit_reduced_generic("circle", circle_cert(degree=2),
+                              centered_mv(pts, 6),
+                              FitConfig(init=(1.3, -0.2, 2.5)))
+    assert res.converged and res.iterations >= 1
+    assert res.params.a == pytest.approx(1.0, abs=1e-9)
+    assert res.params.b == pytest.approx(-0.5, abs=1e-9)
+    assert res.params.R == pytest.approx(2.0, abs=1e-9)
+
+
+# -- the compiled certificate objective against a polynomial reference -------
+
+
+def reference_value_grad(family, degree, mv, vec):
+    """F and its gradient the direct way: W from certificate_system and
+    pinv, then W P^2 and its theta-derivatives as polynomials contracted
+    with the moments."""
+    th = dict(zip(family.param_names, map(float, vec)))
+    P = family.poly(th)
+    px, py = P.partial("x"), P.partial("y")
+    A, b, cols = certificate_system(P, px * px + py * py, degree)
+    k = len(cols)
+    Ap = np.linalg.pinv(A, rcond=1e-12)
+    s = Ap @ b
+
+    def weight(sol):
+        return BivariatePoly({mn: sol[k + j] for j, mn in enumerate(cols)},
+                             exact=False)
+
+    W = weight(s)
+    grad = []
+    for name in family.param_names:
+        dP = family.poly_dtheta(th, name)
+        dQ = 2.0 * (px * dP.partial("x") + py * dP.partial("y"))
+        dA = np.zeros_like(A)
+        low, _, _ = certificate_system(dP, dQ, degree)
+        dA[:len(low)] = low  # rows run by degree; the rest are zero
+        # derivative of the minimum-norm solution of a consistent system
+        ds = -Ap @ (dA @ s) + (np.eye(2 * k) - Ap @ A) @ (dA.T @ (Ap.T @ s))
+        grad.append(mv.contract(weight(ds) * P * P + 2.0 * (W * P * dP)))
+    return mv.contract(W * P * P), np.array(grad)
+
+
+def reference_hessian(obj, vec):
+    """H one parameter at a time: central differences of the gradient, one-
+    sided where one neighbour is infeasible, the unit entry where both are;
+    symmetrised and, for a scale-free family, projected orthogonal to theta."""
+    _, g = obj.value_grad(vec)
+    k = len(vec)
+    H = np.zeros((k, k))
+    for j in range(k):
+        h = 1e-6 * (1.0 + abs(vec[j]))
+        up, dn = vec.copy(), vec.copy()
+        up[j] += h
+        dn[j] -= h
+        gu = obj.value_grad(up)[1] if obj.feasible(up) else None
+        gd = obj.value_grad(dn)[1] if obj.feasible(dn) else None
+        if gu is not None and gd is not None:
+            H[:, j] = (gu - gd) / (2.0 * h)
+        elif gu is not None:
+            H[:, j] = (gu - g) / h
+        elif gd is not None:
+            H[:, j] = (g - gd) / h
+        else:
+            H[j, j] = 1.0
+    H = 0.5 * (H + H.T)
+    if obj.scale_free:
+        t = vec / np.linalg.norm(vec)
+        proj = np.eye(k) - np.outer(t, t)
+        g = proj @ g
+        H = proj @ H @ proj + np.max(np.abs(H)) * np.outer(t, t)
+    return g, H
+
+
+def random_theta(family, rng):
+    if family == "circle":
+        return np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                         rng.uniform(0.5, 2.0)])
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([rng.uniform(0.5, 2.0) * math.cos(phi), math.sin(phi),
+                     rng.uniform(-1, 1)])
+
+
+@pytest.mark.parametrize("family", ["circle", "line"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_compiled_objective_matches_polynomial_reference(family, d):
+    fam = get_family(family)
+    rng = np.random.default_rng(40 + d)
+    need = d + (4 if family == "circle" else 2)
+    for _ in range(3):
+        pts = rng.normal(size=(int(rng.integers(20, 150)), 2)) * 1.3
+        offset = (0.2, -0.1) if family == "circle" else (0.0, 0.0)
+        mv = MomentVector.from_points(pts, need, offset=offset)
+        obj = _CertObjective(fam, d, mv)
+        for _ in range(4):
+            th = random_theta(family, rng)
+            F, g = obj.value_grad(th)
+            F_ref, g_ref = reference_value_grad(fam, d, mv, th)
+            assert F == pytest.approx(F_ref, rel=1e-12)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def radius_between(lo, hi):
+    """The circle family with lo < R < hi."""
+    def check(theta):
+        if not lo < float(theta["R"]) < hi:
+            raise InvalidSpec(f"radius outside ({lo}, {hi})")
+    return dataclasses.replace(get_family("circle"), check_theta=check)
+
+
+@pytest.mark.parametrize("family, theta, sides", [
+    (get_family("circle"), (0.3, -0.4, 1.2), (True, True)),
+    (get_family("line"), (0.8, -0.5, 0.3), (True, True)),
+    # the radius's lower neighbour, upper neighbour or both are infeasible
+    (radius_between(1.0, math.inf), (0.3, -0.4, 1.0 + 5e-7), (True, False)),
+    (radius_between(0.0, 1.0), (0.3, -0.4, 1.0 - 5e-7), (False, True)),
+    (radius_between(1.0 - 5e-7, 1.0 + 5e-7), (0.3, -0.4, 1.0),
+     (False, False)),
+], ids=["circle", "line", "upward", "downward", "neither"])
+def test_stacked_hessian_matches_pointwise_differences(family, theta, sides):
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(80, 2))
+    mv = MomentVector.from_points(pts, 4 if family.name == "circle" else 2)
+    obj = _CertObjective(family, 0, mv)
+    vec = np.array(theta)
+    h = 1e-6 * (1.0 + abs(vec[-1]))
+    assert (obj.feasible(vec + [0, 0, h]),
+            obj.feasible(vec - [0, 0, h])) == sides
+    F, g, H = obj.value_grad_hess(vec)
+    g_ref, H_ref = reference_hessian(obj, vec)
+    assert F == obj.value_grad(vec)[0]
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    assert np.max(np.abs(H - H_ref)) <= 1e-6 * np.max(np.abs(H_ref))
 
 
 def test_generic_rejects_unverified_certificate():
