@@ -21,7 +21,7 @@ from .families import FAMILIES, CurveFamily, get_family
 from .fitters import (CircleParams, ConicParams, FitConfig, FitResult,
                       eval_Fa_circle, fit_circle_geometric,
                       fit_circle_reduced, fit_conic_reweight,
-                      fit_reduced_generic, kasa_init)
+                      fit_reduced_generic, kasa_init, pratt_init)
 from .moments import MomentVector, merge
 from .poly import (BivariatePoly, SimilarityTransform, format_poly,
                    gradient_norm_squared, parse_poly)
@@ -59,6 +59,7 @@ __all__ = [
     "kasa_init",
     "merge",
     "parse_poly",
+    "pratt_init",
     "write_points",
     "__version__",
 ]

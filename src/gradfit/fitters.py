@@ -4,18 +4,23 @@ Four fitting routines around one damped-Newton core:
 
 * ``fit_circle_reduced``   minimizes the moment-assembled circle objective;
   each iteration touches only the nine z statistics and the count, so the
-  total cost is one data pass plus O(iterations).
+  total cost is one data pass plus O(iterations). It starts from
+  ``pratt_init``, Pratt's closed-form fit from the same moments, which is
+  the objective's own minimizer, so the driver mostly confirms it.
 * ``fit_circle_geometric`` damped Gauss-Newton on the signed distance
-  residuals sqrt((x-a)^2+(y-b)^2) - R; the O(kn) baseline.
+  residuals sqrt((x-a)^2+(y-b)^2) - R; the O(kn) baseline. It starts from
+  ``kasa_init``, which needs only degree-3 moments.
 * ``fit_conic_reweight``   gradient-weighted algebraic conic fit by weight
   freezing: eigenvector steps on the weighted scatter matrix with weights
-  1/|grad P|^2 recomputed between steps; the generic O(kn) baseline.
+  1/|grad P|^2 recomputed between steps, on centred and scaled points;
+  the generic O(kn) baseline.
 * ``fit_reduced_generic``  the certificate-driven reduction: given W with
   P*U + |grad P|^2*W = 1, minimizes the contraction of W*P^2 against a
   moment vector, re-solving the (tiny) certificate system at each iterate.
   Its objective is compiled once per fit into coefficient maps and a moment
   tensor, so an evaluation does no polynomial arithmetic; the
-  finite-difference Hessian evaluates all its points as one stack.
+  finite-difference Hessian evaluates all its points as one stack. The
+  circle starts from ``pratt_init``.
 
 Non-convergence is reported through ``FitResult.converged``, never raised.
 Every accepted iteration is non-increasing in its objective up to the
@@ -61,10 +66,18 @@ __all__ = [
     "fit_conic_reweight",
     "fit_reduced_generic",
     "kasa_init",
+    "pratt_init",
 ]
 
 _CERT_ACCEPT = 1e-8
 _KASA_COND_LIMIT = 1e14
+# the moment circle fits refuse raw fourth moments more than this many times
+# their central values: the shift to the centroid would keep fewer than
+# about 8 of their 16 digits, too few for the Newton check that follows
+_PRATT_SHIFT_LIMIT = 1e8
+# Pratt's fit refuses a determinant below this fraction of Mz^2 (collinear)
+_PRATT_DET_TOL = 1e-12
+_PRATT_NEWTON_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +402,128 @@ def kasa_init(mv: MomentVector) -> CircleParams:
     return CircleParams(a + ox, b + oy, math.sqrt(r2))
 
 
+def _central_moments(mv: MomentVector):
+    """The accumulator's centroid (in its own frame) and the mean central
+    moments (Mxx, Myy, Mxy, Mxz, Myz, Mzz) about it, z = x^2 + y^2.
+
+    DegenerateData when no spread about the centroid survives the shift,
+    either because the samples coincide or because they lie so far from
+    the accumulator's offset that the shift cancels the fourth moments."""
+    if mv.max_total_degree < 4:
+        raise DegreeMismatch("the circle fits need moments of total degree 4")
+    n = mv.n
+    if n < 3:
+        raise DegenerateData(f"need at least 3 points, got {n}")
+    m = mv.floats()
+    cx = m[1, 0] / n
+    cy = m[0, 1] / n
+    x2, xy, y2 = m[2, 0] / n, m[1, 1] / n, m[0, 2] / n
+    xz = (m[3, 0] + m[1, 2]) / n
+    yz = (m[2, 1] + m[0, 3]) / n
+    zz = (m[4, 0] + 2.0 * m[2, 2] + m[0, 4]) / n
+    k = cx * cx + cy * cy
+    s2 = x2 + y2
+    Mxx = x2 - cx * cx
+    Myy = y2 - cy * cy
+    Mxy = xy - cx * cy
+    Mxz = xz - 2.0 * (cx * x2 + cy * xy) - cx * s2 + 2.0 * k * cx
+    Myz = yz - 2.0 * (cx * xy + cy * y2) - cy * s2 + 2.0 * k * cy
+    Mzz = (zz - 4.0 * (cx * xz + cy * yz)
+           + 4.0 * (cx * cx * x2 + 2.0 * cx * cy * xy + cy * cy * y2)
+           + 2.0 * k * s2 - 3.0 * k * k)
+    # the shift cancels raw fourth moments of size zz down to central ones
+    # of size Mzz
+    if not (zz <= _PRATT_SHIFT_LIMIT * Mzz and Mxx + Myy > 0.0):
+        raise DegenerateData(
+            "no spread about the centroid survives in the moments: the "
+            "samples coincide or lie too far from the accumulator's offset "
+            "(accumulate about the centroid)")
+    return cx, cy, (Mxx, Myy, Mxy, Mxz, Myz, Mzz)
+
+
+def _pratt(Mxx, Myy, Mxy, Mxz, Myz, Mzz):
+    """Centre (about the centroid) and radius of Pratt's circle from the
+    mean central moments; see ``pratt_init``."""
+    Mz = Mxx + Myy
+    cov = Mxx * Myy - Mxy * Mxy
+    A2 = 4.0 * cov - 3.0 * Mz * Mz - Mzz
+    A1 = Mzz * Mz + 4.0 * cov * Mz - Mxz * Mxz - Myz * Myz - Mz * Mz * Mz
+    A0 = (Mxz * Mxz * Myy + Myz * Myz * Mxx - Mzz * cov
+          - 2.0 * Mxz * Myz * Mxy + Mz * Mz * cov)
+    eta = 0.0
+    settled = False
+    for _ in range(_PRATT_NEWTON_STEPS):
+        y = A0 + eta * (A1 + eta * (A2 + 4.0 * eta * eta))
+        dy = A1 + eta * (2.0 * A2 + 16.0 * eta * eta)
+        if dy == 0.0:
+            break
+        new = eta - y / dy
+        settled = abs(new - eta) <= 1e-12 * abs(new)
+        eta = new
+        if settled:
+            break
+    # data on an exact circle have eta = 0, which rounding (of the sums, or
+    # of their shift to the centroid) can move a little below 0; that root,
+    # not 0, keeps the centre consistent with the moments. The pencil's one
+    # truly negative root is of the order of -Mz
+    if not (settled and math.isfinite(eta) and eta >= -1e-6 * Mz):
+        raise DegenerateData("Newton's method finds no non-negative root "
+                             "of Pratt's characteristic polynomial")
+    det = eta * eta - eta * Mz + cov
+    if not abs(det) > _PRATT_DET_TOL * Mz * Mz:
+        raise DegenerateData("Pratt's system is singular (collinear or "
+                             "coincident samples)")
+    a = (Mxz * (Myy - eta) - Myz * Mxy) / (2.0 * det)
+    b = (Myz * (Mxx - eta) - Mxz * Mxy) / (2.0 * det)
+    r2 = a * a + b * b + Mz + 2.0 * eta
+    if not (math.isfinite(r2) and r2 > 0.0):
+        raise ImaginaryRadius(f"Pratt's fit gives R^2 = {r2}")
+    return a, b, math.sqrt(r2)
+
+
+def pratt_init(mv: MomentVector) -> CircleParams:
+    """Pratt's algebraic circle fit from the degree-4 moments.
+
+    The reduced objective sum P^2/R^2 is 4 theta'M theta / theta'N theta
+    with theta = (1, -2a, -2b, a^2+b^2-R^2), M the moment matrix of
+    (x^2+y^2, x, y, 1) and theta'N theta = 4R^2, so its minimizer is the
+    generalized eigenvector of M theta = eta N theta for the smallest
+    non-negative eta. That eta is found by Newton's method from 0 on the
+    characteristic polynomial written in central moments (Chernov,
+    *Circular and Linear Regression*, 2010); no matrix is formed.
+
+    DegenerateData for fewer than 3 points, collinear or coincident
+    samples, or moments accumulated too far from the data's centroid."""
+    cx, cy, central = _central_moments(mv)
+    a, b, R = _pratt(*central)
+    ox, oy = mv.offset
+    return CircleParams(a + cx + ox, b + cy + oy, R)
+
+
 def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     """Minimize the moment-assembled circle objective; the data are touched
-    only through the accumulator (one pass, done by the caller)."""
+    only through the accumulator (one pass, done by the caller).
+
+    Newton runs on the objective's statistics about the data's centroid,
+    whatever the accumulator's offset, so its arithmetic cancels no more
+    than that of a centred accumulator."""
     cfg = cfg if cfg is not None else FitConfig()
-    z, n = mv.circle_z_view()
+    n = mv.n
     if n < 3:
         raise NoCircle(f"need at least 3 points, got {n}")
-    if cfg.init is not None:
-        init = _circle_start(cfg.init)
-    else:
-        try:
-            init = kasa_init(mv)
-        except (DegenerateData, ImaginaryRadius) as exc:
-            raise NoCircle(f"linear initializer failed: {exc}") from exc
-    ox, oy = mv.offset
+    try:
+        cx, cy, central = _central_moments(mv)
+        start = _pratt(*central) if cfg.init is None else None
+    except (DegenerateData, ImaginaryRadius) as exc:
+        raise NoCircle(f"no circle fits these moments: {exc}") from exc
+    ox = mv.offset[0] + cx
+    oy = mv.offset[1] + cy
+    init = (_circle_start(cfg.init) if start is None
+            else CircleParams(start[0] + ox, start[1] + oy, start[2]))
+    Mxx, Myy, Mxy, Mxz, Myz, Mzz = central
+    # circle_z_view's statistics about the centroid, where x and y sum to 0
+    z = (n * Mzz, -4.0 * n * Mxz, -4.0 * n * Myz, 4.0 * n * Mxx,
+         4.0 * n * Myy, 8.0 * n * Mxy, 2.0 * n * (Mxx + Myy), 0.0, 0.0)
 
     def fun(th):
         return _fa_val_grad_hess(z, n, th[0], th[1], th[2])
@@ -480,18 +600,47 @@ def _conic_grad2(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     return px, py, px * px + py * py
 
 
+def _conic_design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.column_stack([x * x, x * y, y * y, x, y, np.ones(len(x))])
+
+
+def _conic_unnormalized(theta, centre, scale) -> np.ndarray:
+    """The unit-norm, sign-canonical conic whose value at (x, y) is
+    scale^2 times the value of ``theta`` at ((x, y) - centre) / scale."""
+    A, B, C, D, E, F = theta
+    cx, cy = centre
+    vec = np.array([
+        A, B, C,
+        scale * D - 2.0 * A * cx - B * cy,
+        scale * E - B * cx - 2.0 * C * cy,
+        (scale * scale * F - scale * (D * cx + E * cy)
+         + A * cx * cx + B * cx * cy + C * cy * cy),
+    ])
+    return _canonical_sign(vec / np.linalg.norm(vec))
+
+
 def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
     """Gradient-weighted algebraic conic fit by alternating weight freezing
     and an exact unit-norm quadratic minimization (smallest eigenvector of
-    the weighted scatter matrix). O(n) per iteration."""
+    the weighted scatter matrix). O(n) per iteration.
+
+    It iterates on the points moved to their centroid and divided by their
+    RMS distance from it (Hartley's normalization), then maps the conic
+    back; the objective, its trace and the stationarity residual are in
+    the caller's frame, ``smallest_eigenvalue`` in the normalized one."""
     cfg = cfg if cfg is not None else FitConfig()
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 6:
         raise DegenerateData(f"need at least 6 points, got {n}")
-    x = pts[:, 0]
-    y = pts[:, 1]
-    Z = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
+    centre = pts.mean(axis=0)
+    rel = pts - centre
+    scale = math.sqrt(float(np.mean(np.sum(rel * rel, axis=1))))
+    if not scale > 0.0:
+        raise DegenerateData("all samples coincide")
+    x = rel[:, 0] / scale
+    y = rel[:, 1] / scale
+    Z = _conic_design(x, y)
     weights = np.ones(n)
     theta = None
     trace: list = []
@@ -527,20 +676,23 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
         if step <= cfg.step_tol:
             converged = True
             break
-    params = ConicParams(*theta)
+    theta = _conic_unnormalized(theta, centre, scale)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    Z = _conic_design(x, y)
     resid = Z @ theta
-    objective = float(np.sum(resid * resid * weights))
+    objective = float(np.sum(resid * resid / _conic_grad2(theta, x, y)[2]))
     return FitResult(
         family="conic",
-        params=params,
+        params=ConicParams(*theta),
         objective=objective,
         iterations=iters,
         converged=converged,
         iteration_seconds=tuple(times),
-        data_passes=1 + iters,
+        data_passes=2 + iters,
         diagnostics={
             "stationarity_residual": _conic_stationarity(theta, Z, x, y),
-            "objective_trace": tuple(trace),
+            "objective_trace": tuple(scale * scale * t for t in trace),
             "smallest_eigenvalue": eig_min,
         },
     )
@@ -733,10 +885,10 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"{cert.identity_residual} exceeds {_CERT_ACCEPT}")
     ox, oy = mv.offset
     if fam.name == "circle":
-        # the circle alone starts from Kasa's fit and moves with the
-        # accumulator's frame
+        # the circle alone starts from Pratt's fit, which at d <= 1 is the
+        # objective's own minimizer, and moves with the accumulator's frame
         init = _circle_start(cfg.init) if cfg.init is not None \
-            else kasa_init(mv)
+            else pratt_init(mv)
         theta0 = [init.a - ox, init.b - oy, init.R]
 
         def params(th):

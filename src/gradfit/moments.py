@@ -26,6 +26,10 @@ import numpy as np
 from .errors import DegreeMismatch, NonFiniteInput
 
 _CHUNK = 1 << 16
+# chunks up to this size sum all their moments in one numpy call; measured
+# faster below about 8192 points (2-3x at a few hundred) and slower above
+# 16384, where the buffer of products outgrows the cache
+_ONE_CALL_POINTS = 4096
 
 FORMAT_TAG = "moment-vector/1"
 
@@ -115,7 +119,18 @@ class MomentVector:
             for _ in range(D):
                 up.append(up[-1] * u)
                 vq.append(vq[-1] * v)
-            vals = np.array([np.sum(up[p] * vq[q]) for p, q in self._keys])
+            if u.size <= _ONE_CALL_POINTS:
+                # call overhead dominates: one row per key, summed in one
+                # call; each row is reduced pairwise on its own, exactly as
+                # np.sum of that product alone
+                buf = np.empty((len(self._keys), u.size))
+                for i, (p, q) in enumerate(self._keys):
+                    np.multiply(up[p], vq[q], out=buf[i])
+                vals = buf.sum(axis=1)
+            else:
+                # memory traffic dominates: one product at a time stays in
+                # cache, where a (keys, chunk) buffer would not
+                vals = np.array([np.sum(up[p] * vq[q]) for p, q in self._keys])
             _add_compensated(self._sum, self._comp, vals)
         self.n += int(xs.size)
         return self
@@ -169,6 +184,11 @@ class MomentVector:
         if self.exact:
             return self._frac[i]
         return self._sum[i] + self._comp[i]
+
+    def floats(self) -> dict:
+        """Every sum as a float, keyed by (p, q), read in one step."""
+        s, c = self._float_parts()
+        return dict(zip(self._keys, (s + c).tolist()))
 
     def contract(self, poly) -> float:
         """Sum of poly over the (centered) data: sum_i poly(u_i, v_i) via moments."""
@@ -244,13 +264,24 @@ class MomentVector:
         mv = cls(int(d["max_total_degree"]), offset=tuple(d["offset"]),
                  exact=bool(d["exact"]))
         mv.n = int(d["n"])
+        seen = set()
         for p, q, val in d["entries"]:
-            i = mv._index[(int(p), int(q))]
+            key = (int(p), int(q))
+            i = mv._index.get(key)
+            if i is None:
+                raise ValueError(f"moment {key} exceeds max_total_degree "
+                                 f"{mv.max_total_degree}")
+            if key in seen:
+                raise ValueError(f"moment {key} appears more than once")
+            seen.add(key)
             if mv.exact:
                 num, den = str(val).split("/")
                 mv._frac[i] = Fraction(int(num), int(den))
             else:
                 mv._sum[i] = float(val)
+        missing = [k for k in mv._keys if k not in seen]
+        if missing:
+            raise ValueError(f"moment {missing[0]} is missing")
         return mv
 
     def dump(self, path) -> None:

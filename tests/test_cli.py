@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradfit.cli import EXIT_NOT_CONVERGED, exit_code_for, main
+from gradfit.moments import MomentVector
 from gradfit.errors import (BoundExhausted, CenterHitsDataPoint,
                             DegenerateData, DegenerateElimination,
                             DegenerateInput, DegreeMismatch, GradfitError,
@@ -161,6 +162,26 @@ def test_fit_malformed_moment_file_is_parse_error(tmp_path, capsys, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("edit", ["missing", "duplicate", "above-degree"])
+def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
+                                                         capsys, edit):
+    mfile = tmp_path / "m.json"
+    rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
+    assert rc == 0
+    blob = json.loads(mfile.read_text())
+    if edit == "missing":
+        blob["entries"] = [e for e in blob["entries"] if e[:2] != [1, 2]]
+    elif edit == "duplicate":
+        blob["entries"].append([1, 2, 0.0])
+    else:
+        blob["entries"].append([5, 0, 0.0])
+    mfile.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 3
+    assert err.startswith("error:") and "not a moment file" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("algo", ["reduced", "generic", "geometric", "reweight"])
 def test_fit_empty_input_exit(tmp_path, capsys, algo):
     empty = tmp_path / "empty.csv"
@@ -175,6 +196,22 @@ def test_fit_collinear_exit(tmp_path, capsys):
     bad.write_text("0,0\n1,1\n2,2\n3,3\n")
     rc, _, _ = run(capsys, "fit", str(bad), "--algo", "reduced")
     assert rc == 6
+
+
+@pytest.mark.parametrize("algo", ["reduced", "generic"])
+@pytest.mark.parametrize("dist", [1e4, 1e6])
+def test_fit_moments_about_a_far_origin_exit(tmp_path, capsys, algo, dist):
+    # a 1.5 rad arc of radius 2 accumulated about (0, 0): the shift to its
+    # centroid leaves no digits of the fourth moments
+    rng = np.random.default_rng(0)
+    t = 0.3 + 1.5 * rng.random(300)
+    pts = np.column_stack([dist + 2.0 * np.cos(t), -dist + 2.0 * np.sin(t)])
+    pts += rng.normal(scale=0.01, size=pts.shape)
+    mfile = tmp_path / "m.json"
+    MomentVector.from_points(pts, 4).dump(mfile)
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile), "--algo", algo)
+    assert rc == 6
+    assert err.startswith("error:") and out == ""
 
 
 def test_fit_bad_family_is_usage_error(circle_csv, capsys):

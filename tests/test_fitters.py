@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradfit.analyzer import (ReductionCertificate, certificate_system,
                               solve_nullstellensatz)
@@ -30,6 +32,7 @@ from gradfit.fitters import (
     fit_conic_reweight,
     fit_reduced_generic,
     kasa_init,
+    pratt_init,
     _CertObjective,
 )
 from gradfit.moments import MomentVector
@@ -294,6 +297,175 @@ def test_reduced_max_iterations_flag_not_exception():
     assert res.iterations == 1
 
 
+# -- Pratt's start -------------------------------------------------------------
+
+
+def arc_points(a, b, R, span, n, noise, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2.0 * math.pi) + span * rng.random(n)
+    pts = np.column_stack([a + R * np.cos(t), b + R * np.sin(t)])
+    return pts + rng.normal(scale=noise, size=pts.shape)
+
+
+def moment_matrix(pts):
+    """M of (x^2+y^2, x, y, 1) about the centroid, and the centroid."""
+    c = pts.mean(axis=0)
+    u, v = (pts - c).T
+    W = np.column_stack([u * u + v * v, u, v, np.ones(len(u))])
+    return W.T @ W / len(u), c
+
+
+def pratt_oracle(M, centroid):
+    """Pratt's circle as the generalized eigenvector of M theta = eta N
+    theta for the smallest non-negative eta, with M the moment matrix of
+    (x^2+y^2, x, y, 1) about the centroid and theta'N theta = B^2+C^2-4AD."""
+    N = np.array([[0.0, 0.0, 0.0, -2.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [-2.0, 0.0, 0.0, 0.0]])
+    vals, vecs = np.linalg.eig(np.linalg.solve(N, M))
+    vals = vals.real
+    # exactly one eigenvalue is negative, of the size of the spread
+    j = min(np.flatnonzero(vals >= -1e-9 * (M[1, 1] + M[2, 2])),
+            key=lambda i: vals[i])
+    A, B, C, D = vecs[:, j].real
+    R = math.sqrt((B * B + C * C - 4.0 * A * D) / (4.0 * A * A))
+    return np.array([centroid[0] - B / (2.0 * A),
+                     centroid[1] - C / (2.0 * A), R])
+
+
+def pratt_value(M, centroid, circle):
+    """theta'M theta / theta'N theta at a circle, and the rounding floor of
+    its evaluation (the size of its terms times a few eps)."""
+    a, b, R = circle[0] - centroid[0], circle[1] - centroid[1], circle[2]
+    theta = np.array([1.0, -2.0 * a, -2.0 * b, a * a + b * b - R * R])
+    scale = 4.0 * R * R
+    terms = np.abs(theta)[:, None] * np.abs(M) * np.abs(theta)[None, :]
+    return (float(theta @ M @ theta) / scale,
+            64.0 * np.finfo(float).eps * float(terms.sum()) / scale)
+
+
+@pytest.mark.parametrize("span", [0.2, 1.0, 2.0 * math.pi])
+@pytest.mark.parametrize("dist", [0.0, 1e3])
+def test_pratt_init_equals_generalized_eigenvector(span, dist):
+    pts = arc_points(dist, -0.5 * dist, 2.0, span, 200, 2e-3, 7)
+    got = pratt_init(centered_mv(pts))
+    want = pratt_oracle(*moment_matrix(pts))
+    assert np.max(np.abs([got.a - want[0], got.b - want[1],
+                          got.R - want[2]])) <= 1e-9 * want[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(span=st.floats(0.2, 2.0 * math.pi),
+       dist=st.floats(0.0, 1e3), phi=st.floats(0.0, 2.0 * math.pi),
+       log_r=st.floats(-1.0, 2.0), rel_noise=st.floats(1e-4, 1e-2),
+       n=st.integers(3, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_pratt_init_attains_the_oracle_minimum(span, dist, phi, log_r,
+                                               rel_noise, n, seed):
+    # nearly collinear draws (three points of a short noisy arc, say) leave
+    # the minimizer ill-conditioned, so the parameters may differ by more
+    # than 1e-9 R; the value they reach may not, beyond its own rounding
+    R = 10.0 ** log_r
+    pts = arc_points(dist * math.cos(phi), dist * math.sin(phi), R, span, n,
+                     rel_noise * R, seed)
+    got = pratt_init(centered_mv(pts))
+    M, c = moment_matrix(pts)
+    want, floor = pratt_value(M, c, pratt_oracle(M, c))
+    value, _ = pratt_value(M, c, (got.a, got.b, got.R))
+    assert value <= want * (1.0 + 1e-9) + floor
+
+
+def test_pratt_init_exact_for_the_circumcircle():
+    tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    p = pratt_init(MomentVector.from_points(tri, 4))
+    for x, y in tri:
+        assert math.hypot(x - p.a, y - p.b) == pytest.approx(p.R, rel=1e-12)
+
+
+@pytest.mark.parametrize("span", [0.2, 1.0, 2.0 * math.pi])
+def test_reduced_on_exact_circle_points_needs_no_iteration(span):
+    pts = arc_points(40.0, -25.0, 2.0, span, 200, 0.0, 3)
+    res = fit_circle_reduced(centered_mv(pts))
+    assert res.converged and res.iterations == 0
+    assert res.params.a == pytest.approx(40.0, abs=1e-12)
+    assert res.params.b == pytest.approx(-25.0, abs=1e-12)
+    assert res.params.R == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("span", [0.5, 1.5, 2.0 * math.pi])
+def test_reduced_default_and_far_start_reach_one_minimum(span):
+    pts = arc_points(3.0, 1.0, 2.0, span, 300, 0.02, 19)
+    mv = centered_mv(pts)
+    default = fit_circle_reduced(mv)
+    far = fit_circle_reduced(mv, FitConfig(init=(0.0, 5.0, 6.0)))
+    assert default.converged and far.converged
+    assert default.iterations <= 1 < far.iterations
+    assert default.objective == pytest.approx(far.objective, rel=1e-9)
+
+
+def test_generic_circle_starts_at_its_minimizer():
+    pts = arc_points(3.0, 1.0, 2.0, 1.5, 300, 0.02, 23)
+    mv = centered_mv(pts)
+    gen = fit_reduced_generic("circle", circle_cert(), mv)
+    red = fit_circle_reduced(mv)
+    assert gen.converged and gen.iterations <= 1
+    assert gen.diagnostics["objective_trace"][0] == pytest.approx(
+        red.objective / 4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", [1e4, 1e6])
+def test_reduced_refuses_moments_shifted_past_their_digits(dist):
+    # accumulated about the origin, the shift to the centroid cancels the
+    # fourth moments away; refusing beats a fit from noise
+    pts = arc_points(dist, -dist, 2.0, 1.5, 300, 0.01, 0)
+    mv = MomentVector.from_points(pts, 4)
+    with pytest.raises(DegenerateData):
+        pratt_init(mv)
+    with pytest.raises(NoCircle):
+        fit_circle_reduced(mv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_dist=st.floats(-1.0, 7.0), log_r=st.floats(-3.0, 3.0),
+       span=st.floats(0.1, 2.0 * math.pi), rel_noise=st.floats(1e-6, 1e-2),
+       n=st.integers(3, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_about_the_origin_fits_well_or_refuses(log_dist, log_r, span,
+                                                       rel_noise, n, seed):
+    # moments about (0, 0) of data far away: either a converged fit as good
+    # as the centred one, or NoCircle; never an unconverged or wrong fit.
+    # "As good" is judged on sum P^2/R^2 summed from the points, up to the
+    # rounding the sums about the origin carry (eps times sum of z^2)
+    R = 10.0 ** log_r
+    dist = 10.0 ** log_dist
+    pts = arc_points(dist, -dist, R, span, n, rel_noise * R, seed)
+    ref = fit_circle_reduced(centered_mv(pts)).params
+    try:
+        res = fit_circle_reduced(MomentVector.from_points(pts, 4))
+    except NoCircle:
+        return
+    assert res.converged
+    c = pts.mean(axis=0)
+
+    def objective(p):
+        du = pts[:, 0] - c[0] - (p.a - c[0])
+        dv = pts[:, 1] - c[1] - (p.b - c[1])
+        return float(np.sum((du * du + dv * dv - p.R * p.R) ** 2)) / p.R ** 2
+
+    z = np.sum(pts * pts, axis=1)
+    floor = 16.0 * np.finfo(float).eps * float(np.sum(z * z)) / ref.R ** 2
+    assert objective(res.params) <= objective(ref) * (1.0 + 1e-9) + floor
+
+
+def test_pratt_init_collinear_and_coincident_are_degenerate():
+    xs = np.linspace(-1.0, 1.0, 15)
+    with pytest.raises(DegenerateData):
+        pratt_init(centered_mv(np.column_stack([xs, -0.5 * xs + 1.0])))
+    with pytest.raises(DegenerateData):
+        pratt_init(MomentVector.from_points(np.full((5, 2), 2.0), 4))
+    with pytest.raises(DegenerateData):
+        pratt_init(MomentVector.from_points([(0.0, 0.0), (1.0, 1.0)], 4))
+    with pytest.raises(DegreeMismatch):
+        pratt_init(MomentVector.from_points(circle_points(0, 0, 1, 10), 3))
+
+
 # -- geometric circle fit ----------------------------------------------------
 
 
@@ -364,20 +536,60 @@ def test_reweight_recovers_exact_ellipse():
     assert res.objective < 1e-16
 
 
+def conic_design(x, y):
+    return np.column_stack([x * x, x * y, y * y, x, y, np.ones(len(x))])
+
+
 def test_reweight_first_iterate_is_unweighted_fit():
+    # the unweighted fit is taken of the points moved to their centroid and
+    # divided by their RMS distance from it, then carried back: the conic
+    # found in the caller's frame takes the normalized conic's values
     rng = np.random.default_rng(17)
     t = rng.uniform(0.0, 2.0 * math.pi, 40)
-    pts = np.column_stack([2.0 * np.cos(t), np.sin(t)])
+    pts = np.column_stack([2.0 * np.cos(t), np.sin(t)]) + [3.0, -1.0]
     pts += rng.normal(scale=0.05, size=pts.shape)
     one = fit_conic_reweight(pts, FitConfig(max_iterations=1))
-    x, y = pts[:, 0], pts[:, 1]
-    Z = np.column_stack([x * x, x * y, y * y, x, y, np.ones(len(x))])
-    _, vecs = np.linalg.eigh(Z.T @ Z)
-    ref = vecs[:, 0]
+    rel = pts - pts.mean(axis=0)
+    scale = math.sqrt(float(np.mean(np.sum(rel * rel, axis=1))))
+    Zn = conic_design(rel[:, 0] / scale, rel[:, 1] / scale)
+    _, vecs = np.linalg.eigh(Zn.T @ Zn)
+    Z = conic_design(pts[:, 0], pts[:, 1])
+    ref = np.linalg.lstsq(Z, Zn @ vecs[:, 0], rcond=None)[0]
+    ref /= np.linalg.norm(ref)
     got = one.params.vector
     if float(got @ ref) < 0:
         ref = -ref
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_reweight_converges_far_from_the_origin():
+    # in raw coordinates this arc stopped at max_iterations, unconverged
+    rng = np.random.default_rng(0)
+    t = 0.3 + 1.5 * rng.random(300)
+    pts = np.column_stack([40.0 + 2.0 * np.cos(t), -25.0 + 2.0 * np.sin(t)])
+    pts += rng.normal(scale=0.01, size=pts.shape)
+    res = fit_conic_reweight(pts)
+    assert res.converged
+    assert res.iterations < 20
+    c = pts.mean(axis=0)
+    centred = fit_conic_reweight(pts - c).params.vector
+    # move the centred conic back by c, as a polynomial identity on samples
+    Z = conic_design(pts[:, 0], pts[:, 1])
+    ref = np.linalg.lstsq(
+        Z, conic_design(pts[:, 0] - c[0], pts[:, 1] - c[1]) @ centred,
+        rcond=None)[0]
+    ref /= np.linalg.norm(ref)
+    got = res.params.vector
+    if float(got @ ref) < 0:
+        ref = -ref
+    assert np.max(np.abs(got - ref)) < 1e-8
+    # the objective is reported in the caller's frame
+    px = 2 * got[0] * pts[:, 0] + got[1] * pts[:, 1] + got[3]
+    py = got[1] * pts[:, 0] + 2 * got[2] * pts[:, 1] + got[4]
+    direct = float(np.sum((Z @ got) ** 2 / (px * px + py * py)))
+    assert res.objective == pytest.approx(direct, rel=1e-9)
+    assert res.diagnostics["objective_trace"][-1] == pytest.approx(
+        res.objective, rel=1e-6)
 
 
 def test_reweight_requires_six_points():
@@ -399,7 +611,8 @@ def test_reweight_reports_stationarity_diagnostic():
     res = fit_conic_reweight(pts)
     assert "stationarity_residual" in res.diagnostics
     assert math.isfinite(res.diagnostics["stationarity_residual"])
-    assert res.data_passes == 1 + res.iterations
+    # one pass for the centroid, one for the normalized design matrix
+    assert res.data_passes == 2 + res.iterations
 
 
 # -- certificate-driven generic reduced fit ----------------------------------

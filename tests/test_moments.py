@@ -1,6 +1,7 @@
 """Moment accumulation: single-pass sums, merging, z-views, serialization."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradfit.errors import DegreeMismatch, NonFiniteInput
-from gradfit.moments import MomentVector, merge, moment_keys
+from gradfit.moments import (_CHUNK, MomentVector, _add_compensated, merge,
+                             moment_keys)
 from gradfit.poly import BivariatePoly
 
 
@@ -115,6 +117,33 @@ def test_float_permutation_stability():
     for k in moment_keys(4):
         a, b = fwd.entry(*k), rev.entry(*k)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("n", [1, 50, 500, 4096, 4097, 65536, 65537, 200000])
+def test_extend_sums_equal_per_key_reference(n):
+    # reference: one np.sum per key and chunk, as extend did before it
+    # reduced all keys of a small chunk in one call; bit for bit, both sides
+    # of the size at which it switches
+    rng = np.random.default_rng(n)
+    xs = rng.normal(3.0, 2.0, n)
+    ys = rng.normal(-1.0, 0.5, n)
+    offset = (2.5, -0.75)
+    mv = MomentVector(4, offset=offset).extend(xs, ys)
+    keys = moment_keys(4)
+    s = np.zeros(len(keys))
+    c = np.zeros(len(keys))
+    for lo in range(0, n, _CHUNK):
+        u = xs[lo:lo + _CHUNK] - offset[0]
+        v = ys[lo:lo + _CHUNK] - offset[1]
+        up = [np.ones_like(u)]
+        vq = [np.ones_like(v)]
+        for _ in range(4):
+            up.append(up[-1] * u)
+            vq.append(vq[-1] * v)
+        _add_compensated(s, c, np.array([np.sum(up[p] * vq[q])
+                                         for p, q in keys]))
+    assert mv._sum.tobytes() == s.tobytes()
+    assert mv._comp.tobytes() == c.tobytes()
 
 
 def test_extend_matches_pointwise_accumulate():
@@ -288,3 +317,22 @@ def test_dict_entries_are_lexicographic():
     keys = [(p, q) for p, q, _ in d["entries"]]
     assert keys == sorted(keys)
     assert d["format"] == "moment-vector/1"
+
+
+def _blob_without(key=None, extra=None):
+    mv = MomentVector(4).extend([1.0, 2.0, 0.5], [0.0, 1.5, -1.0])
+    blob = mv.to_dict()
+    blob["entries"] = [e for e in blob["entries"] if tuple(e[:2]) != key]
+    if extra is not None:
+        blob["entries"].append(extra)
+    return blob
+
+
+@pytest.mark.parametrize("blob, named", [
+    (_blob_without(key=(1, 2)), "(1, 2)"),
+    (_blob_without(extra=[2, 2, 7.0]), "(2, 2)"),
+    (_blob_without(extra=[3, 2, 1.0]), "(3, 2)"),
+], ids=["missing", "duplicate", "above-degree"])
+def test_from_dict_requires_every_moment_once(blob, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MomentVector.from_dict(blob)
