@@ -6,7 +6,9 @@ Four fitting routines around one damped-Newton core:
   each iteration touches only the nine z statistics and the count, so the
   total cost is one data pass plus O(iterations). It starts from
   ``pratt_init``, Pratt's closed-form fit from the same moments, which is
-  the objective's own minimizer, so the driver mostly confirms it.
+  the objective's own minimizer, so the driver mostly confirms it. Both
+  work on the statistics about the data's centroid and refuse moments
+  whose rounding could move the circle by more than 1e-6 R.
 * ``fit_circle_geometric`` damped Gauss-Newton on the signed distance
   residuals sqrt((x-a)^2+(y-b)^2) - R; the O(kn) baseline. It starts from
   ``kasa_init``, which needs only degree-3 moments.
@@ -71,10 +73,9 @@ __all__ = [
 
 _CERT_ACCEPT = 1e-8
 _KASA_COND_LIMIT = 1e14
-# the moment circle fits refuse raw fourth moments more than this many times
-# their central values: the shift to the centroid would keep fewer than
-# about 8 of their 16 digits, too few for the Newton check that follows
-_PRATT_SHIFT_LIMIT = 1e8
+# the moment circle fits refuse moments whose rounding could move Pratt's
+# circle by more than this fraction of R
+_ROUNDING_TOL = 1e-6
 # Pratt's fit refuses a determinant below this fraction of Mz^2 (collinear)
 _PRATT_DET_TOL = 1e-12
 _PRATT_NEWTON_STEPS = 50
@@ -402,45 +403,6 @@ def kasa_init(mv: MomentVector) -> CircleParams:
     return CircleParams(a + ox, b + oy, math.sqrt(r2))
 
 
-def _central_moments(mv: MomentVector):
-    """The accumulator's centroid (in its own frame) and the mean central
-    moments (Mxx, Myy, Mxy, Mxz, Myz, Mzz) about it, z = x^2 + y^2.
-
-    DegenerateData when no spread about the centroid survives the shift,
-    either because the samples coincide or because they lie so far from
-    the accumulator's offset that the shift cancels the fourth moments."""
-    if mv.max_total_degree < 4:
-        raise DegreeMismatch("the circle fits need moments of total degree 4")
-    n = mv.n
-    if n < 3:
-        raise DegenerateData(f"need at least 3 points, got {n}")
-    m = mv.floats()
-    cx = m[1, 0] / n
-    cy = m[0, 1] / n
-    x2, xy, y2 = m[2, 0] / n, m[1, 1] / n, m[0, 2] / n
-    xz = (m[3, 0] + m[1, 2]) / n
-    yz = (m[2, 1] + m[0, 3]) / n
-    zz = (m[4, 0] + 2.0 * m[2, 2] + m[0, 4]) / n
-    k = cx * cx + cy * cy
-    s2 = x2 + y2
-    Mxx = x2 - cx * cx
-    Myy = y2 - cy * cy
-    Mxy = xy - cx * cy
-    Mxz = xz - 2.0 * (cx * x2 + cy * xy) - cx * s2 + 2.0 * k * cx
-    Myz = yz - 2.0 * (cx * xy + cy * y2) - cy * s2 + 2.0 * k * cy
-    Mzz = (zz - 4.0 * (cx * xz + cy * yz)
-           + 4.0 * (cx * cx * x2 + 2.0 * cx * cy * xy + cy * cy * y2)
-           + 2.0 * k * s2 - 3.0 * k * k)
-    # the shift cancels raw fourth moments of size zz down to central ones
-    # of size Mzz
-    if not (zz <= _PRATT_SHIFT_LIMIT * Mzz and Mxx + Myy > 0.0):
-        raise DegenerateData(
-            "no spread about the centroid survives in the moments: the "
-            "samples coincide or lie too far from the accumulator's offset "
-            "(accumulate about the centroid)")
-    return cx, cy, (Mxx, Myy, Mxy, Mxz, Myz, Mzz)
-
-
 def _pratt(Mxx, Myy, Mxy, Mxz, Myz, Mzz):
     """Centre (about the centroid) and radius of Pratt's circle from the
     mean central moments; see ``pratt_init``."""
@@ -481,6 +443,40 @@ def _pratt(Mxx, Myy, Mxy, Mxz, Myz, Mzz):
     return a, b, math.sqrt(r2)
 
 
+def _pratt_checked(mv: MomentVector):
+    """Pratt's circle and the ``CentralCircleView`` it is computed from.
+
+    DegenerateData also when the rounding of the central moments could
+    move the circle by more than ``_ROUNDING_TOL`` R: the sum over the six
+    moments of the move that each one's rounding bound causes alone, a
+    first-order bound that grows with the centroid's distance from the
+    accumulator's offset."""
+    if mv.n < 3:
+        raise DegenerateData(f"need at least 3 points, got {mv.n}")
+    view = mv.central_circle_view()
+    base = _pratt(*view.central)
+    moved = 0.0
+    for j, err in enumerate(view.rounding):
+        central = list(view.central)
+        central[j] += err
+        if central[j] == view.central[j]:
+            # below the moment's last digit, as about the centroid itself
+            continue
+        try:
+            other = _pratt(*central)
+        except (DegenerateData, ImaginaryRadius):
+            moved = math.inf
+            break
+        moved += max(abs(p - q) for p, q in zip(other, base))
+    if not moved <= _ROUNDING_TOL * base[2]:
+        raise DegenerateData(
+            f"the moments' rounding could move the circle by {moved:.3g}, "
+            f"more than {_ROUNDING_TOL:g} R: the data lie too far from the "
+            "accumulator's offset (accumulate about the centroid)")
+    cx, cy = view.centroid
+    return view, CircleParams(base[0] + cx, base[1] + cy, base[2])
+
+
 def pratt_init(mv: MomentVector) -> CircleParams:
     """Pratt's algebraic circle fit from the degree-4 moments.
 
@@ -493,11 +489,11 @@ def pratt_init(mv: MomentVector) -> CircleParams:
     *Circular and Linear Regression*, 2010); no matrix is formed.
 
     DegenerateData for fewer than 3 points, collinear or coincident
-    samples, or moments accumulated too far from the data's centroid."""
-    cx, cy, central = _central_moments(mv)
-    a, b, R = _pratt(*central)
-    ox, oy = mv.offset
-    return CircleParams(a + cx + ox, b + cy + oy, R)
+    samples, or moments whose rounding could move the circle by more than
+    1e-6 R. The last happens when the data lie far from the accumulator's
+    offset: measured at offset (0, 0), between 100 and 1000 radii for a
+    full circle and between 10 and 100 for arcs of 0.5 to 3 rad."""
+    return _pratt_checked(mv)[1]
 
 
 def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
@@ -506,32 +502,24 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
 
     Newton runs on the objective's statistics about the data's centroid,
     whatever the accumulator's offset, so its arithmetic cancels no more
-    than that of a centred accumulator."""
+    than that of a centred accumulator. NoCircle where ``pratt_init``
+    raises, whatever the start."""
     cfg = cfg if cfg is not None else FitConfig()
-    n = mv.n
-    if n < 3:
-        raise NoCircle(f"need at least 3 points, got {n}")
     try:
-        cx, cy, central = _central_moments(mv)
-        start = _pratt(*central) if cfg.init is None else None
+        view, start = _pratt_checked(mv)
     except (DegenerateData, ImaginaryRadius) as exc:
         raise NoCircle(f"no circle fits these moments: {exc}") from exc
-    ox = mv.offset[0] + cx
-    oy = mv.offset[1] + cy
-    init = (_circle_start(cfg.init) if start is None
-            else CircleParams(start[0] + ox, start[1] + oy, start[2]))
-    Mxx, Myy, Mxy, Mxz, Myz, Mzz = central
-    # circle_z_view's statistics about the centroid, where x and y sum to 0
-    z = (n * Mzz, -4.0 * n * Mxz, -4.0 * n * Myz, 4.0 * n * Mxx,
-         4.0 * n * Myy, 8.0 * n * Mxy, 2.0 * n * (Mxx + Myy), 0.0, 0.0)
+    init = _circle_start(cfg.init) if cfg.init is not None else start
+    cx, cy = view.centroid
+    z, n = view.z(), view.n
 
     def fun(th):
         return _fa_val_grad_hess(z, n, th[0], th[1], th[2])
 
-    run = _damped_newton(fun, [init.a - ox, init.b - oy, init.R], cfg,
+    run = _damped_newton(fun, [init.a - cx, init.b - cy, init.R], cfg,
                          _circle_feasible)
     a, b, R = run.theta
-    return _result("circle", CircleParams(a + ox, b + oy, R), run, 1,
+    return _result("circle", CircleParams(a + cx, b + cy, R), run, 1,
                    init=init.to_dict())
 
 

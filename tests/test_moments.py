@@ -122,8 +122,8 @@ def test_float_permutation_stability():
 @pytest.mark.parametrize("n", [1, 50, 500, 4096, 4097, 65536, 65537, 200000])
 def test_extend_sums_equal_per_key_reference(n):
     # reference: one np.sum per key and chunk, as extend did before it
-    # reduced all keys of a small chunk in one call; bit for bit, both sides
-    # of the size at which it switches
+    # reduced all keys of a chunk in one call; bit for bit, on one chunk,
+    # on full chunks and on a partial last chunk
     rng = np.random.default_rng(n)
     xs = rng.normal(3.0, 2.0, n)
     ys = rng.normal(-1.0, 0.5, n)
@@ -268,6 +268,59 @@ def test_centering_improves_fourth_moment_conditioning():
     (z1_raw, *_), _ = raw.circle_z_view()
     (z1_ctr, *_), _ = ctr.circle_z_view()
     assert z1_ctr < 1e-9 * z1_raw
+
+
+def _exact_central(xs, ys):
+    X = [Fraction(v) for v in xs]
+    Y = [Fraction(v) for v in ys]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    U = [x - mx for x in X]
+    V = [y - my for y in Y]
+    Z = [u * u + v * v for u, v in zip(U, V)]
+    n = len(X)
+    return [float(sum(a * b for a, b in zip(A, B)) / n)
+            for A, B in ((U, U), (V, V), (U, V), (U, Z), (V, Z), (Z, Z))]
+
+
+@pytest.mark.parametrize("dist", [0.0, 30.0, 3e3])
+def test_central_circle_view_is_within_its_rounding(dist):
+    # a 1.5 rad arc of radius 2 at dist (in each coordinate) from the
+    # offset (0, 0): the binomial shift to the centroid loses digits with
+    # the distance, and each central moment stays within its bound
+    rng = np.random.default_rng(4)
+    t = 1.5 * rng.random(200)
+    xs = dist + 2.0 * np.cos(t) + rng.normal(scale=0.01, size=200)
+    ys = -dist + 2.0 * np.sin(t) + rng.normal(scale=0.01, size=200)
+    view = MomentVector(4).extend(xs, ys).central_circle_view()
+    assert view.n == 200
+    assert view.centroid == pytest.approx((xs.mean(), ys.mean()), rel=1e-12)
+    for got, want, err in zip(view.central, _exact_central(xs, ys),
+                              view.rounding):
+        assert abs(got - want) <= err + 4.0 * np.finfo(float).eps * abs(want)
+
+
+def test_central_circle_view_of_a_centred_accumulator():
+    # about the centroid the shift adds nothing: the rounding bounds fall
+    # below the moments' last digits and z equals the centred z-view
+    rng = np.random.default_rng(6)
+    xs = 40.0 + rng.normal(size=300)
+    ys = -25.0 + rng.normal(size=300)
+    mv = MomentVector(4, offset=(float(xs.mean()), float(ys.mean())))
+    view = mv.extend(xs, ys).central_circle_view()
+    for m, err in zip(view.central, view.rounding):
+        assert m + err == m
+    z, n = mv.circle_z_view()
+    assert n == view.n
+    scale = max(abs(v) for v in z)
+    for got, want in zip(view.z(), z):
+        assert got == pytest.approx(want, abs=1e-12 * scale)
+
+
+def test_central_circle_view_requires_degree_four_and_data():
+    with pytest.raises(DegreeMismatch):
+        MomentVector(3).accumulate(1.0, 0.0).central_circle_view()
+    with pytest.raises(ValueError):
+        MomentVector(4).central_circle_view()
 
 
 # -- contraction ------------------------------------------------------------
