@@ -10,10 +10,11 @@ mutually exclusive situations holds:
   polynomial, the reduced objective exists, and a verified
   :class:`ReductionCertificate` is produced.
 
-Witness search eliminates one variable with a Sylvester resultant, root-finds
-the eliminated system, lifts candidates and polishes them with a damped
-two-dimensional Newton iteration. Certificate search poses the identity as a
-linear system in the unknown coefficients of U and W, degree by degree.
+Witness search compiles P, Q and their partials once into dense coefficient
+matrices and runs on them: Sylvester resultants (every FFT node's matrix in
+one stacked determinant), root-finding, lifting, and a damped 2-D Newton
+polish that evaluates all six at a point in one product. Certificate search
+poses the identity as a linear system in the coefficients of U and W.
 """
 
 from __future__ import annotations
@@ -26,18 +27,21 @@ import numpy as np
 
 from .errors import (
     BoundExhausted,
+    DegenerateElimination,
     DegenerateInput,
     InvalidSpec,
     NumericalFailure,
 )
 from .families import CurveFamily, get_family
 from .poly import (
+    COEFF_EQ_TOL,
     NEG_INF,
     BivariatePoly,
+    coefficient_matrices,
+    dense_resultant,
     format_poly,
     gradient_norm_squared,
     structural_trim,
-    sylvester_resultant,
 )
 
 WITNESS_TOL = 1e-8          # relative residual accepted for a common zero
@@ -99,10 +103,33 @@ def _int_degree(P: BivariatePoly) -> int:
     return 0 if d == NEG_INF else int(d)
 
 
-def _rel_residual(P: BivariatePoly, x: complex, y: complex) -> float:
-    scale = max(P.max_coeff_mag(), 1e-300)
-    pt = max(1.0, abs(x), abs(y)) ** _int_degree(P)
-    return abs(P.eval(x, y)) / (scale * pt)
+def _compile(polys, normalize: bool = False):
+    """``coefficient_matrices`` of the polynomials, their total degrees and
+    largest coefficient magnitudes; ``normalize`` first drops each one's
+    terms at most 1e-12 of its largest and scales that largest to 1."""
+    F = coefficient_matrices(polys, 1 + max(_int_degree(P) for P in polys))
+    mag = abs(F)
+    scale = mag.max(axis=(1, 2))
+    if normalize:
+        F[mag <= COEFF_EQ_TOL * scale[:, None, None]] = 0.0
+        scale[scale == 0.0] = 1.0
+        F *= (1.0 / scale)[:, None, None]
+        scale = abs(F).max(axis=(1, 2))
+    degree = [max((p + q).tolist(), default=0)
+              for p, q in (np.nonzero(C) for C in F)]
+    return F, degree, np.maximum(scale, 1e-300).tolist()
+
+
+def _values(F: np.ndarray, x: complex, y: complex) -> np.ndarray:
+    """Every polynomial of the stack at (x, y), in one product."""
+    p = np.arange(F.shape[-1])
+    return (F @ y ** p) @ x ** p
+
+
+def _rel_residual(value: complex, degree: int, scale: float, x: complex,
+                  y: complex) -> float:
+    """|P(x, y)| relative to P's largest coefficient and the point's size."""
+    return float(abs(value)) / (scale * max(1.0, abs(x), abs(y)) ** degree)
 
 
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -116,39 +143,27 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(c[::-1])
 
 
-def _slice_coeffs(P: BivariatePoly, val: complex, elim: str) -> np.ndarray | None:
-    """Coefficients of P with the kept variable frozen at ``val``; the
-    eliminated variable is the remaining unknown. None if the whole slice
-    vanishes (P contains the line)."""
-    d = P.deg_in(elim)
-    d = 0 if d == NEG_INF else int(d)
-    out = np.zeros(d + 1, dtype=complex)
-    for (p, q), c in P.terms.items():
-        if elim == "y":
-            out[q] += c * val ** p
-        else:
-            out[p] += c * val ** q
-    ptscale = max(1.0, abs(val)) ** _int_degree(P)
-    if np.all(np.abs(out) <= 1e-10 * ptscale):
+def _slice_coeffs(C: np.ndarray, degree: int, val: complex,
+                  elim: str) -> np.ndarray | None:
+    """Coefficients of the polynomial with dense matrix C (and total degree
+    ``degree``) with the kept variable frozen at ``val``; the eliminated
+    variable is the remaining unknown. None if the whole slice vanishes
+    (the polynomial contains the line)."""
+    pw = val ** np.arange(C.shape[0])
+    out = pw @ C if elim == "y" else C @ pw
+    mag = abs(out)
+    if np.all(mag <= 1e-10 * max(1.0, abs(val)) ** degree):
         return None
-    trim = 1e-9 * float(np.max(np.abs(out)))
-    while out.size > 1 and abs(out[-1]) <= trim:
-        out = out[:-1]
-    return out
+    # drop the high coefficients at most 1e-9 of the largest
+    return out[:np.flatnonzero(mag > 1e-9 * mag.max())[-1] + 1]
 
 
-def _newton_refine(P, Q, Px, Py, Qx, Qy, x, y, iters: int = 60):
+def _newton_refine(search: "_Search", x, y, iters: int = 60):
     """Damped Newton on the 2x2 system (P, Q) = 0. Returns (x, y, resP, resQ)."""
-
-    def res(a, b):
-        return max(_rel_residual(P, a, b), _rel_residual(Q, a, b))
-
-    best = (x, y, res(x, y))
+    vals = _values(search.F, x, y)
+    best = max(search.residuals(vals, x, y))
     for _ in range(iters):
-        f1 = P.eval(x, y)
-        f2 = Q.eval(x, y)
-        j11, j12 = Px.eval(x, y), Py.eval(x, y)
-        j21, j22 = Qx.eval(x, y), Qy.eval(x, y)
+        f1, f2, j11, j21, j12, j22 = vals
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-30:
             break
@@ -158,19 +173,19 @@ def _newton_refine(P, Q, Px, Py, Qx, Qy, x, y, iters: int = 60):
         improved = False
         for _ in range(12):
             nx, ny = x - step * dx, y - step * dy
-            r = res(nx, ny)
-            if r < best[2]:
-                x, y, best = nx, ny, (nx, ny, r)
+            nvals = _values(search.F, nx, ny)
+            r = max(search.residuals(nvals, nx, ny))
+            if r < best:
+                x, y, vals, best = nx, ny, nvals, r
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        if best[2] <= 1e-14:
+        if best <= 1e-14:
             break
-    x, y, r = best
-    return (complex(x), complex(y),
-            float(_rel_residual(P, x, y)), float(_rel_residual(Q, x, y)))
+    x, y = complex(x), complex(y)
+    return (x, y) + search.residuals(vals, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +227,6 @@ def _lift_candidates(pu, qu) -> tuple[list[complex], bool]:
     return cands, not cands
 
 
-def _resultant_roots(R: BivariatePoly):
-    """Roots of a univariate bivariate-typed resultant, or None when R is
-    identically zero / unavailable."""
-    if R is None or R.is_zero():
-        return None
-    d = _int_degree(R)
-    if d == 0:
-        return np.empty(0, dtype=complex)
-    var = "x" if R.deg_in("x") != NEG_INF and R.deg_in("x") > 0 else "y"
-    rc = np.zeros(int(R.deg_in(var)) + 1, dtype=complex)
-    for (p, q), c in R.terms.items():
-        rc[p if var == "x" else q] += c
-    return _poly_roots(rc)
-
-
 def _near_some_root(val: complex, roots) -> bool:
     """Whether val sits near the admissible coordinate spectrum.
 
@@ -243,31 +243,35 @@ def _near_some_root(val: complex, roots) -> bool:
 
 
 class _Search:
-    """Shared state for one find_common_zero run."""
+    """One find_common_zero run, compiled once: ``F`` stacks the dense
+    coefficient matrices of the unit-normalized, trimmed P and Q and of Px,
+    Qx, Py, Qy, so one ``_values`` product evaluates all six at a point."""
 
     def __init__(self, P, Q):
-        self.P, self.Q = P, Q
-        self.Px, self.Py = P.partial("x"), P.partial("y")
-        self.Qx, self.Qy = Q.partial("x"), Q.partial("y")
+        PQ, self.degree, self.scale = _compile((P, Q), normalize=True)
+        k = np.arange(PQ.shape[-1])  # rolled: row/column 0 times k = 0
+        self.F = np.concatenate([PQ, np.roll(k[:, None] * PQ, -1, axis=1),
+                                 np.roll(k * PQ, -1, axis=2)])
         self.spectrum = {"x": None, "y": None}  # admissible coordinate roots
 
-    def refine(self, x0, y0):
-        return _newton_refine(self.P, self.Q, self.Px, self.Py,
-                              self.Qx, self.Qy, x0, y0)
+    def residuals(self, vals, x, y) -> tuple[float, float]:
+        """The relative residuals of P and Q from ``_values(F, x, y)``."""
+        return tuple(_rel_residual(v, d, s, x, y)
+                     for v, d, s in zip(vals[:2], self.degree, self.scale))
 
     def try_slice(self, val: complex, elim: str):
         """Lift one slice. Returns (witness|None, fully_resolved)."""
-        pu = _slice_coeffs(self.P, val, elim)
-        qu = _slice_coeffs(self.Q, val, elim)
+        pu, qu = (_slice_coeffs(self.F[i], self.degree[i], val, elim)
+                  for i in (0, 1))
         cands, ruled_out = _lift_candidates(pu, qu)
         if ruled_out:
             return None, True
         resolved = True
         for cand in cands:
             if elim == "y":
-                x, y, rp, rq = self.refine(val, cand)
+                x, y, rp, rq = _newton_refine(self, val, cand)
             else:
-                x, y, rp, rq = self.refine(cand, val)
+                x, y, rp, rq = _newton_refine(self, cand, val)
             if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
                 if _near_some_root(x, self.spectrum["x"]) and \
                         _near_some_root(y, self.spectrum["y"]):
@@ -280,38 +284,39 @@ class _Search:
 def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
     """A common zero of P and Q in C^2, or None if there is none.
 
-    Eliminates each variable with a Sylvester resultant. A nonzero constant
-    resultant settles the matter immediately. Otherwise resultant roots are
-    the only admissible coordinates: each is lifted by intersecting slice
-    root sets and polished with a damped two-dimensional Newton iteration,
-    and a candidate is accepted only when both residuals meet the witness
-    tolerance and both coordinates lie on the admissible spectra (this kills
-    the classical artifacts — vanishing leading coefficients and escapes to
-    infinity along asymptotes). An identically zero resultant (shared factor)
-    is handled by lifting random slices. An unresolvable search raises
-    NumericalFailure rather than guessing.
+    Runs on P and Q compiled once into dense coefficient matrices
+    (``_Search``). Eliminates each variable with a Sylvester resultant
+    (``poly.dense_resultant``: all FFT nodes in one stacked determinant). A
+    nonzero constant resultant settles the matter immediately. Otherwise
+    resultant roots are the only admissible coordinates: each is lifted by
+    intersecting slice root sets and polished with a damped two-dimensional
+    Newton iteration, and a candidate is accepted only when both residuals
+    meet the witness tolerance and both coordinates lie on the admissible
+    spectra (this kills the classical artifacts — vanishing leading
+    coefficients and escapes to infinity along asymptotes). An identically
+    zero resultant (shared factor) is handled by lifting random slices. An
+    unresolvable search raises NumericalFailure rather than guessing.
     """
     if _int_degree(P) == 0:
         raise DegenerateInput("P is constant; nothing to intersect")
-    Pf = _unit_normalize(structural_trim(P.to_float()))
-    Qf = _unit_normalize(structural_trim(Q.to_float()))
-    search = _Search(Pf, Qf)
-
+    search = _Search(P, Q)
     resultants = {}
     for elim in ("y", "x"):
+        PQ = search.F[:2] if elim == "y" else search.F[:2].transpose(0, 2, 1)
         try:
-            resultants[elim] = structural_trim(
-                sylvester_resultant(Pf, Qf, elim), 1e-12)
-        except Exception:
+            R = resultants[elim] = dense_resultant(*PQ)
+        except DegenerateElimination:
             resultants[elim] = None  # degenerate direction
-    # a nonzero constant resultant proves emptiness outright
-    for R in resultants.values():
-        if R is not None and not R.is_zero() and R.degree() <= 0:
-            return None
+            continue
+        if R[0] != 0 and not R[1:].any():
+            return None  # a nonzero constant resultant proves emptiness
 
-    # admissible coordinate spectra: x from the y-elimination and vice versa
-    search.spectrum["x"] = _resultant_roots(resultants["y"])
-    search.spectrum["y"] = _resultant_roots(resultants["x"])
+    # admissible coordinate spectra: x from the y-elimination and vice
+    # versa; none from a resultant that is zero or unavailable
+    for elim, var in (("y", "x"), ("x", "y")):
+        R = resultants[elim]
+        search.spectrum[var] = None if R is None or not R.any() \
+            else _poly_roots(R)
 
     rng = np.random.default_rng(1729)
     any_definitive = False
@@ -319,7 +324,7 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
         R = resultants[elim]
         if R is None:
             continue
-        if R.is_zero():
+        if not R.any():
             # shared factor: infinitely many common points; sample slices
             for _ in range(_SAMPLE_TRIES):
                 val = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -577,26 +582,24 @@ def restriction_residual(P: BivariatePoly, Q: BivariatePoly, W: BivariatePoly,
     restricts to the reciprocal weight. Returns None when no real points are
     found in the scanned window.
     """
-    Pf = P.to_float()
-    Qf = Q.to_float()
-    Wf = W.to_float()
+    F, degree, scale = _compile((P, Q, W))
     worst = None
     count = 0
     for elim in ("y", "x"):
         for val in np.linspace(-span, span, 61):
-            cu = _slice_coeffs(Pf, complex(val), elim)
+            cu = _slice_coeffs(F[0], degree[0], complex(val), elim)
             if cu is None or cu.size <= 1:
                 continue
             for root in _poly_roots(cu):
                 if abs(root.imag) > 1e-8 * max(1.0, abs(root)):
                     continue
                 x, y = (val, root.real) if elim == "y" else (root.real, val)
-                if _rel_residual(Pf, x, y) > 1e-7:
+                pv, qv, wv = _values(F, x, y)
+                if _rel_residual(pv, degree[0], scale[0], x, y) > 1e-7:
                     continue
-                qv = Qf.eval(x, y)
                 if abs(qv) < 1e-12:
                     continue
-                gap = abs(Wf.eval(x, y) * qv - 1.0)
+                gap = float(abs(wv * qv - 1.0))
                 worst = gap if worst is None else max(worst, gap)
                 count += 1
                 if count >= samples:

@@ -389,7 +389,9 @@ def kasa_init(mv: MomentVector) -> CircleParams:
         [m(1, 0), m(0, 1), float(n)],
     ])
     rhs = -np.array([m(3, 0) + m(1, 2), m(2, 1) + m(0, 3), m(2, 0) + m(0, 2)])
-    cond = np.linalg.cond(M)
+    # equilibrated by its diagonal, so the test is free of the data's scale
+    d = np.sqrt(np.abs(np.diag(M)))
+    cond = np.linalg.cond(M / np.outer(d, d)) if np.all(d > 0.0) else math.inf
     if not math.isfinite(cond) or cond > _KASA_COND_LIMIT:
         raise DegenerateData("normal matrix is singular (collinear or "
                              "coincident samples)")
@@ -477,6 +479,14 @@ def _pratt_checked(mv: MomentVector):
     return view, CircleParams(base[0] + cx, base[1] + cy, base[2])
 
 
+def _moment_circle_start(mv: MomentVector):
+    """``_pratt_checked``, refusing as NoCircle, for any circle start."""
+    try:
+        return _pratt_checked(mv)
+    except (DegenerateData, ImaginaryRadius) as exc:
+        raise NoCircle(f"no circle fits these moments: {exc}") from exc
+
+
 def pratt_init(mv: MomentVector) -> CircleParams:
     """Pratt's algebraic circle fit from the degree-4 moments.
 
@@ -505,10 +515,7 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     than that of a centred accumulator. NoCircle where ``pratt_init``
     raises, whatever the start."""
     cfg = cfg if cfg is not None else FitConfig()
-    try:
-        view, start = _pratt_checked(mv)
-    except (DegenerateData, ImaginaryRadius) as exc:
-        raise NoCircle(f"no circle fits these moments: {exc}") from exc
+    view, start = _moment_circle_start(mv)
     init = _circle_start(cfg.init) if cfg.init is not None else start
     cx, cy = view.centroid
     z, n = view.z(), view.n
@@ -614,8 +621,9 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
 
     It iterates on the points moved to their centroid and divided by their
     RMS distance from it (Hartley's normalization), then maps the conic
-    back; the objective, its trace and the stationarity residual are in
-    the caller's frame, ``smallest_eigenvalue`` in the normalized one."""
+    back; the objective and its trace are in the caller's frame, the
+    stationarity residual and ``smallest_eigenvalue`` in the normalized
+    one, so that they do not depend on where the data lie."""
     cfg = cfg if cfg is not None else FitConfig()
     pts = _as_points(points)
     n = pts.shape[0]
@@ -664,6 +672,7 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
         if step <= cfg.step_tol:
             converged = True
             break
+    stationarity = _conic_stationarity(theta, Z, x, y)
     theta = _conic_unnormalized(theta, centre, scale)
     x = pts[:, 0]
     y = pts[:, 1]
@@ -679,7 +688,7 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
         iteration_seconds=tuple(times),
         data_passes=2 + iters,
         diagnostics={
-            "stationarity_residual": _conic_stationarity(theta, Z, x, y),
+            "stationarity_residual": stationarity,
             "objective_trace": tuple(scale * scale * t for t in trace),
             "smallest_eigenvalue": eig_min,
         },
@@ -864,7 +873,8 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
     """Minimize the certificate-weighted objective assembled from moments.
 
     Same damped Newton driver as the reduced circle fit; the data enter
-    only through the accumulator."""
+    only through the accumulator. Circle moments that ``pratt_init``
+    refuses raise NoCircle, as in the reduced fit, whatever the start."""
     cfg = cfg if cfg is not None else FitConfig()
     fam = get_family(family) if isinstance(family, str) else family
     if not (cert.identity_residual <= _CERT_ACCEPT):
@@ -875,8 +885,8 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
     if fam.name == "circle":
         # the circle alone starts from Pratt's fit, which at d <= 1 is the
         # objective's own minimizer, and moves with the accumulator's frame
-        init = _circle_start(cfg.init) if cfg.init is not None \
-            else pratt_init(mv)
+        start = _moment_circle_start(mv)[1]
+        init = _circle_start(cfg.init) if cfg.init is not None else start
         theta0 = [init.a - ox, init.b - oy, init.R]
 
         def params(th):

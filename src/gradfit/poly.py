@@ -11,7 +11,9 @@ polynomial:
 
 Mixing modes in arithmetic promotes to floating. All values are immutable
 after construction and every operation is a pure function, so instances can
-be shared freely across threads.
+be shared freely across threads. Numerical code takes the coefficients as
+dense complex matrices (``coefficient_matrices``); the floating resultant
+(``dense_resultant``) works on those.
 """
 
 from __future__ import annotations
@@ -214,24 +216,12 @@ class BivariatePoly:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x, y):
-        """Evaluate at a point by Horner-style grouping (powers of y outermost,
-        sparse Horner in x inside each group)."""
-        if not self.terms:
-            return Fraction(0) if self.exact and _is_rational_point(x, y) else 0.0
-        by_q: dict[int, dict[int, object]] = {}
-        for (p, q), c in self.terms.items():
-            by_q.setdefault(q, {})[p] = c
-        qs = sorted(by_q, reverse=True)
-        acc = None
-        prev_q = qs[0]
-        for q in qs:
-            inner = _horner_sparse(by_q[q], x)
-            if acc is None:
-                acc = inner
-            else:
-                acc = acc * _ipow(y, prev_q - q) + inner
-            prev_q = q
-        return acc * _ipow(y, prev_q)
+        """Value at a point, the sum of the terms: exact for an exact
+        polynomial at a rational point."""
+        rational = isinstance(x, Rational) and isinstance(y, Rational)
+        zero = Fraction(0) if self.exact and rational else 0.0
+        return sum((c * x ** p * y ** q for (p, q), c in self.terms.items()),
+                   zero)
 
     __call__ = eval
 
@@ -258,26 +248,6 @@ def _var_index(var: str) -> int:
     if var == "y":
         return 1
     raise ValueError("variable must be 'x' or 'y'")
-
-
-def _is_rational_point(x, y) -> bool:
-    return isinstance(x, Rational) and isinstance(y, Rational)
-
-
-def _ipow(base, n: int):
-    if n == 0:
-        return 1
-    return base ** n
-
-
-def _horner_sparse(coeffs_by_p: dict[int, object], x):
-    ps = sorted(coeffs_by_p, reverse=True)
-    acc = coeffs_by_p[ps[0]]
-    prev = ps[0]
-    for p in ps[1:]:
-        acc = acc * _ipow(x, prev - p) + coeffs_by_p[p]
-        prev = p
-    return acc * _ipow(x, prev)
 
 
 def _coerce(value, exact_hint: bool):
@@ -620,103 +590,120 @@ def _coeff_rows(P: BivariatePoly, elim: str, keep: str) -> list[BivariatePoly]:
     return [BivariatePoly(r, exact=P.exact) for r in rows]
 
 
+def coefficient_matrices(polys, size: int) -> np.ndarray:
+    """Stack of dense complex ``size`` x ``size`` matrices, entry [k, p, q]
+    the coefficient of x^p y^q in the k-th polynomial (size > degree)."""
+    F = np.zeros((len(polys), size, size), dtype=complex)
+    for k, P in enumerate(polys):
+        for (p, q), c in P.terms.items():
+            F[k, p, q] = complex(c)
+    return F
+
+
+def _zero_resultant(m: int, n: int) -> bool:
+    """Whether the resultant of inputs of degrees m, n (-1: zero) in the
+    eliminated variable is 0; DegenerateElimination if neither has it."""
+    if m <= 0 and n <= 0 and m == n:
+        raise DegenerateElimination(
+            "both inputs are zero" if m < 0 else
+            "both inputs have degree 0 in the eliminated variable; fall back "
+            "to univariate gcd")
+    return min(m, n) < 0
+
+
+def _degrees(C: np.ndarray) -> tuple[int, int]:
+    """Highest row and column holding a nonzero entry, -1 for none."""
+    rows, cols = np.nonzero(C)
+    return (int(rows.max()), int(cols.max())) if rows.size else (-1, -1)
+
+
+def _is_real(C: np.ndarray) -> bool:
+    return bool(abs(C.imag).max() <= 1e-14 * abs(C).max())
+
+
+def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Resultant of two floating polynomials in their second variable s,
+    from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
+    coefficients in t, those at most 1e-10 of the largest set to zero.
+
+    det S(t) has degree at most n deg_t A + m deg_t B (m, n the degrees in
+    s): it is sampled at one more root of unity and interpolated by FFT.
+    One Horner pass evaluates the rows of A and B at all nodes, slice
+    assignment lays out the stack of Sylvester matrices, and one stacked
+    determinant evaluates them. An input constant in s gives a diagonal
+    stack: its row to the power of the other's degree in s."""
+    (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
+    if _zero_resultant(m, n):
+        return np.zeros(1)
+    count = n * dpk + m * dqk + 1
+    nodes = np.exp(2j * np.pi * np.arange(count) / count)[:, None]
+    # highest power of s first, as in the Sylvester matrix's rows
+    rows = np.concatenate([A[:, m::-1], B[:, n::-1]], axis=1)
+    top = max(dpk, dqk)
+    vals = rows[top]
+    for row in rows[:top][::-1]:
+        vals = vals * nodes + row
+    S = np.zeros((count, m + n, m + n), dtype=complex)
+    for r in range(n):
+        S[:, r, r:r + m + 1] = vals[..., :m + 1]
+    for r in range(m):
+        S[:, n + r, r:r + n + 1] = vals[..., m + 1:]
+    coeffs = np.fft.fft(np.linalg.det(S)) / count
+    if _is_real(A) and _is_real(B):
+        coeffs = coeffs.real  # resultant of real polynomials is real
+    mag = abs(coeffs)
+    coeffs[mag <= 1e-10 * mag.max()] = 0.0
+    return coeffs
+
+
 def sylvester_resultant(P: BivariatePoly, Q: BivariatePoly, eliminate: str = "y") -> BivariatePoly:
     """Resultant of P and Q with respect to one variable.
 
     Returns the determinant of their Sylvester matrix, viewed as polynomials in
     the eliminated variable over polynomials in the other. Exact inputs take a
-    fraction-free Bareiss elimination; floating inputs are handled by
-    evaluating the determinant on roots of unity and interpolating by FFT.
+    fraction-free Bareiss elimination; floating inputs go through
+    ``dense_resultant``, which evaluates the determinant on roots of unity
+    and interpolates by FFT.
     """
     keep = "x" if eliminate == "y" else "y"
     _var_index(eliminate)
-    exact = P.exact and Q.exact
-    if not exact:
+    if not (P.exact and Q.exact):
         P = structural_trim(P.to_float())
         Q = structural_trim(Q.to_float())
+        size = 1 + int(max(0, P.degree(), Q.degree()))
+        F = coefficient_matrices((P, Q), size)
+        if eliminate == "x":
+            F = F.transpose(0, 2, 1)
+        coeffs = dense_resultant(*F)
+        return BivariatePoly({(i, 0) if keep == "x" else (0, i): c
+                              for i, c in enumerate(coeffs)}, exact=False)
     m = P.deg_in(eliminate)
     n = Q.deg_in(eliminate)
     m = -1 if m == NEG_INF else int(m)
     n = -1 if n == NEG_INF else int(n)
-    if m <= 0 and n <= 0:
-        if P.is_zero() and Q.is_zero():
-            raise DegenerateElimination("both inputs are zero")
-        if not P.is_zero() and not Q.is_zero():
-            raise DegenerateElimination(
-                f"both inputs have degree 0 in {eliminate}; fall back to univariate gcd"
-            )
-    if P.is_zero():
-        return BivariatePoly.zero(exact=exact)
-    if Q.is_zero():
-        return BivariatePoly.zero(exact=exact)
+    if _zero_resultant(m, n):
+        return BivariatePoly.zero(exact=True)
     if m <= 0:
         return P ** n  # P constant in the eliminated variable
     if n <= 0:
         return Q ** m
 
-    scale_back = None
-    if exact:
-        P, lp = _clear_denominators(P)
-        Q, lq = _clear_denominators(Q)
-        scale_back = Fraction(1) / (lp ** n * lq ** m)
-
+    P, lp = _clear_denominators(P)
+    Q, lq = _clear_denominators(Q)
+    scale_back = Fraction(1) / (lp ** n * lq ** m)
     prow = _coeff_rows(P, eliminate, keep)
     qrow = _coeff_rows(Q, eliminate, keep)
     size = m + n
-
-    if exact:
-        M = [[() for _ in range(size)] for _ in range(size)]
-        for r in range(n):
-            for j, c in enumerate(prow):
-                M[r][r + j] = tuple(univariate_coeffs(c, keep))
-        for r in range(m):
-            for j, c in enumerate(qrow):
-                M[n + r][r + j] = tuple(univariate_coeffs(c, keep))
-        det = _bareiss_det(M)
-        terms = {}
-        for i, c in enumerate(det):
-            if c != 0:
-                terms[(i, 0) if keep == "x" else (0, i)] = c * scale_back
-        return BivariatePoly(terms, exact=True)
-
-    # floating path: interpolate det(S(t)) from unit-circle samples
-    dpk = P.deg_in(keep)
-    dqk = Q.deg_in(keep)
-    dpk = 0 if dpk == NEG_INF else int(dpk)
-    dqk = 0 if dqk == NEG_INF else int(dqk)
-    bound = n * dpk + m * dqk
-    count = bound + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    pc = [np.array(univariate_coeffs(c, keep), dtype=complex) for c in prow]
-    qc = [np.array(univariate_coeffs(c, keep), dtype=complex) for c in qrow]
-    vals = np.empty(count, dtype=complex)
-    for t, z in enumerate(nodes):
-        S = np.zeros((size, size), dtype=complex)
-        for r in range(n):
-            for j in range(m + 1):
-                S[r, r + j] = _npeval(pc[j], z)
-        for r in range(m):
-            for j in range(n + 1):
-                S[n + r, r + j] = _npeval(qc[j], z)
-        vals[t] = np.linalg.det(S)
-    coeffs = np.fft.fft(vals) / count
-    if _all_real(P) and _all_real(Q):
-        coeffs = coeffs.real  # resultant of real polynomials is real
+    M = [[() for _ in range(size)] for _ in range(size)]
+    for r in range(n):
+        for j, c in enumerate(prow):
+            M[r][r + j] = tuple(univariate_coeffs(c, keep))
+    for r in range(m):
+        for j, c in enumerate(qrow):
+            M[n + r][r + j] = tuple(univariate_coeffs(c, keep))
+    det = _bareiss_det(M)
     terms = {}
-    for i, c in enumerate(coeffs):
-        terms[(i, 0) if keep == "x" else (0, i)] = c
-    return structural_trim(BivariatePoly(terms, exact=False), 1e-10)
-
-
-def _all_real(P: BivariatePoly) -> bool:
-    scale = P.max_coeff_mag()
-    return all(abs(complex(c).imag) <= 1e-14 * scale for c in P.terms.values())
-
-
-def _npeval(coeffs: np.ndarray, z: complex) -> complex:
-    if coeffs.size == 0:
-        return 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    for i, c in enumerate(det):
+        if c != 0:
+            terms[(i, 0) if keep == "x" else (0, i)] = c * scale_back
+    return BivariatePoly(terms, exact=True)

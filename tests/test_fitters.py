@@ -471,6 +471,17 @@ def test_reduced_about_the_origin_fits_within_tolerance_or_refuses(
                abs(res.params.R - ref.R)) <= 1e-6 * ref.R
 
 
+
+def test_generic_circle_refuses_what_pratt_refuses_from_any_start():
+    # a far arc accumulated about the origin: from an explicit start the
+    # generic fit used to report a circle 0.1 off as converged
+    pts = arc_points(1e3, -1e3, 2.0, 1.5, 300, 0.01, 0)
+    mv = MomentVector.from_points(pts, 4)
+    for init in (None, (1e3 + 0.1, -1e3, 2.1)):
+        with pytest.raises(NoCircle):
+            fit_reduced_generic("circle", circle_cert(), mv,
+                                FitConfig(init=init))
+
 def test_pratt_init_collinear_and_coincident_are_degenerate():
     xs = np.linspace(-1.0, 1.0, 15)
     with pytest.raises(DegenerateData):
@@ -495,6 +506,24 @@ def test_geometric_recovers_exact_circle():
     assert res.params.R == pytest.approx(2.0, abs=1e-9)
     assert res.objective < 1e-18
 
+
+
+@pytest.mark.parametrize("R", [1e-7, 1e7, 1e8])
+def test_geometric_fits_a_clean_circle_at_any_scale(R):
+    # Kasa's start tested the unscaled normal matrix, whose condition
+    # number grows like R^2 or 1/R^2
+    res = fit_circle_geometric(circle_points(3.0 * R, 0.0, R, 50))
+    assert res.converged
+    p = res.params
+    assert max(abs(p.a - 3.0 * R), abs(p.b), abs(p.R - R)) <= 1e-9 * R
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e8])
+def test_geometric_refuses_collinear_samples_at_any_scale(scale):
+    xs = np.linspace(0.0, 1.0, 12)
+    pts = scale * np.column_stack([xs, 2.0 * xs - 0.3])
+    with pytest.raises(DegenerateData):
+        fit_circle_geometric(pts)
 
 def test_geometric_rejects_tiny_dataset():
     with pytest.raises(DegenerateData):
@@ -631,6 +660,19 @@ def test_reweight_reports_stationarity_diagnostic():
     # one pass for the centroid, one for the normalized design matrix
     assert res.data_passes == 2 + res.iterations
 
+
+
+def test_reweight_stationarity_does_not_depend_on_the_frame():
+    # in the caller's frame it read 13,286 for this arc and 0.02 for the
+    # same fit of the centred points
+    rng = np.random.default_rng(0)
+    t = 0.3 + 1.5 * rng.random(300)
+    pts = np.column_stack([40.0 + 2.0 * np.cos(t), -25.0 + 2.0 * np.sin(t)])
+    pts += rng.normal(scale=0.01, size=pts.shape)
+    far = fit_conic_reweight(pts).diagnostics["stationarity_residual"]
+    near = fit_conic_reweight(pts - pts.mean(axis=0)).diagnostics[
+        "stationarity_residual"]
+    assert far == pytest.approx(near, rel=1e-6)
 
 # -- certificate-driven generic reduced fit ----------------------------------
 

@@ -254,6 +254,51 @@ def test_resultant_against_independent_cas():
         assert have == want
 
 
+quartic_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda pq: pq[0] + pq[1] <= 4
+)
+quartics = st.dictionaries(quartic_exponents, st.integers(-5, 5), min_size=1,
+                           max_size=6)
+
+
+@given(quartics, quartics, st.sampled_from("xy"),
+       st.sampled_from(["neither", "P", "Q"]))
+@settings(max_examples=300, deadline=None)
+def test_float_resultant_matches_exact(p_terms, q_terms, elim, constant):
+    # ``constant`` drops the eliminated variable from one input: the P**n
+    # and Q**m cases, which the float path computes from a diagonal stack
+    i = 0 if elim == "x" else 1
+    if constant == "P":
+        p_terms = {k: c for k, c in p_terms.items() if k[i] == 0}
+    if constant == "Q":
+        q_terms = {k: c for k, c in q_terms.items() if k[i] == 0}
+    P, Q = BivariatePoly(p_terms), BivariatePoly(q_terms)
+    try:
+        exact = sylvester_resultant(P, Q, elim)
+    except DegenerateElimination:
+        with pytest.raises(DegenerateElimination):
+            sylvester_resultant(P.to_float(), Q.to_float(), elim)
+        return
+    got = sylvester_resultant(P.to_float(), Q.to_float(), elim)
+    assert not got.exact
+    keep = "y" if elim == "x" else "x"
+    want = [float(c) for c in univariate_coeffs(exact, keep)]
+    have = univariate_coeffs(got, keep)
+    n = max(len(want), len(have))
+    want += [0.0] * (n - len(want))
+    have += [0j] * (n - len(have))
+    if exact.is_zero():
+        # a shared factor: the float determinants are rounding noise, far
+        # below the bound (sum |P|)^n (sum |Q|)^m on the Sylvester matrices
+        m, k = P.deg_in(elim), Q.deg_in(elim)
+        scale = (sum(abs(float(c)) for c in P.terms.values()) ** max(k, 0)
+                 * sum(abs(float(c)) for c in Q.terms.values()) ** max(m, 0))
+    else:
+        scale = max(abs(c) for c in want)
+    assert max((abs(a - b) for a, b in zip(want, have)), default=0.0) \
+        <= 1e-9 * scale
+
+
 # -- similarity transforms --------------------------------------------------
 
 def test_identity_transform_is_noop():
