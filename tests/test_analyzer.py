@@ -87,13 +87,13 @@ def test_parabola_double_root_witness_is_found():
         assert abs(decision.witness.y + 1.0 / (4 * c)) < 1e-8
 
 
-
 def test_parabola_sweep_has_no_wrong_verdict():
     # guards the lift that once missed the double root of the parabola's
     # x-eliminated resultant (BoundExhausted for about one c in a thousand)
     for c in np.random.default_rng(7).uniform(0.5, 2.0, 1000):
         P = get_family("parabola").poly({"c": float(c)}, exact=True)
         assert not decide_reduction(P).admissible
+
 
 def test_witness_residuals_meet_tolerance():
     rng = np.random.default_rng(31)
@@ -247,7 +247,6 @@ def test_restriction_equals_reciprocal_weight_on_curve():
     assert gap is not None and gap <= 1e-8
 
 
-
 @pytest.mark.parametrize("family, theta, plain, tilted", [
     ("circle", {"a": 0.5, "b": -0.375, "R": 1.75},
      6.661338147750939e-16, 1.8375000000000001),
@@ -267,6 +266,7 @@ def test_restriction_residual_matches_reference_values(family, theta, plain,
     assert restriction_residual(P, Q, W) == pytest.approx(plain, abs=1e-12)
     assert restriction_residual(P, Q, W + X * Fraction(1, 8)) == \
         pytest.approx(tilted, abs=1e-12)
+
 
 # -- combined decision ------------------------------------------------------
 

@@ -471,7 +471,6 @@ def test_reduced_about_the_origin_fits_within_tolerance_or_refuses(
                abs(res.params.R - ref.R)) <= 1e-6 * ref.R
 
 
-
 def test_generic_circle_refuses_what_pratt_refuses_from_any_start():
     # a far arc accumulated about the origin: from an explicit start the
     # generic fit used to report a circle 0.1 off as converged
@@ -481,6 +480,7 @@ def test_generic_circle_refuses_what_pratt_refuses_from_any_start():
         with pytest.raises(NoCircle):
             fit_reduced_generic("circle", circle_cert(), mv,
                                 FitConfig(init=init))
+
 
 def test_pratt_init_collinear_and_coincident_are_degenerate():
     xs = np.linspace(-1.0, 1.0, 15)
@@ -507,7 +507,6 @@ def test_geometric_recovers_exact_circle():
     assert res.objective < 1e-18
 
 
-
 @pytest.mark.parametrize("R", [1e-7, 1e7, 1e8])
 def test_geometric_fits_a_clean_circle_at_any_scale(R):
     # Kasa's start tested the unscaled normal matrix, whose condition
@@ -524,6 +523,7 @@ def test_geometric_refuses_collinear_samples_at_any_scale(scale):
     pts = scale * np.column_stack([xs, 2.0 * xs - 0.3])
     with pytest.raises(DegenerateData):
         fit_circle_geometric(pts)
+
 
 def test_geometric_rejects_tiny_dataset():
     with pytest.raises(DegenerateData):
@@ -661,7 +661,6 @@ def test_reweight_reports_stationarity_diagnostic():
     assert res.data_passes == 2 + res.iterations
 
 
-
 def test_reweight_stationarity_does_not_depend_on_the_frame():
     # in the caller's frame it read 13,286 for this arc and 0.02 for the
     # same fit of the centred points
@@ -673,6 +672,7 @@ def test_reweight_stationarity_does_not_depend_on_the_frame():
     near = fit_conic_reweight(pts - pts.mean(axis=0)).diagnostics[
         "stationarity_residual"]
     assert far == pytest.approx(near, rel=1e-6)
+
 
 # -- certificate-driven generic reduced fit ----------------------------------
 

@@ -288,8 +288,9 @@ def test_float_resultant_matches_exact(p_terms, q_terms, elim, constant):
     want += [0.0] * (n - len(want))
     have += [0j] * (n - len(have))
     if exact.is_zero():
-        # a shared factor: the float determinants are rounding noise, far
-        # below the bound (sum |P|)^n (sum |Q|)^m on the Sylvester matrices
+        # a zero input or a shared factor: the float determinants are then
+        # zero or rounding noise, far below the bound (sum |P|)^n (sum |Q|)^m
+        # on the Sylvester determinants
         m, k = P.deg_in(elim), Q.deg_in(elim)
         scale = (sum(abs(float(c)) for c in P.terms.values()) ** max(k, 0)
                  * sum(abs(float(c)) for c in Q.terms.values()) ** max(m, 0))
