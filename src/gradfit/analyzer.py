@@ -170,18 +170,16 @@ def _newton_refine(search: "_Search", x, y, iters: int = 60):
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
         step = 1.0
-        improved = False
         for _ in range(12):
             nx, ny = x - step * dx, y - step * dy
             nvals = _values(search.F, nx, ny)
             r = max(search.residuals(nvals, nx, ny))
             if r < best:
                 x, y, vals, best = nx, ny, nvals, r
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            break
+        else:
+            break  # no damped step improved
         if best <= 1e-14:
             break
     x, y = complex(x), complex(y)
@@ -227,19 +225,22 @@ def _lift_candidates(pu, qu) -> tuple[list[complex], bool]:
     return cands, not cands
 
 
-def _near_some_root(val: complex, roots) -> bool:
-    """Whether val sits near the admissible coordinate spectrum.
-
-    A finite common zero must have each coordinate among the roots of the
-    respective resultant; candidates that drift away (typically toward
-    infinity along an asymptote, where scale-relative residuals lose meaning)
-    are rejected by this check.
-    """
-    if roots is None:
+def _on_spectrum(val: complex, spectrum) -> bool:
+    """Whether val sits on a coordinate spectrum ``(R, roots)`` (None admits
+    all): near a computed root of the resultant R, or a root of R up to 1e-3
+    of its terms' sizes at val, which keeps far-out multiple roots whose
+    computed copies split by the square root of R's rounding. A finite common
+    zero's coordinates are roots of the resultants; candidates that drift
+    toward infinity along an asymptote, where scale-relative residuals lose
+    meaning, fail both tests."""
+    if spectrum is None:
         return True
-    if roots.size == 0:
-        return False
-    return bool(np.min(np.abs(roots - val)) <= 1e-3 * max(1.0, abs(val)))
+    R, roots = spectrum
+    if roots.size and np.min(abs(roots - val)) <= 1e-3 * max(1.0, abs(val)):
+        return True
+    p = np.arange(R.size)
+    terms = R * val ** (p - p[-1] if abs(val) > 1.0 else p)  # no overflow
+    return bool(abs(terms.sum()) <= 1e-3 * abs(terms).sum())
 
 
 class _Search:
@@ -252,7 +253,7 @@ class _Search:
         k = np.arange(PQ.shape[-1])  # rolled: row/column 0 times k = 0
         self.F = np.concatenate([PQ, np.roll(k[:, None] * PQ, -1, axis=1),
                                  np.roll(k * PQ, -1, axis=2)])
-        self.spectrum = {"x": None, "y": None}  # admissible coordinate roots
+        self.spectrum = {"x": None, "y": None}  # (R, roots) per coordinate
 
     def residuals(self, vals, x, y) -> tuple[float, float]:
         """The relative residuals of P and Q from ``_values(F, x, y)``."""
@@ -273,8 +274,8 @@ class _Search:
             else:
                 x, y, rp, rq = _newton_refine(self, cand, val)
             if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
-                if _near_some_root(x, self.spectrum["x"]) and \
-                        _near_some_root(y, self.spectrum["y"]):
+                if _on_spectrum(x, self.spectrum["x"]) and \
+                        _on_spectrum(y, self.spectrum["y"]):
                     return CommonZeroWitness(x, y, rp, rq), True
                 continue  # diverged toward infinity: provably not affine
             resolved = False
@@ -308,15 +309,12 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
         except DegenerateElimination:
             resultants[elim] = None  # degenerate direction
             continue
+        R[abs(R) <= COEFF_EQ_TOL * abs(R).max()] = 0.0
         if R[0] != 0 and not R[1:].any():
             return None  # a nonzero constant resultant proves emptiness
-
-    # admissible coordinate spectra: x from the y-elimination and vice
-    # versa; none from a resultant that is zero or unavailable
-    for elim, var in (("y", "x"), ("x", "y")):
-        R = resultants[elim]
-        search.spectrum[var] = None if R is None or not R.any() \
-            else _poly_roots(R)
+        # the kept coordinate's admissible spectrum; none if R is zero
+        search.spectrum["x" if elim == "y" else "y"] = \
+            (R, _poly_roots(R)) if R.any() else None
 
     rng = np.random.default_rng(1729)
     any_definitive = False
@@ -332,9 +330,8 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
                 if witness is not None:
                     return witness
             continue
-        roots = search.spectrum["x" if elim == "y" else "y"]
         all_resolved = True
-        for r in roots:
+        for r in search.spectrum["x" if elim == "y" else "y"][1]:
             witness, resolved = search.try_slice(complex(r), elim)
             if witness is not None:
                 return witness
@@ -595,9 +592,8 @@ def restriction_residual(P: BivariatePoly, Q: BivariatePoly, W: BivariatePoly,
                     continue
                 x, y = (val, root.real) if elim == "y" else (root.real, val)
                 pv, qv, wv = _values(F, x, y)
-                if _rel_residual(pv, degree[0], scale[0], x, y) > 1e-7:
-                    continue
-                if abs(qv) < 1e-12:
+                if _rel_residual(pv, degree[0], scale[0], x, y) > 1e-7 \
+                        or abs(qv) < 1e-12:
                     continue
                 gap = float(abs(wv * qv - 1.0))
                 worst = gap if worst is None else max(worst, gap)

@@ -624,17 +624,20 @@ def _is_real(C: np.ndarray) -> bool:
 def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Resultant of two floating polynomials in their second variable s,
     from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
-    coefficients in t, those at most 1e-10 of the largest set to zero.
-
-    det S(t) has degree at most n deg_t A + m deg_t B (m, n the degrees in
-    s): it is sampled at one more root of unity and interpolated by FFT.
-    One Horner pass evaluates the rows of A and B at all nodes, slice
-    assignment lays out the stack of Sylvester matrices, and one stacked
-    determinant evaluates them. An input constant in s gives a diagonal
-    stack: its row to the power of the other's degree in s."""
+    coefficients in t. An input constant in s gives its row to the power of
+    the other's degree in s, untrimmed. Otherwise det S(t), of degree at
+    most n deg_t A + m deg_t B (m, n the degrees in s), is sampled at one
+    more root of unity and interpolated by FFT: one Horner pass evaluates
+    the rows of A and B at all nodes, slice assignment lays out the stack of
+    Sylvester matrices, one stacked determinant evaluates them, and the
+    coefficients at most 1e-10 of the largest are set to zero."""
     (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
     if _zero_resultant(m, n):
         return np.zeros(1)
+    if min(m, n) == 0:
+        power = np.polynomial.polynomial.polypow(
+            A[:, 0] if m == 0 else B[:, 0], max(m, n))
+        return power.real if _is_real(A) and _is_real(B) else power
     count = n * dpk + m * dqk + 1
     nodes = np.exp(2j * np.pi * np.arange(count) / count)[:, None]
     # highest power of s first, as in the Sylvester matrix's rows

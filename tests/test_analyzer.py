@@ -87,6 +87,21 @@ def test_parabola_double_root_witness_is_found():
         assert abs(decision.witness.y + 1.0 / (4 * c)) < 1e-8
 
 
+def test_flat_parabola_witness_is_found():
+    # c = 4e-6: the normalized |grad P|^2 is 1 + 6.4e-11 x^2, so the
+    # y-resultant keeps that tiny x^2 term (the witness's x = +-i/(2c)), and
+    # the x-resultant's double root y = -1/(4c) splits by about 1e-3 of its
+    # size in rounding, so only its value, not its computed roots, admits y
+    c = 4e-6
+    P = get_family("parabola").poly({"c": c}, exact=True)
+    for Pk in (P, P.to_float()):
+        w = find_common_zero(Pk, gradient_norm_squared(Pk))
+        assert w is not None
+        assert min(abs(w.x - s * 0.5j / c) for s in (1, -1)) <= 1e-8 * 0.5 / c
+        assert abs(w.y + 1.0 / (4 * c)) <= 1e-8 / (4 * c)
+        assert not decide_reduction(Pk).admissible
+
+
 def test_parabola_sweep_has_no_wrong_verdict():
     # guards the lift that once missed the double root of the parabola's
     # x-eliminated resultant (BoundExhausted for about one c in a thousand)

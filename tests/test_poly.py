@@ -266,7 +266,7 @@ quartics = st.dictionaries(quartic_exponents, st.integers(-5, 5), min_size=1,
 @settings(max_examples=300, deadline=None)
 def test_float_resultant_matches_exact(p_terms, q_terms, elim, constant):
     # ``constant`` drops the eliminated variable from one input: the P**n
-    # and Q**m cases, which the float path computes from a diagonal stack
+    # and Q**m cases, which the float path raises to the power directly
     i = 0 if elim == "x" else 1
     if constant == "P":
         p_terms = {k: c for k, c in p_terms.items() if k[i] == 0}
@@ -298,6 +298,32 @@ def test_float_resultant_matches_exact(p_terms, q_terms, elim, constant):
         scale = max(abs(c) for c in want)
     assert max((abs(a - b) for a, b in zip(want, have)), default=0.0) \
         <= 1e-9 * scale
+
+
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-11, 0)),
+                min_size=1, max_size=4),
+       st.integers(1, 3), st.sampled_from("xy"))
+@settings(max_examples=200, deadline=None)
+def test_float_power_resultant_keeps_small_coefficients(row, n, elim):
+    # P constant in the eliminated variable s, Q = s^n + 1: the resultant is
+    # P**n, each coefficient exact up to rounding of its own terms however
+    # small beside the largest (only the inputs' 1e-12 trim applies)
+    assume(any(a for a, _ in row))
+    keep = "y" if elim == "x" else "x"
+    t = BivariatePoly.variable(keep)
+    P = sum((Fraction(a) * Fraction(10) ** k * t ** i
+             for i, (a, k) in enumerate(row)), BivariatePoly.zero())
+    Q = BivariatePoly.variable(elim) ** n + 1
+    want = univariate_coeffs(sylvester_resultant(P, Q, elim), keep)
+    have = univariate_coeffs(
+        sylvester_resultant(P.to_float(), Q.to_float(), elim), keep)
+    bound = univariate_coeffs(
+        sum((abs(a) * 10.0 ** k * t.to_float() ** i
+             for i, (a, k) in enumerate(row)), BivariatePoly.zero(False)) ** n,
+        keep)
+    assert len(have) == len(want)
+    for w, h, b in zip(want, have, bound):
+        assert abs(float(w) - h) <= 1e-12 * abs(b)
 
 
 # -- similarity transforms --------------------------------------------------
