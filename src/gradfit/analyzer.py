@@ -419,14 +419,14 @@ def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
     exact = P.exact and Q.exact
     dp, dq = _int_degree(P), _int_degree(Q)
     layout = certificate_layout(dp, dq, d)
-    A = layout.fill(_coefficients(P, dp, exact), _coefficients(Q, dq, exact))
+    A = layout.fill(coefficients(P, dp, exact), coefficients(Q, dq, exact))
     one = Fraction(1) if exact else 1.0
     b = np.full(len(A), 0 * one, dtype=A.dtype)
     b[0] = one
     return A, b, layout.cols
 
 
-def _coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
+def coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
     """P's coefficient vector on ``monomials(degree)``."""
     index = {mn: i for i, mn in enumerate(monomials(degree))}
     if exact:

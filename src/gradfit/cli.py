@@ -344,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serialize the accumulated moments")
     p_fit.add_argument("--max-iterations", type=int, default=100)
     p_fit.add_argument("--gradient-tol", type=float, default=1e-10)
-    p_fit.add_argument("--step-tol", type=float, default=1e-12)
+    p_fit.add_argument("--step-tol", type=float, default=1e-12,
+                       help="Newton fits stop when a step's largest entry is "
+                       "at most STEP_TOL (1 + max |theta|); reweight stops "
+                       "when its unit-norm conic moves by at most STEP_TOL")
     p_fit.add_argument("--json", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -35,22 +35,12 @@ class CurveFamily:
     sample_theta: Callable = field(repr=False)
     point_at: Callable = field(repr=False)
     check_theta: Callable = field(repr=False, default=lambda theta: None)
-    build_poly_dtheta: Callable | None = field(repr=False, default=None)
 
     def poly(self, theta: dict, exact: bool = False) -> BivariatePoly:
         """P(x, y; theta). In exact mode float parameters convert exactly
         (dyadic rationals), so downstream elimination is rigorous."""
         self.validate(theta)
         return self.build_poly(theta, exact)
-
-    def poly_dtheta(self, theta: dict, name: str) -> BivariatePoly:
-        """Analytic dP/dtheta_name as a (floating) polynomial in x, y."""
-        self.validate(theta)
-        if name not in self.param_names:
-            raise InvalidSpec(f"{self.name}: unknown parameter {name!r}")
-        if self.build_poly_dtheta is None:
-            raise InvalidSpec(f"{self.name}: parameter derivatives unavailable")
-        return self.build_poly_dtheta(theta, name)
 
     def validate(self, theta: dict) -> None:
         missing = [k for k in self.param_names if k not in theta]
@@ -77,14 +67,6 @@ def _circle_poly(theta, exact):
     )
 
 
-def _circle_dtheta(theta, name):
-    if name == "R":
-        return BivariatePoly({(0, 0): -2.0 * float(theta["R"])}, exact=False)
-    var = (1, 0) if name == "a" else (0, 1)
-    return BivariatePoly({var: -2.0, (0, 0): 2.0 * float(theta[name])},
-                         exact=False)
-
-
 def _circle_sample(rng):
     return {
         "a": float(rng.uniform(-2.0, 2.0)),
@@ -108,11 +90,6 @@ def _circle_check(theta):
 def _conic_poly(theta, exact):
     a, b, c = theta["a"], theta["b"], theta["c"]
     return BivariatePoly({(2, 0): a, (0, 2): b, (0, 0): c}, exact=exact)
-
-
-def _conic_dtheta(theta, name):
-    pos = {"a": (2, 0), "b": (0, 2), "c": (0, 0)}[name]
-    return BivariatePoly({pos: 1.0}, exact=False)
 
 
 def _ellipse_sample(rng):
@@ -168,10 +145,6 @@ def _parabola_poly(theta, exact):
     return BivariatePoly({(0, 1): 1, (2, 0): -c}, exact=exact)
 
 
-def _parabola_dtheta(theta, name):
-    return BivariatePoly({(2, 0): -1.0}, exact=False)
-
-
 def _parabola_sample(rng):
     return {"c": float(rng.uniform(0.5, 2.0))}
 
@@ -191,11 +164,6 @@ def _parabola_check(theta):
 def _line_poly(theta, exact):
     u, v, w = theta["u"], theta["v"], theta["w"]
     return BivariatePoly({(1, 0): u, (0, 1): v, (0, 0): w}, exact=exact)
-
-
-def _line_dtheta(theta, name):
-    pos = {"u": (1, 0), "v": (0, 1), "w": (0, 0)}[name]
-    return BivariatePoly({pos: 1.0}, exact=False)
 
 
 def _line_sample(rng):
@@ -222,20 +190,18 @@ FAMILIES: dict[str, CurveFamily] = {
     f.name: f
     for f in (
         CurveFamily("circle", ("a", "b", "R"), (0.0, 2.0 * math.pi),
-                    _circle_poly, _circle_sample, _circle_point, _circle_check,
-                    _circle_dtheta),
+                    _circle_poly, _circle_sample, _circle_point, _circle_check),
         CurveFamily("ellipse", ("a", "b", "c"), (0.0, 2.0 * math.pi),
                     _conic_poly, _ellipse_sample, _ellipse_point,
-                    _ellipse_check, _conic_dtheta),
+                    _ellipse_check),
         CurveFamily("hyperbola", ("a", "b", "c"), (-1.0, 1.0),
                     _conic_poly, _hyperbola_sample, _hyperbola_point,
-                    _hyperbola_check, _conic_dtheta),
+                    _hyperbola_check),
         CurveFamily("parabola", ("c",), (-1.0, 1.0),
                     _parabola_poly, _parabola_sample, _parabola_point,
-                    _parabola_check, _parabola_dtheta),
+                    _parabola_check),
         CurveFamily("line", ("u", "v", "w"), (-1.0, 1.0),
-                    _line_poly, _line_sample, _line_point, _line_check,
-                    _line_dtheta),
+                    _line_poly, _line_sample, _line_point, _line_check),
     )
 }
 

@@ -19,10 +19,12 @@ Four fitting routines around one damped-Newton core:
 * ``fit_reduced_generic``  the certificate-driven reduction: given W with
   P*U + |grad P|^2*W = 1, minimizes the contraction of W*P^2 against a
   moment vector, re-solving the (tiny) certificate system at each iterate.
-  Its objective is compiled once per fit into coefficient maps and a moment
-  tensor, so an evaluation does no polynomial arithmetic; the
-  finite-difference Hessian evaluates all its points as one stack. The
-  circle starts from ``pratt_init``.
+  P's coefficients are read once per family as a quadratic map of theta
+  (every family's are of degree <= 2 in theta), and the objective is
+  compiled once per fit into that map, the map to Q and a moment tensor,
+  so an evaluation does no polynomial arithmetic; the finite-difference
+  Hessian evaluates all its points as one stack. The circle starts from
+  ``pratt_init``.
 
 Non-convergence is reported through ``FitResult.converged``, never raised.
 Every accepted iteration is non-increasing in its objective up to the
@@ -35,12 +37,13 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .analyzer import (ReductionCertificate, certificate_layout,
-                       monomials)
+                       coefficients, monomials)
 from .errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -55,7 +58,6 @@ from .errors import (
 )
 from .families import CurveFamily, get_family
 from .moments import MomentVector
-from .poly import BivariatePoly
 
 __all__ = [
     "CircleParams",
@@ -109,9 +111,6 @@ class CircleParams:
         """The constant term a^2 + b^2 - R^2 of the expanded equation."""
         return self.a * self.a + self.b * self.b - self.R * self.R
 
-    def translated(self, dx: float, dy: float) -> "CircleParams":
-        return CircleParams(self.a + dx, self.b + dy, self.R)
-
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "R": self.R}
 
@@ -143,24 +142,18 @@ class ConicParams:
     def vector(self) -> np.ndarray:
         return np.array([self.A, self.B, self.C, self.D, self.E, self.F])
 
-    @property
-    def is_degenerate_line(self) -> bool:
-        """True when the quadratic part (A, B, C) is numerically zero."""
-        return max(abs(self.A), abs(self.B), abs(self.C)) <= 1e-12
-
-    def poly(self) -> BivariatePoly:
-        return BivariatePoly(
-            {(2, 0): self.A, (1, 1): self.B, (0, 2): self.C,
-             (1, 0): self.D, (0, 1): self.E, (0, 0): self.F},
-            exact=False,
-        )
-
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in "ABCDEF"}
 
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Stopping rules and start of a fit. A Newton fit stops when the
+    gradient's largest entry is at most gradient_tol (1 + |F|) or an
+    accepted step's is at most step_tol (1 + max |theta|), so the step test
+    is relative to the parameters' size; ``fit_conic_reweight`` stops when
+    its unit-norm coefficient vector moves by at most step_tol."""
+
     max_iterations: int = 100
     gradient_tol: float = 1e-10
     step_tol: float = 1e-12
@@ -347,7 +340,8 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
         iters += 1
         times.append(time.perf_counter() - t0)
         trace.append(float(F))
-        if _grad_ok(g, F) or step <= cfg.step_tol:
+        if _grad_ok(g, F) or step <= cfg.step_tol * (
+                1.0 + float(np.max(np.abs(theta)))):
             converged = True
     return _Run(theta, F, g, iters, converged, times, evals, trace)
 
@@ -717,15 +711,42 @@ def _conic_stationarity(theta, Z, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
+# P's coefficients on monomials(degree) as c0 + C1 theta + theta' C2 theta / 2
+_FamilyMap = namedtuple("_FamilyMap", "degree c0 C1 C2 scale_free")
+
+
 @lru_cache(maxsize=None)
-def _family_shape(family: CurveFamily) -> tuple[int, bool]:
-    """deg P at a generic theta, which no theta exceeds, and whether
-    P(2 theta) = 2 P(theta), as for the line u x + v y + w; then W scales
-    like 1 / |grad P|^2 and F(s theta) = F(theta)."""
-    th = family.sample_theta(np.random.default_rng(0))
-    P = family.build_poly(th, True)
-    double = family.build_poly({k: 2.0 * v for k, v in th.items()}, True)
-    return int(P.degree()), double == 2 * P
+def _family_map(family: CurveFamily) -> _FamilyMap:
+    """P's coefficient vector as a quadratic map of theta, read exactly from
+    ``build_poly`` at theta = 0, e_i and e_i + e_j (i <= j): C2[i, j] is
+    the second difference P(e_i + e_j) - P(e_i) - P(e_j) + P(0).
+
+    InvalidSpec unless the map gives ``build_poly`` exactly at a sampled
+    theta, that is unless P is quadratic in theta. ``scale_free`` when
+    c0 = 0 and C2 = 0, as for the line u x + v y + w: then W scales like
+    1 / |grad P|^2 and F(s theta) = F(theta)."""
+    names = family.param_names
+    k = len(names)
+    sample = family.sample_theta(np.random.default_rng(0))
+    sample = np.array([Fraction(sample[n]) for n in names], dtype=object)
+    keys = [(), *((i,) for i in range(k)),
+            *((i, j) for i in range(k) for j in range(i, k))]
+    polys = [family.build_poly({n: key.count(j) for j, n in enumerate(names)},
+                               True) for key in keys]
+    polys.append(family.build_poly(dict(zip(names, sample)), True))
+    degree = int(max(P.degree() for P in polys))
+    *vecs, at_sample = (coefficients(P, degree, True) for P in polys)
+    v = dict(zip(keys, vecs))
+    c0 = v[()]
+    C2 = np.array([[v[min(i, j), max(i, j)] - v[(i,)] - v[(j,)] + c0
+                    for j in range(k)] for i in range(k)])
+    C1 = np.array([v[(i,)] - c0 - C2[i, i] / 2 for i in range(k)])
+    mapped = c0 + sample @ C1 + sample @ np.tensordot(sample, C2, 1) / 2
+    if list(mapped) != list(at_sample):
+        raise InvalidSpec(f"{family.name}: P is not quadratic in the "
+                          "parameters")
+    return _FamilyMap(degree, c0.astype(float), C1.astype(float),
+                      C2.astype(float), not (any(c0) or any(C2.flat)))
 
 
 class _CertObjective:
@@ -733,23 +754,22 @@ class _CertObjective:
     minimum-norm solution of the certificate system P*U + Q*W = 1 at theta.
 
     Compiled once per fit. Polynomials are coefficient vectors: P's on the
-    monomials alpha of degree <= deg P, W's on the monomials gamma of the
-    certificate degree. ``_square`` is the bilinear map p -> Q = Px^2 + Py^2,
+    monomials alpha of degree <= deg P, given by the family's quadratic map
+    (``_family_map``), W's on the monomials gamma of the certificate
+    degree. ``_square`` is the bilinear map p -> Q = Px^2 + Py^2,
     the analyzer's layout fills A from (p, q), and T[i, j, l] =
     m(gamma_i + alpha_j + alpha_l) holds the moments, so F = w.(T p p). An
     evaluation is a few small array operations on a stack of thetas, and
     its cost is independent of the number of data points."""
 
     def __init__(self, family: CurveFamily, degree: int, mv: MomentVector):
-        if family.build_poly_dtheta is None:
-            raise InvalidSpec(
-                f"{family.name}: parameter derivatives unavailable")
         self.family = family
         self.names = family.param_names
         self.degree = degree
-        deg, self.scale_free = _family_shape(family)
+        self._map = _family_map(family)
+        self.scale_free = self._map.scale_free
+        deg = self._map.degree
         alpha = monomials(deg)
-        self._index = {mn: i for i, mn in enumerate(alpha)}
         self._layout = certificate_layout(deg, 2 * deg - 2, degree)
         # Q_k = sum over x and y of (D p)_i (D p)_j over the pairs with
         # beta_i + beta_j = kappa_k, D the partial derivative on alpha
@@ -782,22 +802,13 @@ class _CertObjective:
             return False
         return True
 
-    def _coefficients(self, poly, out) -> None:
-        for mn, c in poly.terms.items():
-            out[self._index[mn]] = c.real
-
     def _evaluate(self, thetas):
         """F and its gradient at each row of ``thetas``, all feasible."""
-        m, k = thetas.shape
         kc = len(self._layout.cols)
-        p = np.zeros((m, len(self._index)))
-        dp = np.zeros((m, k, len(self._index)))
-        for r, vec in enumerate(thetas):
-            th = self.theta_dict(vec)
-            self._coefficients(self.family.build_poly(th, False), p[r])
-            for t, name in enumerate(self.names):
-                self._coefficients(self.family.build_poly_dtheta(th, name),
-                                   dp[r, t])
+        _, c0, C1, C2, _ = self._map
+        C2th = np.einsum("tsa,ms->mta", C2, thetas)
+        dp = C1 + C2th
+        p = c0 + np.einsum("mt,mta->ma", thetas, C1 + 0.5 * C2th)
         Bp = np.einsum("kab,mb->mka", self._square, p)
         A = self._layout.fill(p, np.einsum("mka,ma->mk", Bp, p))
         dA = self._layout.fill(dp, 2.0 * np.einsum("mka,mta->mtk", Bp, dp))
@@ -907,12 +918,12 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
         def params(th):
             return {k: float(v) for k, v in zip(fam.param_names, th)}
 
-    P0 = fam.build_poly(dict(zip(fam.param_names, theta0)), False)
-    need = cert.degree + 2 * int(P0.degree())
+    deg = _family_map(fam).degree
+    need = cert.degree + 2 * deg
     if mv.max_total_degree < need:
         raise DegreeMismatch(
             f"moment degree {mv.max_total_degree} < required {need} "
-            f"(certificate degree {cert.degree}, curve degree {P0.degree()})")
+            f"(certificate degree {cert.degree}, curve degree {deg})")
 
     obj = _CertObjective(fam, cert.degree, mv)
     run = _damped_newton(obj.value_grad_hess, theta0, cfg, obj.feasible)

@@ -1,15 +1,18 @@
-"""Smoke runs of the study scripts under scripts/ with tiny arguments."""
+"""Smoke runs of the study scripts under scripts/ with tiny arguments, and
+a check that the benchmark's tracer still finds what it wraps."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,3 +27,11 @@ def load(name):
 def test_script_runs(capsys, name, argv, expected):
     assert load(name).main(argv) == 0
     assert expected in capsys.readouterr().out
+
+
+def test_traced_functions_exist_where_the_tracer_looks():
+    # perfbench/spans.py wraps these by (owner, attribute); a rename must
+    # fail here, not first in a traced benchmark run
+    spans = load("spans", ROOT / "perfbench")
+    for owner, attr, name, _ in spans._targets():
+        assert attr in vars(owner), f"{name}: {owner.__name__}.{attr}"
