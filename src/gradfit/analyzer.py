@@ -48,6 +48,8 @@ WITNESS_TOL = 1e-8          # relative residual accepted for a common zero
 CERT_FLOAT_TOL = 1e-10      # identity residual accepted for a float certificate
 RANK_CUTOFF = 1e-10         # singular values below cutoff*largest are zero
 _SAMPLE_TRIES = 8           # random slices tried when the resultant vanishes
+# a float resultant at most this times its Sylvester bound is zero
+_RESULTANT_ZERO = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -309,6 +311,13 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
         except DegenerateElimination:
             resultants[elim] = None  # degenerate direction
             continue
+        # every coefficient of R is at most (sum |P|)^n (sum |Q|)^m, with m
+        # and n the degrees in the eliminated variable; R is zero (a shared
+        # factor) when it is rounding noise of that bound
+        m, n = (np.nonzero(C)[1].max(initial=-1) for C in PQ)
+        sizes = abs(PQ).sum(axis=(1, 2))
+        if abs(R).max() <= _RESULTANT_ZERO * sizes[0] ** n * sizes[1] ** m:
+            R[:] = 0.0
         R[abs(R) <= COEFF_EQ_TOL * abs(R).max()] = 0.0
         if R[0] != 0 and not R[1:].any():
             return None  # a nonzero constant resultant proves emptiness
@@ -387,15 +396,17 @@ class CertificateLayout:
                     rows.append(_row(a + p, e + q))
                     cols.append(base + j)
                     src.append(first + i)
-        self._at = (np.array(rows), np.array(cols))
+        self._at = np.array(rows) * self.shape[1] + np.array(cols)  # flat
         self._src = np.array(src)
 
     def fill(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         pq = np.concatenate([p, q], axis=-1)
+        lead = pq.shape[:-1]
         zero = Fraction(0) if pq.dtype == object else 0.0
-        A = np.full(pq.shape[:-1] + self.shape, zero, dtype=pq.dtype)
-        A[(...,) + self._at] = pq[..., self._src]
-        return A
+        A = np.full(lead + (self.shape[0] * self.shape[1],), zero,
+                    dtype=pq.dtype)
+        A[..., self._at] = pq[..., self._src]
+        return A.reshape(lead + self.shape)
 
 
 @lru_cache(maxsize=64)

@@ -55,8 +55,7 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
     fam = get_family(spec.family)
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.t_range()
-    ts = rng.uniform(lo, hi, spec.n)
-    pts = np.array([fam.point_at(spec.theta, float(t)) for t in ts])
+    pts = np.column_stack(fam.point_at(spec.theta, rng.uniform(lo, hi, spec.n)))
     if spec.sigma > 0.0:
         pts = pts + rng.normal(0.0, spec.sigma, size=pts.shape)
     return pts

@@ -2,7 +2,8 @@
 
 Each family bundles what the analyzer, the fitters, and the data generator
 need: the defining polynomial P(x, y; theta), a sampler for nondegenerate
-random parameters, and a real-point parametrization for synthetic data.
+random parameters, and a real-point parametrization for synthetic data,
+evaluated on an array of curve parameters t at once.
 
 Registered families:
 
@@ -20,6 +21,8 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidSpec
 from .poly import BivariatePoly
 
@@ -33,7 +36,7 @@ class CurveFamily:
     t_range: tuple[float, float]
     build_poly: Callable = field(repr=False)
     sample_theta: Callable = field(repr=False)
-    point_at: Callable = field(repr=False)
+    point_at: Callable = field(repr=False)  # (theta, t array) -> (x, y)
     check_theta: Callable = field(repr=False, default=lambda theta: None)
 
     def poly(self, theta: dict, exact: bool = False) -> BivariatePoly:
@@ -77,7 +80,7 @@ def _circle_sample(rng):
 
 def _circle_point(theta, t):
     a, b, R = theta["a"], theta["b"], theta["R"]
-    return (a + R * math.cos(t), b + R * math.sin(t))
+    return (a + R * np.cos(t), b + R * np.sin(t))
 
 
 def _circle_check(theta):
@@ -105,7 +108,7 @@ def _ellipse_point(theta, t):
     a, b, c = (float(theta[k]) for k in "abc")
     if not (a > 0 and b > 0 and c < 0):
         raise InvalidSpec("ellipse: need a, b > 0 > c for real points")
-    return (math.sqrt(-c / a) * math.cos(t), math.sqrt(-c / b) * math.sin(t))
+    return (math.sqrt(-c / a) * np.cos(t), math.sqrt(-c / b) * np.sin(t))
 
 
 def _ellipse_check(theta):
@@ -129,7 +132,7 @@ def _hyperbola_point(theta, t):
     if not (a > 0 > b and c < 0):
         raise InvalidSpec("hyperbola: need a > 0 > b and c < 0 for real points")
     # right branch of x^2/(|c|/a) - y^2/(|c|/|b|) = 1
-    return (math.sqrt(-c / a) * math.cosh(t), math.sqrt(c / b) * math.sinh(t))
+    return (math.sqrt(-c / a) * np.cosh(t), math.sqrt(c / b) * np.sinh(t))
 
 
 def _hyperbola_check(theta):

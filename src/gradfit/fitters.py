@@ -22,9 +22,10 @@ Four fitting routines around one damped-Newton core:
   P's coefficients are read once per family as a quadratic map of theta
   (every family's are of degree <= 2 in theta), and the objective is
   compiled once per fit into that map, the map to Q and a moment tensor,
-  so an evaluation does no polynomial arithmetic; the finite-difference
-  Hessian evaluates all its points as one stack. The circle starts from
-  ``pratt_init``.
+  so an evaluation does no polynomial arithmetic. Its gradient and
+  Hessian are exact, from the derivatives of the certificate system's
+  minimum-norm solution, and the Hessian is computed only where Newton
+  takes a step. The circle starts from ``pratt_init``.
 
 Non-convergence is reported through ``FitResult.converged``, never raised.
 Every accepted iteration is non-increasing in its objective up to the
@@ -74,6 +75,9 @@ __all__ = [
 ]
 
 _CERT_ACCEPT = 1e-8
+# the generic objective's rounding bound per unit of sum |w| (|T| |p| |p|);
+# its measured rounding errors stay below a quarter of eps times that sum
+_CERT_ROUNDING = 16.0 * np.finfo(float).eps
 _KASA_COND_LIMIT = 1e14
 # the moment circle fits refuse moments whose rounding could move Pratt's
 # circle by more than this fraction of R
@@ -268,19 +272,22 @@ def eval_Fa_circle(z, n, p):
 def _newton_step(H, g):
     """Solve H d = -g, escalating Levenberg damping until d is a descent
     direction; falls back to steepest descent."""
-    k = len(g)
-    scale = float(np.max(np.abs(H)))
-    if not math.isfinite(scale) or scale == 0.0:
-        scale = 1.0
-    lam = 0.0
+    damped, lam = H, 0.0
     for _ in range(14):
         try:
-            d = np.linalg.solve(H + lam * np.eye(k), -g)
+            d = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and float(d @ g) < 0.0:
             return d
-        lam = 1e-8 * scale if lam == 0.0 else lam * 100.0
+        if lam == 0.0:
+            scale = float(np.max(np.abs(H)))
+            if not math.isfinite(scale) or scale == 0.0:
+                scale = 1.0
+            lam = 1e-8 * scale
+        else:
+            lam *= 100.0
+        damped = H + lam * np.eye(len(g))
     return -g
 
 
@@ -292,56 +299,60 @@ _Run = namedtuple("_Run", "theta F g iterations converged times evals trace")
 
 
 def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
-    """Minimize fun: R^k -> (value, gradient, Hessian) by Newton steps with
-    halving on ascent and on leaving ``feasible``.
+    """Minimize fun: R^k -> (value, gradient, Hessian, noise) by Newton steps
+    with halving on ascent and on leaving ``feasible``. The Hessian is a
+    zero-argument callable, called only where a step is computed; noise is
+    an absolute bound on the value's rounding, 0 where the value is a short
+    sum whose rounding the relative band covers.
 
     Accepted steps never increase the objective beyond its evaluation-noise
-    band: once the true decrease of a Newton step falls below the float
-    resolution of the assembled objective, strict-descent line search would
-    reject it at random and stall short of the minimizer; such steps are
-    accepted anyway when they halve the gradient norm, which is geometric
-    progress toward stationarity."""
+    band, the larger of ``_NOISE_BAND`` (1 + |F|) and the two values'
+    rounding bounds: once the true decrease of a Newton step falls below
+    the float resolution of the assembled objective, strict-descent line
+    search would reject it at random and stall short of the minimizer; such
+    steps are accepted anyway when they halve the gradient norm, which is
+    geometric progress toward stationarity."""
     theta = np.asarray(theta0, dtype=float).copy()
-    F, g, H = fun(theta)
+    F, g, hess, noise = fun(theta)
     evals = 1
     times: list = []
     trace = [float(F)]
 
     def _grad_ok(gv, Fv):
-        return bool(
-            float(np.max(np.abs(gv))) <= cfg.gradient_tol * (1.0 + abs(Fv)))
+        return bool(float(abs(gv).max()) <= cfg.gradient_tol * (1.0 + abs(Fv)))
 
     converged = _grad_ok(g, F)
     iters = 0
     while not converged and iters < cfg.max_iterations:
         t0 = time.perf_counter()
-        delta = _newton_step(H, g)
-        gmax = float(np.max(np.abs(g)))
+        delta = _newton_step(hess(), g)
+        gmax = float(abs(g).max())
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = theta + delta
             if not feasible(cand):
                 delta = 0.5 * delta
                 continue
-            Fc, gc, Hc = fun(cand)
+            Fc, gc, hc, nc = fun(cand)
             evals += 1
+            band = max(_NOISE_BAND * (1.0 + abs(F)), noise + nc)
             if math.isfinite(Fc) and (
                     Fc <= F
-                    or (Fc - F <= _NOISE_BAND * (1.0 + abs(F))
-                        and float(np.max(np.abs(gc))) <= 0.5 * gmax)):
+                    or (Fc - F <= band
+                        and float(abs(gc).max()) <= 0.5 * gmax)):
                 accepted = True
                 break
             delta = 0.5 * delta
         if not accepted:
             times.append(time.perf_counter() - t0)
             break
-        step = float(np.max(np.abs(delta)))
-        theta, F, g, H = cand, Fc, gc, Hc
+        step = float(abs(delta).max())
+        theta, F, g, hess, noise = cand, Fc, gc, hc, nc
         iters += 1
         times.append(time.perf_counter() - t0)
         trace.append(float(F))
         if _grad_ok(g, F) or step <= cfg.step_tol * (
-                1.0 + float(np.max(np.abs(theta)))):
+                1.0 + float(abs(theta).max())):
             converged = True
     return _Run(theta, F, g, iters, converged, times, evals, trace)
 
@@ -515,7 +526,8 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     z, n = view.z(), view.n
 
     def fun(th):
-        return _fa_val_grad_hess(z, n, th[0], th[1], th[2])
+        F, g, H = _fa_val_grad_hess(z, n, th[0], th[1], th[2])
+        return F, g, lambda: H, 0.0
 
     run = _damped_newton(fun, [init.a - cx, init.b - cy, init.R], cfg,
                          _circle_feasible)
@@ -563,7 +575,7 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
         J = np.column_stack([-dx / d, -dy / d, -ones])
         g = 2.0 * (J.T @ r)
         H = 2.0 * (J.T @ J)  # Gauss-Newton curvature
-        return float(r @ r), g, H
+        return float(r @ r), g, lambda: H, 0.0
 
     run = _damped_newton(fun, [init.a, init.b, init.R], cfg, _circle_feasible)
     return _result("circle", CircleParams(*run.theta), run, run.evals,
@@ -749,6 +761,40 @@ def _family_map(family: CurveFamily) -> _FamilyMap:
                       C2.astype(float), not (any(c0) or any(C2.flat)))
 
 
+# T's entries are the moments at ``keys``, indexed by ``at``
+_ObjectiveShape = namedtuple("_ObjectiveShape", "layout square keys at")
+
+
+@lru_cache(maxsize=None)
+def _objective_shape(deg: int, degree: int) -> _ObjectiveShape:
+    """What ``_CertObjective`` compiles from deg P and the certificate
+    degree alone: the certificate layout, the bilinear map ``square`` and
+    T's index. Q_k = sum over x and y of (D p)_i (D p)_j over the
+    pairs with beta_i + beta_j = kappa_k, D the partial derivative on
+    alpha = monomials(deg); T[i, j, l] = m(gamma_i + alpha_j + alpha_l)
+    for gamma the certificate's monomials."""
+    alpha = monomials(deg)
+    layout = certificate_layout(deg, 2 * deg - 2, degree)
+    beta = {mn: i for i, mn in enumerate(monomials(deg - 1))}
+    kappa = {mn: i for i, mn in enumerate(monomials(2 * deg - 2))}
+    D = np.zeros((2, len(beta), len(alpha)))
+    for i, (a, e) in enumerate(alpha):
+        if a:
+            D[0, beta[a - 1, e], i] = a
+        if e:
+            D[1, beta[a, e - 1], i] = e
+    prod = np.zeros((len(kappa), len(beta), len(beta)))
+    for (a1, e1), i in beta.items():
+        for (a2, e2), j in beta.items():
+            prod[kappa[a1 + a2, e1 + e2], i, j] = 1.0
+    keys = monomials(degree + 2 * deg)
+    index = {key: i for i, key in enumerate(keys)}
+    at = np.array([[[index[g0 + a0 + b0, g1 + a1 + b1] for b0, b1 in alpha]
+                    for a0, a1 in alpha] for g0, g1 in layout.cols])
+    return _ObjectiveShape(layout, np.einsum("cia,kij,cjb->kab", D, prod, D),
+                           keys, at)
+
+
 class _CertObjective:
     """F(theta) = <moments, W_theta * P_theta^2>, where W_theta is the
     minimum-norm solution of the certificate system P*U + Q*W = 1 at theta.
@@ -756,11 +802,20 @@ class _CertObjective:
     Compiled once per fit. Polynomials are coefficient vectors: P's on the
     monomials alpha of degree <= deg P, given by the family's quadratic map
     (``_family_map``), W's on the monomials gamma of the certificate
-    degree. ``_square`` is the bilinear map p -> Q = Px^2 + Py^2,
+    degree. ``_square`` is the symmetric bilinear map p -> Q = Px^2 + Py^2,
     the analyzer's layout fills A from (p, q), and T[i, j, l] =
-    m(gamma_i + alpha_j + alpha_l) holds the moments, so F = w.(T p p). An
-    evaluation is a few small array operations on a stack of thetas, and
-    its cost is independent of the number of data points."""
+    m(gamma_i + alpha_j + alpha_l) holds the moments, so F = w.(T p p).
+
+    Every derivative is exact: p is quadratic in theta and q = Q(p, p), so
+    their second derivatives are C2 and sums of Q's products of the first;
+    the solution s = A+ b of the consistent system A s = b is
+    differentiated twice through the derivative of the pseudoinverse
+    (Golub & Pereyra, 1973), rank-deficient systems included, where the
+    rank is constant near theta. An evaluation is a few small matrix
+    products and one SVD at one theta, and its cost is independent of the
+    number of data points. It returns the Hessian as a callable, so the
+    driver computes it only where it steps, and a bound on F's rounding:
+    w.(T p p) cancels terms far larger than itself."""
 
     def __init__(self, family: CurveFamily, degree: int, mv: MomentVector):
         self.family = family
@@ -768,27 +823,10 @@ class _CertObjective:
         self.degree = degree
         self._map = _family_map(family)
         self.scale_free = self._map.scale_free
-        deg = self._map.degree
-        alpha = monomials(deg)
-        self._layout = certificate_layout(deg, 2 * deg - 2, degree)
-        # Q_k = sum over x and y of (D p)_i (D p)_j over the pairs with
-        # beta_i + beta_j = kappa_k, D the partial derivative on alpha
-        beta = {mn: i for i, mn in enumerate(monomials(deg - 1))}
-        kappa = {mn: i for i, mn in enumerate(monomials(2 * deg - 2))}
-        D = np.zeros((2, len(beta), len(alpha)))
-        for i, (a, e) in enumerate(alpha):
-            if a:
-                D[0, beta[a - 1, e], i] = a
-            if e:
-                D[1, beta[a, e - 1], i] = e
-        prod = np.zeros((len(kappa), len(beta), len(beta)))
-        for (a1, e1), i in beta.items():
-            for (a2, e2), j in beta.items():
-                prod[kappa[a1 + a2, e1 + e2], i, j] = 1.0
-        self._square = np.einsum("cia,kij,cjb->kab", D, prod, D)
-        self._T = np.array([[[float(mv.entry(g0 + a0 + b0, g1 + a1 + b1))
-                              for b0, b1 in alpha] for a0, a1 in alpha]
-                            for g0, g1 in self._layout.cols])
+        self._layout, self._square, keys, at = _objective_shape(
+            self._map.degree, degree)
+        self._T = np.array([float(mv.entry(*key)) for key in keys])[at]
+        self._absT = np.abs(self._T)
 
     def theta_dict(self, vec) -> dict:
         return {k: float(v) for k, v in zip(self.names, vec)}
@@ -802,81 +840,94 @@ class _CertObjective:
             return False
         return True
 
-    def _evaluate(self, thetas):
-        """F and its gradient at each row of ``thetas``, all feasible."""
+    def _evaluate(self, theta):
+        """F, its gradient, a callable giving its Hessian, and F's rounding
+        bound at a feasible theta."""
         kc = len(self._layout.cols)
         _, c0, C1, C2, _ = self._map
-        C2th = np.einsum("tsa,ms->mta", C2, thetas)
-        dp = C1 + C2th
-        p = c0 + np.einsum("mt,mta->ma", thetas, C1 + 0.5 * C2th)
-        Bp = np.einsum("kab,mb->mka", self._square, p)
-        A = self._layout.fill(p, np.einsum("mka,ma->mk", Bp, p))
-        dA = self._layout.fill(dp, 2.0 * np.einsum("mka,mta->mtk", Bp, dp))
-        Ap = np.linalg.pinv(A, rcond=1e-12)
-        s = Ap[..., 0]  # b is the first unit vector
-        res = np.einsum("mrc,mc->mr", A, s)
-        res[:, 0] -= 1.0
-        lost = np.linalg.norm(res, axis=1) > _CERT_ACCEPT
-        if lost.any():
+        C2theta = theta @ C2
+        dp = C1 + C2theta
+        p = c0 + theta @ (C1 + 0.5 * C2theta)
+        Bp = self._square @ p
+        A = self._layout.fill(p, Bp @ p)
+        dA = self._layout.fill(dp, 2.0 * dp @ Bp.T)
+        U, sv, Vt = np.linalg.svd(A)
+        r = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+        Ap = (Vt[:r].T / sv[:r]) @ U[:, :r].T
+        V0 = Vt[r:]  # a basis of A's null space
+        s = Ap[:, 0]  # b is the first unit vector
+        res = A @ s
+        res[0] -= 1.0
+        if not math.sqrt(res @ res) <= _CERT_ACCEPT:
             raise NumericalFailure(
                 f"certificate of degree {self.degree} lost at "
-                f"theta={self.theta_dict(thetas[np.argmax(lost)])}")
-        # minimum-norm solution derivative (zero-residual case), all
-        # parameters at once: ds = -A+ dA s + (I - A+ A) dA^T A+^T s
-        v = np.einsum("mtrc,mr->mtc", dA, np.einsum("mcr,mc->mr", Ap, s))
-        ds = v - np.einsum("mcr,mtr->mtc", Ap,
-                           np.einsum("mtrc,mc->mtr", dA, s)
-                           + np.einsum("mrc,mtc->mtr", A, v))
-        w, dw = s[:, kc:], ds[:, :, kc:]
-        Tp = np.einsum("ijl,ml->mij", self._T, p)
-        Tpp = np.einsum("mij,mj->mi", Tp, p)
-        F = np.einsum("mi,mi->m", w, Tpp)
-        grad = (np.einsum("mti,mi->mt", dw, Tpp)
-                + 2.0 * np.einsum("mi,mij,mtj->mt", w, Tp, dp))
-        return F, grad
+                f"theta={self.theta_dict(theta)}")
+        # the minimum-norm solution's derivative, zero-residual case:
+        # ds_j = -A+ a_j + N e_j with a_j = dA_j s, e_j = dA_j' A+' s and
+        # N = V0' V0 the projector on A's null space
+        y = s @ Ap
+        a = dA @ s
+        e = y @ dA
+        ds = -a @ Ap.T
+        if len(V0):
+            ds += (e @ V0.T) @ V0
+        w, dw = s[kc:], ds[:, kc:]
+        Tp = self._T @ p
+        t = Tp @ p
+        dt = 2.0 * dp @ Tp.T
+        F = float(w @ t)
+        grad = dw @ t + dt @ w
+        size = abs(p)
+        noise = _CERT_ROUNDING * float(abs(w) @ (self._absT @ size @ size))
+
+        def hess():
+            d2A = self._layout.fill(
+                C2, 2.0 * (np.einsum("ja,kab,lb->jlk", dp, self._square, dp)
+                           + C2 @ Bp.T))
+            # the product rule on ds_j; its part in A's row space is
+            # -A+ (d2A_jl s + dA_j ds_l + dA_l ds_j)
+            Ads = np.einsum("jrc,lc->jlr", dA, ds)
+            d2w = -(d2A @ s + Ads + Ads.transpose(1, 0, 2)) @ Ap[kc:].T
+            if len(V0):
+                # the part in A's null space, none at full column rank:
+                # N (d2A_jl' y - dA_l' z_j - dA_j' z_l), z_j = A+'(A+ a_j +
+                # e_j). The product rule gives one more term, N dA_j' (I -
+                # A A+) dA_l A+ y, but N dA_j' (I - A A+) = 0 wherever the
+                # rank is constant
+                z = (a @ Ap.T + e) @ Ap
+                Az = np.einsum("lrc,jr->jlc", dA, z)
+                m = y @ d2A - Az - Az.transpose(1, 0, 2)
+                d2w += (m @ V0.T) @ V0[:, kc:]
+            wT = (w @ self._T.reshape(kc, -1)).reshape(len(p), len(p))
+            dwdt = dw @ dt.T
+            return (d2w @ t + dwdt + dwdt.T
+                    + 2.0 * (dp @ wT @ dp.T + C2 @ (wT @ p)))
+
+        return F, grad, hess, noise
 
     def value_grad(self, vec):
-        F, grad = self._evaluate(np.asarray(vec, dtype=float)[None, :])
-        return float(F[0]), grad[0]
+        F, grad, _, _ = self._evaluate(np.asarray(vec, dtype=float))
+        return F, grad
 
-    def value_grad_hess(self, vec):
+    def evaluate(self, vec):
+        """``_damped_newton``'s objective: (F, gradient, Hessian callable,
+        rounding bound). For a scale-free family the gradient and Hessian
+        are projected orthogonal to theta."""
         vec = np.asarray(vec, dtype=float)
-        k = len(vec)
-        # the centre, then each parameter's feasible neighbours, evaluated
-        # as one stack
-        points, steps = [vec], []
-        for j in range(k):
-            h = 1e-6 * (1.0 + abs(float(vec[j])))
-            sides = []
-            for sign in (1.0, -1.0):
-                cand = vec.copy()
-                cand[j] += sign * h
-                sides.append(self.feasible(cand))
-                if sides[-1]:
-                    points.append(cand)
-            steps.append((h, *sides))
-        Fs, G = self._evaluate(np.array(points))
-        F, g = float(Fs[0]), G[0]
-        H = np.zeros((k, k))
-        at = 1
-        for j, (h, up, dn) in enumerate(steps):
-            gu = G[at] if up else g
-            gd = G[at + up] if dn else g
-            at += up + dn
-            if up or dn:
-                H[:, j] = (gu - gd) / ((up + dn) * h)
-            else:
-                H[j, j] = 1.0
-        H = 0.5 * (H + H.T)
-        if self.scale_free:
-            # Euler's identity gives H theta = -g, so a plain Newton step
-            # mostly rescales theta; keep the step orthogonal to theta and
-            # give theta's own direction H's scale
-            t = vec / np.linalg.norm(vec)
-            proj = np.eye(k) - np.outer(t, t)
-            g = proj @ g
-            H = proj @ H @ proj + float(np.max(np.abs(H))) * np.outer(t, t)
-        return F, g, H
+        F, g, hess, noise = self._evaluate(vec)
+        if not self.scale_free:
+            return F, g, hess, noise
+        # Euler's identity gives H theta = -g, so a plain Newton step
+        # mostly rescales theta; keep the step orthogonal to theta and
+        # give theta's own direction H's scale
+        t = vec / math.sqrt(vec @ vec)
+
+        def projected():
+            H = hess()
+            proj = np.eye(len(t)) - np.outer(t, t)
+            return proj @ H @ proj + float(abs(H).max()) * np.outer(t, t)
+
+        return F, g - (g @ t) * t, projected, noise
 
 
 def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
@@ -926,6 +977,6 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"(certificate degree {cert.degree}, curve degree {deg})")
 
     obj = _CertObjective(fam, cert.degree, mv)
-    run = _damped_newton(obj.value_grad_hess, theta0, cfg, obj.feasible)
+    run = _damped_newton(obj.evaluate, theta0, cfg, obj.feasible)
     return _result(fam.name, params(run.theta), run, 1,
                    certificate_degree=cert.degree)

@@ -102,6 +102,21 @@ def test_flat_parabola_witness_is_found():
         assert not decide_reduction(Pk).admissible
 
 
+def test_float_shared_factor_with_inexact_coefficients_gives_witness():
+    # both resultants of P = (y - 0.7x)(x + 2) and Q = (y - 0.7x)(y + 1)
+    # vanish identically; in floats they are rounding noise of about 1e-17
+    # of their Sylvester bound, which a trim relative to their own largest
+    # coefficient keeps, so the shared-factor slices never ran
+    x, y = parse_poly("x", exact=False), parse_poly("y", exact=False)
+    line = y - 0.7 * x
+    P, Q = line * (x + 2.0), line * (y + 1.0)
+    w = find_common_zero(P, Q)
+    assert w is not None
+    assert abs(w.y - 0.7 * w.x) <= 1e-8 * max(1.0, abs(w.x))
+    decision = decide_reduction(P, Q, 4)
+    assert not decision.admissible and decision.witness is not None
+
+
 def test_parabola_sweep_has_no_wrong_verdict():
     # guards the lift that once missed the double root of the parabola's
     # x-eliminated resultant (BoundExhausted for about one c in a thousand)

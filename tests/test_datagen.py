@@ -1,5 +1,6 @@
 """Synthetic generation determinism, noise statistics, text ingestion."""
 
+import dataclasses
 import math
 import os
 import warnings
@@ -41,6 +42,42 @@ def test_fixed_seed_is_bit_reproducible():
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a, b)
+
+
+# the per-point reference: the families' parametrizations with libm's
+# functions, one point at a time
+_POINT = {
+    "circle": lambda th, t: (th["a"] + th["R"] * math.cos(t),
+                             th["b"] + th["R"] * math.sin(t)),
+    "ellipse": lambda th, t: (math.sqrt(-th["c"] / th["a"]) * math.cos(t),
+                              math.sqrt(-th["c"] / th["b"]) * math.sin(t)),
+    "hyperbola": lambda th, t: (math.sqrt(-th["c"] / th["a"]) * math.cosh(t),
+                                math.sqrt(th["c"] / th["b"]) * math.sinh(t)),
+    "parabola": lambda th, t: (t, th["c"] * t * t),
+    "line": lambda th, t: (
+        -th["w"] * th["u"] / (th["u"] ** 2 + th["v"] ** 2) - th["v"] * t,
+        -th["w"] * th["v"] / (th["u"] ** 2 + th["v"] ** 2) + th["u"] * t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT))
+def test_generate_matches_per_point_reference(name):
+    fam = get_family(name)
+    theta = fam.sample_theta(np.random.default_rng(11))
+    spec = SyntheticSpec(name, theta, n=20000, sigma=0.0, seed=5)
+    rng = np.random.default_rng(5)
+    lo, hi = spec.t_range()
+    ref = np.array([_POINT[name](theta, float(t))
+                    for t in rng.uniform(lo, hi, spec.n)])
+    got = generate(spec)
+    # numpy's sinh is within 0.77 ulp of the true value on (-1, 1) and
+    # libm's within 1.7 (against 120-bit mpmath), so they differ by 2
+    ulps = 2 if name == "hyperbola" else 1
+    np.testing.assert_array_max_ulp(got, ref, maxulp=ulps)
+    # the noise is the same draw after the parameters
+    noisy = generate(dataclasses.replace(spec, sigma=0.1))
+    np.testing.assert_allclose(noisy - got,
+                               rng.normal(0.0, 0.1, ref.shape), atol=1e-15)
 
 
 def test_different_seeds_differ():
