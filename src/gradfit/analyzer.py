@@ -42,14 +42,18 @@ from .poly import (
     format_poly,
     gradient_norm_squared,
     structural_trim,
+    sylvester_dets,
 )
 
 WITNESS_TOL = 1e-8          # relative residual accepted for a common zero
 CERT_FLOAT_TOL = 1e-10      # identity residual accepted for a float certificate
 RANK_CUTOFF = 1e-10         # singular values below cutoff*largest are zero
 _SAMPLE_TRIES = 8           # random slices tried when the resultant vanishes
-# a float resultant at most this times its Sylvester bound is zero
+# a float resultant at most this times its Sylvester bound may be rounding
+# noise; it is, if its interpolant misses the determinants between its nodes
+# by more than this fraction of its size there
 _RESULTANT_ZERO = 16 * np.finfo(float).eps
+_RESULTANT_MISS = 1e-2
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,17 @@ def _on_spectrum(val: complex, spectrum) -> bool:
     return bool(abs(terms.sum()) <= 1e-3 * abs(terms).sum())
 
 
+def _is_noise(PQ, R) -> bool:
+    """Whether R, the float resultant of the pair PQ interpolated from
+    Sylvester determinants at the R.size-th roots of unity, is rounding
+    noise: a true resultant's interpolant matches fresh determinants halfway
+    between those nodes to its accuracy, noise's misses them by its size."""
+    t = np.exp(2j * np.pi * (np.arange(R.size) + 0.5) / R.size)
+    value = np.polynomial.polynomial.polyval(t, R)
+    miss = abs(sylvester_dets(*PQ, t) - value).max()
+    return bool(miss > _RESULTANT_MISS * abs(value).max())
+
+
 class _Search:
     """One find_common_zero run, compiled once: ``F`` stacks the dense
     coefficient matrices of the unit-normalized, trimmed P and Q and of Px,
@@ -312,11 +327,13 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
             resultants[elim] = None  # degenerate direction
             continue
         # every coefficient of R is at most (sum |P|)^n (sum |Q|)^m, with m
-        # and n the degrees in the eliminated variable; R is zero (a shared
-        # factor) when it is rounding noise of that bound
+        # and n the degrees in the eliminated variable. R at rounding level
+        # of that bound is a shared factor's rounding noise or a true but
+        # small resultant (a small circle's); only noise is zeroed
         m, n = (np.nonzero(C)[1].max(initial=-1) for C in PQ)
         sizes = abs(PQ).sum(axis=(1, 2))
-        if abs(R).max() <= _RESULTANT_ZERO * sizes[0] ** n * sizes[1] ** m:
+        if 0.0 < abs(R).max() <= _RESULTANT_ZERO * sizes[0] ** n \
+                * sizes[1] ** m and _is_noise(PQ, R):
             R[:] = 0.0
         R[abs(R) <= COEFF_EQ_TOL * abs(R).max()] = 0.0
         if R[0] != 0 and not R[1:].any():
@@ -396,17 +413,15 @@ class CertificateLayout:
                     rows.append(_row(a + p, e + q))
                     cols.append(base + j)
                     src.append(first + i)
-        self._at = np.array(rows) * self.shape[1] + np.array(cols)  # flat
+        self._at = (np.array(rows), np.array(cols))
         self._src = np.array(src)
 
     def fill(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         pq = np.concatenate([p, q], axis=-1)
-        lead = pq.shape[:-1]
         zero = Fraction(0) if pq.dtype == object else 0.0
-        A = np.full(lead + (self.shape[0] * self.shape[1],), zero,
-                    dtype=pq.dtype)
-        A[..., self._at] = pq[..., self._src]
-        return A.reshape(lead + self.shape)
+        A = np.full(pq.shape[:-1] + self.shape, zero, dtype=pq.dtype)
+        A[(...,) + self._at] = pq[..., self._src]
+        return A
 
 
 @lru_cache(maxsize=64)

@@ -272,22 +272,19 @@ def eval_Fa_circle(z, n, p):
 def _newton_step(H, g):
     """Solve H d = -g, escalating Levenberg damping until d is a descent
     direction; falls back to steepest descent."""
-    damped, lam = H, 0.0
+    k = len(g)
+    scale = float(np.max(np.abs(H)))
+    if not math.isfinite(scale) or scale == 0.0:
+        scale = 1.0
+    lam = 0.0
     for _ in range(14):
         try:
-            d = np.linalg.solve(damped, -g)
+            d = np.linalg.solve(H + lam * np.eye(k), -g)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and float(d @ g) < 0.0:
             return d
-        if lam == 0.0:
-            scale = float(np.max(np.abs(H)))
-            if not math.isfinite(scale) or scale == 0.0:
-                scale = 1.0
-            lam = 1e-8 * scale
-        else:
-            lam *= 100.0
-        damped = H + lam * np.eye(len(g))
+        lam = 1e-8 * scale if lam == 0.0 else lam * 100.0
     return -g
 
 
@@ -319,14 +316,15 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
     trace = [float(F)]
 
     def _grad_ok(gv, Fv):
-        return bool(float(abs(gv).max()) <= cfg.gradient_tol * (1.0 + abs(Fv)))
+        return bool(
+            float(np.max(np.abs(gv))) <= cfg.gradient_tol * (1.0 + abs(Fv)))
 
     converged = _grad_ok(g, F)
     iters = 0
     while not converged and iters < cfg.max_iterations:
         t0 = time.perf_counter()
         delta = _newton_step(hess(), g)
-        gmax = float(abs(g).max())
+        gmax = float(np.max(np.abs(g)))
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = theta + delta
@@ -339,20 +337,20 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
             if math.isfinite(Fc) and (
                     Fc <= F
                     or (Fc - F <= band
-                        and float(abs(gc).max()) <= 0.5 * gmax)):
+                        and float(np.max(np.abs(gc))) <= 0.5 * gmax)):
                 accepted = True
                 break
             delta = 0.5 * delta
         if not accepted:
             times.append(time.perf_counter() - t0)
             break
-        step = float(abs(delta).max())
+        step = float(np.max(np.abs(delta)))
         theta, F, g, hess, noise = cand, Fc, gc, hc, nc
         iters += 1
         times.append(time.perf_counter() - t0)
         trace.append(float(F))
         if _grad_ok(g, F) or step <= cfg.step_tol * (
-                1.0 + float(abs(theta).max())):
+                1.0 + float(np.max(np.abs(theta)))):
             converged = True
     return _Run(theta, F, g, iters, converged, times, evals, trace)
 
@@ -925,7 +923,7 @@ class _CertObjective:
         def projected():
             H = hess()
             proj = np.eye(len(t)) - np.outer(t, t)
-            return proj @ H @ proj + float(abs(H).max()) * np.outer(t, t)
+            return proj @ H @ proj + float(np.max(np.abs(H))) * np.outer(t, t)
 
         return F, g - (g @ t) * t, projected, noise
 

@@ -621,16 +621,37 @@ def _is_real(C: np.ndarray) -> bool:
     return bool(abs(C.imag).max() <= 1e-14 * abs(C).max())
 
 
+def sylvester_dets(A: np.ndarray, B: np.ndarray,
+                   t: np.ndarray) -> np.ndarray:
+    """det S(t) at each point of t, S the Sylvester matrix in s of A and B
+    (dense coefficient matrices, A[i, j] of t^i s^j, neither zero): one
+    Horner pass evaluates the rows of A and B at all points, slice
+    assignment lays out the stack of Sylvester matrices, and one stacked
+    determinant evaluates them."""
+    (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
+    # highest power of s first, as in the Sylvester matrix's rows
+    rows = np.concatenate([A[:, m::-1], B[:, n::-1]], axis=1)
+    top = max(dpk, dqk)
+    vals = rows[top]
+    for row in rows[:top][::-1]:
+        vals = vals * t[:, None] + row
+    S = np.zeros((len(t), m + n, m + n), dtype=complex)
+    for r in range(n):
+        S[:, r, r:r + m + 1] = vals[..., :m + 1]
+    for r in range(m):
+        S[:, n + r, r:r + n + 1] = vals[..., m + 1:]
+    return np.linalg.det(S)
+
+
 def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Resultant of two floating polynomials in their second variable s,
     from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
     coefficients in t. An input constant in s gives its row to the power of
     the other's degree in s, untrimmed. Otherwise det S(t), of degree at
     most n deg_t A + m deg_t B (m, n the degrees in s), is sampled at one
-    more root of unity and interpolated by FFT: one Horner pass evaluates
-    the rows of A and B at all nodes, slice assignment lays out the stack of
-    Sylvester matrices, one stacked determinant evaluates them, and the
-    coefficients at most 1e-10 of the largest are set to zero."""
+    more root of unity (``sylvester_dets``, all nodes in one stack) and
+    interpolated by FFT, and the coefficients at most 1e-10 of the largest
+    are set to zero."""
     (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
     if _zero_resultant(m, n):
         return np.zeros(1)
@@ -639,19 +660,8 @@ def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             A[:, 0] if m == 0 else B[:, 0], max(m, n))
         return power.real if _is_real(A) and _is_real(B) else power
     count = n * dpk + m * dqk + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)[:, None]
-    # highest power of s first, as in the Sylvester matrix's rows
-    rows = np.concatenate([A[:, m::-1], B[:, n::-1]], axis=1)
-    top = max(dpk, dqk)
-    vals = rows[top]
-    for row in rows[:top][::-1]:
-        vals = vals * nodes + row
-    S = np.zeros((count, m + n, m + n), dtype=complex)
-    for r in range(n):
-        S[:, r, r:r + m + 1] = vals[..., :m + 1]
-    for r in range(m):
-        S[:, n + r, r:r + n + 1] = vals[..., m + 1:]
-    coeffs = np.fft.fft(np.linalg.det(S)) / count
+    nodes = np.exp(2j * np.pi * np.arange(count) / count)
+    coeffs = np.fft.fft(sylvester_dets(A, B, nodes)) / count
     if _is_real(A) and _is_real(B):
         coeffs = coeffs.real  # resultant of real polynomials is real
     mag = abs(coeffs)

@@ -117,6 +117,18 @@ def test_float_shared_factor_with_inexact_coefficients_gives_witness():
     assert not decision.admissible and decision.witness is not None
 
 
+@pytest.mark.parametrize("a, R", [(0.0, 1e-4), (1.0, 1e-3)])
+def test_small_circle_resultant_is_not_taken_for_noise(a, R):
+    # the resultants of a circle of radius R and its |grad P|^2 are
+    # constants of order R^4, here 6e-18 and 2e-15 of their Sylvester
+    # bound, as small as a shared factor's rounding noise; they are computed
+    # accurately, so they must still prove that there is no common zero
+    P = get_family("circle").poly({"a": a, "b": 0.0, "R": R}, exact=True)
+    for Pk in (P, P.to_float()):
+        assert find_common_zero(Pk, gradient_norm_squared(Pk)) is None
+    assert decide_reduction(P).admissible
+
+
 def test_parabola_sweep_has_no_wrong_verdict():
     # guards the lift that once missed the double root of the parabola's
     # x-eliminated resultant (BoundExhausted for about one c in a thousand)

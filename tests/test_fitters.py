@@ -946,8 +946,13 @@ def test_exact_hessian_matches_gradient_differences(family, d):
             deficient = np.linalg.matrix_rank(A) < A.shape[1]
             assert deficient == (d >= (1 if family == "line" else 2))
             F, g, hess, _ = obj.evaluate(th)
+            F_ref, g_ref = obj.value_grad(th)
+            if obj.scale_free:  # the driver's gradient is projected
+                t = th / np.linalg.norm(th)
+                g_ref = (np.eye(len(t)) - np.outer(t, t)) @ g_ref
+            assert F == F_ref
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             H, H_ref = hess(), reference_hessian(obj, th)
-            assert F == obj.value_grad(th)[0]
             assert np.max(np.abs(H - H_ref)) <= 1e-6 * np.max(np.abs(H_ref))
 
 
