@@ -142,11 +142,19 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of an ascending complex coefficient array: companion-matrix
     eigenvalues. They are not Newton-polished: at a multiple root the
     derivative vanishes too, and polishing moves an accurate eigenvalue
-    away from the true root."""
+    away from the true root. The companion matrix is ``np.roots``' own,
+    built without its checks; the zero roots come last, as there."""
     c = np.asarray(coeffs, dtype=complex)
-    if c.size <= 1:
+    alive = np.flatnonzero(c)
+    if c.size <= 1 or alive.size == 0:
         return np.empty(0, dtype=complex)
-    return np.roots(c[::-1])
+    low, high = alive[0], alive[-1]
+    roots = np.empty(0, dtype=complex)
+    if high > low:
+        A = np.eye(high - low, k=-1, dtype=complex)
+        A[0, :] = -c[low:high][::-1] / c[high]
+        roots = np.linalg.eigvals(A)
+    return np.concatenate((roots, np.zeros(low, dtype=complex)))
 
 
 def _slice_coeffs(C: np.ndarray, degree: int, val: complex,

@@ -204,7 +204,8 @@ class FitResult:
 
 def _fa_val_grad_hess(z, n, a, b, R):
     """Value, gradient and Hessian of F(a,b,R) = E/R^2 where E is the
-    quadratic z-statistic form with c = a^2+b^2-R^2 substituted."""
+    quadratic z-statistic form with c = a^2+b^2-R^2 substituted; the
+    Hessian as a zero-argument callable, built only when called."""
     z1, z2, z3, z4, z5, z6, z7, z8, z9 = (float(v) for v in z)
     n = float(n)
     c = a * a + b * b - R * R
@@ -214,23 +215,29 @@ def _fa_val_grad_hess(z, n, a, b, R):
     E_a = z2 + 2.0 * a * z4 + b * z6 + c * z8 + 2.0 * a * T
     E_b = z3 + 2.0 * b * z5 + a * z6 + c * z9 + 2.0 * b * T
     E_R = -2.0 * R * T
-    E_aa = 2.0 * z4 + 4.0 * a * z8 + 2.0 * T + 8.0 * a * a * n
-    E_ab = z6 + 2.0 * b * z8 + 2.0 * a * z9 + 8.0 * a * b * n
-    E_aR = -2.0 * R * z8 - 8.0 * a * R * n
-    E_bb = 2.0 * z5 + 4.0 * b * z9 + 2.0 * T + 8.0 * b * b * n
-    E_bR = -2.0 * R * z9 - 8.0 * b * R * n
-    E_RR = -2.0 * T + 8.0 * R * R * n
     R2 = R * R
+    if R2 * R2 == 0.0:
+        # R^4 underflows: numpy divides by it to inf or nan, floats raise
+        R2 = np.float64(R2)
     R3 = R2 * R
-    R4 = R2 * R2
     F = E / R2
     grad = np.array([E_a / R2, E_b / R2, E_R / R2 - 2.0 * E / R3])
-    hess = np.array([
-        [E_aa / R2, E_ab / R2, E_aR / R2 - 2.0 * E_a / R3],
-        [E_ab / R2, E_bb / R2, E_bR / R2 - 2.0 * E_b / R3],
-        [E_aR / R2 - 2.0 * E_a / R3, E_bR / R2 - 2.0 * E_b / R3,
-         E_RR / R2 - 4.0 * E_R / R3 + 6.0 * E / R4],
-    ])
+
+    def hess():
+        E_aa = 2.0 * z4 + 4.0 * a * z8 + 2.0 * T + 8.0 * a * a * n
+        E_ab = z6 + 2.0 * b * z8 + 2.0 * a * z9 + 8.0 * a * b * n
+        E_aR = -2.0 * R * z8 - 8.0 * a * R * n
+        E_bb = 2.0 * z5 + 4.0 * b * z9 + 2.0 * T + 8.0 * b * b * n
+        E_bR = -2.0 * R * z9 - 8.0 * b * R * n
+        E_RR = -2.0 * T + 8.0 * R * R * n
+        R4 = R2 * R2
+        return np.array([
+            [E_aa / R2, E_ab / R2, E_aR / R2 - 2.0 * E_a / R3],
+            [E_ab / R2, E_bb / R2, E_bR / R2 - 2.0 * E_b / R3],
+            [E_aR / R2 - 2.0 * E_a / R3, E_bR / R2 - 2.0 * E_b / R3,
+             E_RR / R2 - 4.0 * E_R / R3 + 6.0 * E / R4],
+        ])
+
     return F, grad, hess
 
 
@@ -292,7 +299,8 @@ _NOISE_BAND = 1024.0 * np.finfo(float).eps
 _MAX_HALVINGS = 60
 
 # one _damped_newton run; evals counts objective evaluations, the start's too
-_Run = namedtuple("_Run", "theta F g iterations converged times evals trace")
+_Run = namedtuple("_Run",
+                  "theta F g gmax iterations converged times evals trace")
 
 
 def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
@@ -311,20 +319,19 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
     geometric progress toward stationarity."""
     theta = np.asarray(theta0, dtype=float).copy()
     F, g, hess, noise = fun(theta)
+    gmax = float(abs(g).max())
     evals = 1
     times: list = []
     trace = [float(F)]
 
-    def _grad_ok(gv, Fv):
-        return bool(
-            float(np.max(np.abs(gv))) <= cfg.gradient_tol * (1.0 + abs(Fv)))
+    def _grad_ok(gmax, Fv):
+        return bool(gmax <= cfg.gradient_tol * (1.0 + abs(Fv)))
 
-    converged = _grad_ok(g, F)
+    converged = _grad_ok(gmax, F)
     iters = 0
     while not converged and iters < cfg.max_iterations:
         t0 = time.perf_counter()
         delta = _newton_step(hess(), g)
-        gmax = float(np.max(np.abs(g)))
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = theta + delta
@@ -332,12 +339,11 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
                 delta = 0.5 * delta
                 continue
             Fc, gc, hc, nc = fun(cand)
+            gcmax = float(abs(gc).max())
             evals += 1
             band = max(_NOISE_BAND * (1.0 + abs(F)), noise + nc)
             if math.isfinite(Fc) and (
-                    Fc <= F
-                    or (Fc - F <= band
-                        and float(np.max(np.abs(gc))) <= 0.5 * gmax)):
+                    Fc <= F or (Fc - F <= band and gcmax <= 0.5 * gmax)):
                 accepted = True
                 break
             delta = 0.5 * delta
@@ -345,14 +351,14 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
             times.append(time.perf_counter() - t0)
             break
         step = float(np.max(np.abs(delta)))
-        theta, F, g, hess, noise = cand, Fc, gc, hc, nc
+        theta, F, g, gmax, hess, noise = cand, Fc, gc, gcmax, hc, nc
         iters += 1
         times.append(time.perf_counter() - t0)
         trace.append(float(F))
-        if _grad_ok(g, F) or step <= cfg.step_tol * (
+        if _grad_ok(gmax, F) or step <= cfg.step_tol * (
                 1.0 + float(np.max(np.abs(theta)))):
             converged = True
-    return _Run(theta, F, g, iters, converged, times, evals, trace)
+    return _Run(theta, F, g, gmax, iters, converged, times, evals, trace)
 
 
 def _result(family: str, params, run: _Run, data_passes: int,
@@ -366,7 +372,7 @@ def _result(family: str, params, run: _Run, data_passes: int,
         converged=run.converged,
         iteration_seconds=tuple(run.times),
         data_passes=data_passes,
-        diagnostics={"gradient_inf_norm": float(np.max(np.abs(run.g))),
+        diagnostics={"gradient_inf_norm": run.gmax,
                      "objective_trace": tuple(run.trace), **extra},
     )
 
@@ -449,7 +455,9 @@ def _pratt(Mxx, Myy, Mxy, Mxz, Myz, Mzz):
 
 
 def _pratt_checked(mv: MomentVector):
-    """Pratt's circle and the ``CentralCircleView`` it is computed from.
+    """The ``CentralCircleView`` and Pratt's circle (a, b, R) computed
+    from it, as floats: ``_pratt`` refuses any circle that is not finite
+    with R > 0.
 
     DegenerateData also when the rounding of the central moments could
     move the circle by more than ``_ROUNDING_TOL`` R: the sum over the six
@@ -462,11 +470,11 @@ def _pratt_checked(mv: MomentVector):
     base = _pratt(*view.central)
     moved = 0.0
     for j, err in enumerate(view.rounding):
-        central = list(view.central)
-        central[j] += err
-        if central[j] == view.central[j]:
+        if view.central[j] + err == view.central[j]:
             # below the moment's last digit, as about the centroid itself
             continue
+        central = list(view.central)
+        central[j] += err
         try:
             other = _pratt(*central)
         except (DegenerateData, ImaginaryRadius):
@@ -479,7 +487,7 @@ def _pratt_checked(mv: MomentVector):
             f"more than {_ROUNDING_TOL:g} R: the data lie too far from the "
             "accumulator's offset (accumulate about the centroid)")
     cx, cy = view.centroid
-    return view, CircleParams(base[0] + cx, base[1] + cy, base[2])
+    return view, (base[0] + cx, base[1] + cy, base[2])
 
 
 def _moment_circle_start(mv: MomentVector):
@@ -506,7 +514,7 @@ def pratt_init(mv: MomentVector) -> CircleParams:
     1e-6 R. The last happens when the data lie far from the accumulator's
     offset: measured at offset (0, 0), between 100 and 1000 radii for a
     full circle and between 10 and 100 for arcs of 0.5 to 3 rad."""
-    return _pratt_checked(mv)[1]
+    return CircleParams(*_pratt_checked(mv)[1])
 
 
 def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
@@ -519,19 +527,20 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     raises, whatever the start."""
     cfg = cfg if cfg is not None else FitConfig()
     view, start = _moment_circle_start(mv)
-    init = _circle_start(cfg.init) if cfg.init is not None else start
+    if cfg.init is not None:
+        init = _circle_start(cfg.init)
+        start = (init.a, init.b, init.R)
     cx, cy = view.centroid
     z, n = view.z(), view.n
 
     def fun(th):
-        F, g, H = _fa_val_grad_hess(z, n, th[0], th[1], th[2])
-        return F, g, lambda: H, 0.0
+        return (*_fa_val_grad_hess(z, n, *th.tolist()), 0.0)
 
-    run = _damped_newton(fun, [init.a - cx, init.b - cy, init.R], cfg,
+    run = _damped_newton(fun, [start[0] - cx, start[1] - cy, start[2]], cfg,
                          _circle_feasible)
     a, b, R = run.theta
     return _result("circle", CircleParams(a + cx, b + cy, R), run, 1,
-                   init=init.to_dict())
+                   init=dict(zip(("a", "b", "R"), start)))
 
 
 def _as_points(points) -> np.ndarray:
@@ -946,7 +955,7 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
         # the circle alone starts from Pratt's fit, which at d <= 1 is the
         # objective's own minimizer, and moves with the accumulator's frame
         start = _moment_circle_start(mv)[1]
-        init = _circle_start(cfg.init) if cfg.init is not None else start
+        init = _circle_start(cfg.init if cfg.init is not None else start)
         theta0 = [init.a - ox, init.b - oy, init.R]
 
         def params(th):

@@ -628,7 +628,12 @@ def sylvester_dets(A: np.ndarray, B: np.ndarray,
     Horner pass evaluates the rows of A and B at all points, slice
     assignment lays out the stack of Sylvester matrices, and one stacked
     determinant evaluates them."""
-    (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
+    return _sylvester_dets(A, B, t, _degrees(A), _degrees(B))
+
+
+def _sylvester_dets(A, B, t, degrees_a, degrees_b) -> np.ndarray:
+    """``sylvester_dets`` given the ``_degrees`` of A and B."""
+    (dpk, m), (dqk, n) = degrees_a, degrees_b
     # highest power of s first, as in the Sylvester matrix's rows
     rows = np.concatenate([A[:, m::-1], B[:, n::-1]], axis=1)
     top = max(dpk, dqk)
@@ -652,17 +657,20 @@ def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     more root of unity (``sylvester_dets``, all nodes in one stack) and
     interpolated by FFT, and the coefficients at most 1e-10 of the largest
     are set to zero."""
-    (dpk, m), (dqk, n) = _degrees(A), _degrees(B)
+    degrees_a, degrees_b = _degrees(A), _degrees(B)
+    (dpk, m), (dqk, n) = degrees_a, degrees_b
     if _zero_resultant(m, n):
         return np.zeros(1)
+    real = _is_real(A) and _is_real(B)
     if min(m, n) == 0:
         power = np.polynomial.polynomial.polypow(
             A[:, 0] if m == 0 else B[:, 0], max(m, n))
-        return power.real if _is_real(A) and _is_real(B) else power
+        return power.real if real else power
     count = n * dpk + m * dqk + 1
     nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    coeffs = np.fft.fft(sylvester_dets(A, B, nodes)) / count
-    if _is_real(A) and _is_real(B):
+    coeffs = np.fft.fft(_sylvester_dets(A, B, nodes, degrees_a,
+                                        degrees_b)) / count
+    if real:
         coeffs = coeffs.real  # resultant of real polynomials is real
     mag = abs(coeffs)
     coeffs[mag <= 1e-10 * mag.max()] = 0.0

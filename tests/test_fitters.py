@@ -21,6 +21,7 @@ from gradfit.errors import (
     InvalidSpec,
     NoCircle,
 )
+from gradfit import fitters
 from gradfit.families import get_family
 from gradfit.fitters import (
     CircleParams,
@@ -293,6 +294,67 @@ def test_reduced_max_iterations_flag_not_exception():
     assert isinstance(res, FitResult)
     assert not res.converged
     assert res.iterations == 1
+
+
+def test_reduced_hessian_matches_gradient_differences():
+    rng = np.random.default_rng(8)
+    z, n = MomentVector.from_points(rng.normal(size=(80, 2)) * 1.5,
+                                    4).circle_z_view()
+    for _ in range(10):
+        th = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                       rng.uniform(0.5, 2.5)])
+        _, _, hess = fitters._fa_val_grad_hess(z, n, *th)
+        H = hess()
+        for j in range(3):
+            h = 1e-6 * (1.0 + abs(th[j]))
+            up, dn = th.copy(), th.copy()
+            up[j] += h
+            dn[j] -= h
+            fd = (fitters._fa_val_grad_hess(z, n, *up)[1]
+                  - fitters._fa_val_grad_hess(z, n, *dn)[1]) / (2.0 * h)
+            assert np.allclose(H[:, j], fd, rtol=1e-6,
+                               atol=1e-6 * np.abs(H).max())
+
+
+@pytest.mark.parametrize("R", [1.3, 1e-100, 1e-200])
+def test_reduced_objective_in_floats_equals_numpy_scalars(R):
+    # the fit evaluates in Python floats; where R^4 underflows they would
+    # raise on division by zero, and the objective divides as numpy does
+    z, n = MomentVector.from_points(circle_points(0.2, -0.1, 1.0, 20),
+                                    4).circle_z_view()
+    with np.errstate(all="ignore"):
+        F, g, hess = fitters._fa_val_grad_hess(z, n, 0.25, -0.5, R)
+        F64, g64, hess64 = fitters._fa_val_grad_hess(
+            z, n, *np.array([0.25, -0.5, R]))
+        H, H64 = hess(), hess64()
+    assert np.array_equal([F], [F64], equal_nan=True)
+    assert np.array_equal(g, g64, equal_nan=True)
+    assert np.array_equal(H, H64, equal_nan=True)
+
+
+def test_reduced_hessian_is_built_only_where_a_step_is_computed(monkeypatch):
+    evals, hessians = [], []
+    val_grad_hess = fitters._fa_val_grad_hess
+
+    def counting(*args):
+        F, g, hess = val_grad_hess(*args)
+        evals.append(1)
+
+        def counted():
+            hessians.append(1)
+            return hess()
+        return F, g, counted
+
+    monkeypatch.setattr(fitters, "_fa_val_grad_hess", counting)
+    mv = centered_mv(circle_points(0.5, 0.5, 2.0, 30, noise=0.2, seed=13))
+    res = fit_circle_reduced(mv)
+    assert res.converged and res.iterations == 0
+    assert (len(evals), len(hessians)) == (1, 0)
+    evals.clear()
+    res = fit_circle_reduced(mv, FitConfig(init=CircleParams(3.0, -2.0, 0.7)))
+    assert res.converged and res.iterations >= 2
+    # one Hessian per step, none at the point the fit ends on
+    assert len(hessians) == res.iterations < len(evals)
 
 
 # -- Pratt's start ------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradfit.errors import DegreeMismatch, NonFiniteInput
-from gradfit.moments import (_CHUNK, MomentVector, _add_compensated, merge,
-                             moment_keys)
+from gradfit.errors import DegreeMismatch, InvalidSpec, NonFiniteInput
+from gradfit.moments import (_CHUNK, _SQUARE_MAX, MomentVector,
+                             _add_compensated, _layout, merge, moment_keys)
 from gradfit.poly import BivariatePoly
 
 
@@ -119,31 +119,104 @@ def test_float_permutation_stability():
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-@pytest.mark.parametrize("n", [1, 50, 500, 4096, 4097, 65536, 65537, 200000])
-def test_extend_sums_equal_per_key_reference(n):
-    # reference: one np.sum per key and chunk, as extend did before it
-    # reduced all keys of a chunk in one call; bit for bit, on one chunk,
-    # on full chunks and on a partial last chunk
-    rng = np.random.default_rng(n)
-    xs = rng.normal(3.0, 2.0, n)
-    ys = rng.normal(-1.0, 0.5, n)
-    offset = (2.5, -0.75)
-    mv = MomentVector(4, offset=offset).extend(xs, ys)
-    keys = moment_keys(4)
+def _per_key_reference(xs, ys, D, offset, chunk):
+    """Sums and compensations as extend computed them before the power
+    block: one np.sum per key and chunk of ``chunk`` points"""
+    keys = [(p, q) for p in range(D + 1) for q in range(D + 1 - p)]
     s = np.zeros(len(keys))
     c = np.zeros(len(keys))
-    for lo in range(0, n, _CHUNK):
-        u = xs[lo:lo + _CHUNK] - offset[0]
-        v = ys[lo:lo + _CHUNK] - offset[1]
+    for lo in range(0, xs.size, chunk):
+        u = xs[lo:lo + chunk] - offset[0]
+        v = ys[lo:lo + chunk] - offset[1]
         up = [np.ones_like(u)]
         vq = [np.ones_like(v)]
-        for _ in range(4):
+        for _ in range(D):
             up.append(up[-1] * u)
             vq.append(vq[-1] * v)
         _add_compensated(s, c, np.array([np.sum(up[p] * vq[q])
                                          for p, q in keys]))
+    return s, c
+
+
+def _absorbed(entry, D, offset, xs, ys):
+    if entry == "extend":
+        return MomentVector(D, offset=offset).extend(xs, ys)
+    if entry == "from_points":
+        return MomentVector.from_points(np.column_stack([xs, ys]), D,
+                                        offset=offset)
+    mv = MomentVector(D, offset=offset)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        mv.accumulate(x, y)
+    return mv
+
+
+# on one chunk, on full chunks and on a partial last chunk; on both sides of
+# the chunk length where the products change form; at every degree up to 7
+# (at D = 0 the power block is the row of ones alone); through each entry
+# point, accumulate being a chunk of one point
+_KERNEL_CASES = (
+    [pytest.param("extend", 4, n, id=str(n))
+     for n in [1, 50, 500, 4096, 4097, 65536, 65537, 200000]]
+    + [pytest.param(entry, D, n, id=f"{entry}-D{D}-{n}")
+       for D in range(8)
+       for entry, sizes in [
+           ("extend", [1, _SQUARE_MAX, _SQUARE_MAX + 1, _CHUNK + 1]),
+           ("from_points", [1, _SQUARE_MAX, _SQUARE_MAX + 1, _CHUNK + 1]),
+           ("accumulate", [1, 50])]
+       for n in sizes])
+
+
+@pytest.mark.parametrize("entry, D, n", _KERNEL_CASES)
+def test_extend_sums_equal_per_key_reference(entry, D, n):
+    rng = np.random.default_rng(n)
+    xs = rng.normal(3.0, 2.0, n)
+    ys = rng.normal(-1.0, 0.5, n)
+    offset = (2.5, -0.75)
+    mv = _absorbed(entry, D, offset, xs, ys)
+    s, c = _per_key_reference(xs, ys, D, offset,
+                              1 if entry == "accumulate" else _CHUNK)
+    assert mv.n == n
     assert mv._sum.tobytes() == s.tobytes()
     assert mv._comp.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 500), (5, 3), (7,), (2, 2, 2), (3,)])
+def test_from_points_refuses_anything_but_n_by_2(shape):
+    # each of these used to be read as some other set of points
+    with pytest.raises(InvalidSpec, match=re.escape(str(shape))):
+        MomentVector.from_points(np.arange(float(np.prod(shape))).reshape(shape),
+                                 4)
+
+
+def test_from_points_takes_pairs_a_single_pair_and_nothing():
+    assert MomentVector.from_points((1.5, -2.0), 2).to_dict() == \
+        MomentVector(2).accumulate(1.5, -2.0).to_dict()
+    pairs = [(1.5, -2.0), (0.25, 4.0), (-3.0, 1.0)]
+    assert MomentVector.from_points(pairs, 3, offset=(1.0, 1.0)).to_dict() == \
+        MomentVector(3, offset=(1.0, 1.0)).extend(*zip(*pairs)).to_dict()
+    for empty in ([], np.empty((0, 2))):
+        assert MomentVector.from_points(empty, 4).n == 0
+
+
+def test_layout_cannot_be_changed_through_a_caller():
+    keys = moment_keys(3)
+    keys.append((3, 1))
+    keys.reverse()
+    used = MomentVector(3).extend([1.0, 2.0], [3.0, -1.0])
+    with pytest.raises(TypeError):
+        used._index[(3, 1)] = 0
+    with pytest.raises(TypeError):
+        used._keys[0] = (3, 1)
+    with pytest.raises(ValueError):
+        _layout(3).square[0] = 1
+    used._sum[:] = 7.0
+    fresh = MomentVector(3)
+    want = [(p, q) for p in range(4) for q in range(4 - p)]
+    assert moment_keys(3) == want
+    assert [(p, q) for p, q, _ in fresh.to_dict()["entries"]] == want
+    assert all(v == 0.0 for _, _, v in fresh.to_dict()["entries"])
+    with pytest.raises(DegreeMismatch):
+        fresh.entry(3, 1)
 
 
 def test_extend_matches_pointwise_accumulate():
