@@ -468,7 +468,7 @@ def coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
     else:
         vec = np.zeros(len(index))
     for mn, c in P.terms.items():
-        vec[index[mn]] = c if exact else c.real
+        vec[index[mn]] = c
     return vec
 
 
@@ -736,10 +736,10 @@ class FamilyReport:
         }
 
 
-def _analyze_one(family: CurveFamily, idx: int, theta: dict, exact: bool,
+def _analyze_one(family: CurveFamily, idx: int, theta: dict,
                  max_degree: int | None) -> SampleReport:
     try:
-        P = family.poly(theta, exact=exact)
+        P = family.poly(theta, exact=True)
         Q = gradient_norm_squared(P)
         decision = decide_reduction(P, Q, max_degree)
     except BoundExhausted:
@@ -754,9 +754,10 @@ def _analyze_one(family: CurveFamily, idx: int, theta: dict, exact: bool,
     return SampleReport(idx, theta, "not_admissible", witness=decision.witness)
 
 
-def analyze_family(family, samples: int, rng=None, exact: bool = True,
+def analyze_family(family, samples: int, rng=None,
                    max_degree: int | None = None) -> FamilyReport:
-    """Per-sample admissibility verdicts over random parameters of a family.
+    """Per-sample admissibility verdicts over random parameters of a family,
+    each decided on the exact polynomial of its parameters.
 
     Errors in individual samples are recorded, never abort the batch. The
     report carries a consistency flag: every nondegenerate sample of one
@@ -769,7 +770,7 @@ def analyze_family(family, samples: int, rng=None, exact: bool = True,
     if rng is None:
         rng = np.random.default_rng(0)
     thetas = [family.sample_theta(rng) for _ in range(samples)]
-    reports = [_analyze_one(family, i, t, exact, max_degree)
+    reports = [_analyze_one(family, i, t, max_degree)
                for i, t in enumerate(thetas)]
     decided = {r.verdict for r in reports if r.verdict in ("admissible", "not_admissible")}
     consistent = len(decided) <= 1

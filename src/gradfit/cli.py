@@ -17,11 +17,12 @@ Exit codes are stable per error class so scripts can branch on them:
 code  meaning
 ====  =======================================================
 0     success (fits: converged)
-1     unexpected error
+1     unexpected error, or a GradfitError of no class below
 2     usage error
 3     ParseError                (malformed text input or moment file)
 4     NonFiniteValue / NonFiniteInput
-5     InvalidSpec               (also: a file that cannot be read or written)
+5     InvalidSpec / InvalidRadius
+      (also: a file that cannot be read or written)
 6     NoCircle / DegenerateData
 7     fit finished without converging
 8     GradientVanishesAtSample
@@ -161,10 +162,6 @@ def cmd_fit(args) -> int:
             points = ingest(args.input)
         except OSError as exc:
             raise _cannot("read", args.input, exc) from None
-    if args.algo in ("reduced", "generic") and args.family != "circle":
-        raise InvalidSpec(f"--algo {args.algo} supports --family circle only")
-    if args.algo == "geometric" and args.family != "circle":
-        raise InvalidSpec("--algo geometric supports --family circle only")
 
     if mv is None and args.algo in ("reduced", "generic"):
         mv = _accumulate(points, 4)
@@ -227,7 +224,7 @@ def cmd_analyze(args) -> int:
     if (args.poly is None) == (args.family is None):
         raise InvalidSpec("give a polynomial or --family, not both or neither")
     if args.poly is not None:
-        P = parse_poly(args.poly, exact=not args.float)
+        P = parse_poly(args.poly, exact=True)
         decision = decide_reduction(P, max_degree=args.max_degree)
         if args.json:
             _emit_json(decision.to_dict())
@@ -236,7 +233,7 @@ def cmd_analyze(args) -> int:
         return 0
     fam = get_family(args.family)
     rng = np.random.default_rng(args.seed)
-    report = analyze_family(fam, args.samples, rng=rng, exact=not args.float,
+    report = analyze_family(fam, args.samples, rng=rng,
                             max_degree=args.max_degree)
     if args.json:
         _emit_json(report.to_dict())
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a curve to points")
     p_fit.add_argument("input", nargs="?", help="CSV file of x,y lines")
-    p_fit.add_argument("--family", default="circle", choices=sorted(FAMILIES))
     p_fit.add_argument("--algo", default="reduced",
                        choices=("reduced", "geometric", "reweight", "generic"))
     p_fit.add_argument("--moments", metavar="FILE",
@@ -354,12 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze",
                           help="decide gradient-weight reducibility")
     p_an.add_argument("poly", nargs="?",
-                      help="polynomial in x and y, e.g. '1 x^2 + 1 y^2 - 1'")
+                      help="polynomial in x and y, e.g. '1 x^2 + 1 y^2 - 1'; "
+                      "a decimal is read as the exact value of its double")
     p_an.add_argument("--family", choices=sorted(FAMILIES))
     p_an.add_argument("--samples", type=int, default=5)
     p_an.add_argument("--max-degree", type=int, default=None)
-    p_an.add_argument("--float", action="store_true",
-                      help="use floating-point elimination instead of exact")
     p_an.add_argument("--seed", type=int, default=seed_default)
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)

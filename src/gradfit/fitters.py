@@ -166,7 +166,7 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidSpec("max_iterations must be at least 1")
-        if self.gradient_tol <= 0 or self.step_tol <= 0:
+        if not (self.gradient_tol > 0 and self.step_tol > 0):  # NaN too
             raise InvalidSpec("tolerances must be positive")
 
 
@@ -320,6 +320,9 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
     theta = np.asarray(theta0, dtype=float).copy()
     F, g, hess, noise = fun(theta)
     gmax = float(abs(g).max())
+    if not (math.isfinite(F) and math.isfinite(gmax)):
+        raise InvalidSpec(f"objective or gradient not finite at the start "
+                          f"(objective {F})")
     evals = 1
     times: list = []
     trace = [float(F)]

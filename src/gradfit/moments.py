@@ -282,11 +282,7 @@ class MomentVector:
             if isinstance(acc, Fraction):
                 acc += Fraction(coeff) * val
             else:
-                cr = complex(coeff)
-                term = (cr.real if cr.imag == 0 else cr) * (
-                    float(val) if isinstance(val, Fraction) else val
-                )
-                acc = acc + term
+                acc += float(coeff) * float(val)
         return acc
 
     def circle_z_view(self):

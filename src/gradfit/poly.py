@@ -7,7 +7,7 @@ polynomial:
 * exact mode: ``fractions.Fraction`` entries. Floats fed into an exact
   polynomial are converted exactly (every float is a dyadic rational), so
   elimination and certificate computations are free of rounding.
-* floating mode: ``complex`` entries in double precision.
+* floating mode: real ``float`` entries in double precision.
 
 Mixing modes in arithmetic promotes to floating. All values are immutable
 after construction and every operation is a pure function, so instances can
@@ -18,7 +18,6 @@ dense complex matrices (``coefficient_matrices``); the floating resultant
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DegenerateElimination, ParseError
+from .errors import DegenerateElimination, NonFiniteValue, ParseError
 
 # Relative tolerance for floating coefficient equality, after normalizing by
 # the largest coefficient magnitude.
@@ -41,17 +40,15 @@ def _to_exact(c) -> Fraction:
         return Fraction(c)
     if isinstance(c, float):
         return Fraction(c)  # exact: floats are dyadic rationals
-    if isinstance(c, complex):
-        if c.imag != 0.0:
-            raise TypeError("exact mode supports rational coefficients only")
-        return Fraction(c.real)
     raise TypeError(f"unsupported coefficient type {type(c)!r}")
 
 
-def _to_float(c) -> complex:
-    if isinstance(c, Rational):
-        return complex(float(c))
-    return complex(c)
+def _to_float(c) -> float:
+    if isinstance(c, complex):
+        if c.imag != 0.0:
+            raise TypeError("float mode supports real coefficients only")
+        c = c.real
+    return float(c)
 
 
 class BivariatePoly:
@@ -115,13 +112,13 @@ class BivariatePoly:
         return max(k[idx] for k in self.terms)
 
     def coeff(self, p: int, q: int):
-        zero = Fraction(0) if self.exact else 0j
+        zero = Fraction(0) if self.exact else 0.0
         return self.terms.get((p, q), zero)
 
     def max_coeff_mag(self) -> float:
         if not self.terms:
             return 0.0
-        return max(abs(float(c)) if self.exact else abs(c) for c in self.terms.values())
+        return max(abs(float(c)) for c in self.terms.values())
 
     # -- mode conversion ----------------------------------------------------
 
@@ -207,7 +204,7 @@ class BivariatePoly:
             return True
         tol = COEFF_EQ_TOL * scale
         for k in set(a.terms) | set(b.terms):
-            if abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) > tol:
+            if abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) > tol:
                 return False
         return True
 
@@ -253,8 +250,8 @@ def _var_index(var: str) -> int:
 def _coerce(value, exact_hint: bool):
     if isinstance(value, BivariatePoly):
         return value
-    if isinstance(value, (int, float, complex, Fraction)):
-        exact = exact_hint and not isinstance(value, (float, complex))
+    if isinstance(value, (int, float, Fraction)):
+        exact = exact_hint and not isinstance(value, float)
         return BivariatePoly.constant(value, exact=exact)
     return NotImplemented
 
@@ -297,9 +294,11 @@ _TERM_RE = re.compile(
 def parse_poly(text: str, exact: bool | None = None) -> BivariatePoly:
     """Parse the term-list text form.
 
-    Coefficients may be decimals (``-1.5``, ``2e-3``) or rationals (``3/4``).
-    Mode is inferred when ``exact`` is None: the polynomial is exact iff every
-    coefficient is an integer or a rational.
+    Coefficients may be decimals (``-1.5``, ``2e-3``) or rationals (``3/4``);
+    a decimal is read as its double, which an exact polynomial holds
+    exactly. A decimal beyond the double range (``1e999``) is a
+    NonFiniteValue. Mode is inferred when ``exact`` is None: the polynomial
+    is exact iff every coefficient is an integer or a rational.
     """
     src = text.replace("*", " ").strip()
     if not src:
@@ -333,7 +332,10 @@ def parse_poly(text: str, exact: bool | None = None) -> BivariatePoly:
             value = -value
         p = int(m.group("px") or (1 if xv else 0))
         q = int(m.group("py") or (1 if yv else 0))
-        terms[(p, q)] = terms.get((p, q), 0) + value
+        total = terms[(p, q)] = terms.get((p, q), 0) + value
+        if isinstance(total, float) and not math.isfinite(total):
+            raise NonFiniteValue(
+                f"coefficient not finite at term {src[pos:m.end()].strip()!r}")
         pos = m.end()
         first = False
     if exact is None:
@@ -345,10 +347,7 @@ def _format_coeff(c, exact: bool) -> str:
     if exact:
         f = Fraction(c)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    z = complex(c)
-    if z.imag != 0.0:
-        raise ValueError("text form supports real coefficients only")
-    r = z.real
+    r = float(c)
     if r == int(r) and abs(r) < 1e16:
         return str(int(r))
     return repr(r)
@@ -362,7 +361,7 @@ def format_poly(P: BivariatePoly) -> str:
     out = []
     for i, (p, q) in enumerate(keys):
         c = P.terms[(p, q)]
-        neg = (c < 0) if P.exact else (complex(c).real < 0)
+        neg = c < 0
         mag = -c if neg else c
         body = _format_coeff(mag, P.exact)
         if p:
@@ -385,7 +384,7 @@ def univariate_coeffs(P: BivariatePoly, var: str) -> list:
     d = P.deg_in(var)
     if d == NEG_INF:
         return []
-    zero = Fraction(0) if P.exact else 0j
+    zero = Fraction(0) if P.exact else 0.0
     out = [zero] * (int(d) + 1)
     for k, c in P.terms.items():
         out[k[idx]] = c
@@ -617,10 +616,6 @@ def _degrees(C: np.ndarray) -> tuple[int, int]:
     return (int(rows.max()), int(cols.max())) if rows.size else (-1, -1)
 
 
-def _is_real(C: np.ndarray) -> bool:
-    return bool(abs(C.imag).max() <= 1e-14 * abs(C).max())
-
-
 def sylvester_dets(A: np.ndarray, B: np.ndarray,
                    t: np.ndarray) -> np.ndarray:
     """det S(t) at each point of t, S the Sylvester matrix in s of A and B
@@ -649,29 +644,26 @@ def _sylvester_dets(A, B, t, degrees_a, degrees_b) -> np.ndarray:
 
 
 def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Resultant of two floating polynomials in their second variable s,
-    from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
-    coefficients in t. An input constant in s gives its row to the power of
-    the other's degree in s, untrimmed. Otherwise det S(t), of degree at
-    most n deg_t A + m deg_t B (m, n the degrees in s), is sampled at one
-    more root of unity (``sylvester_dets``, all nodes in one stack) and
-    interpolated by FFT, and the coefficients at most 1e-10 of the largest
-    are set to zero."""
+    """Resultant of two real floating polynomials in their second variable
+    s, from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
+    real coefficients in t. An input constant in s gives its row to the
+    power of the other's degree in s, untrimmed. Otherwise det S(t), of
+    degree at most n deg_t A + m deg_t B (m, n the degrees in s), is
+    sampled at one more root of unity (``sylvester_dets``, all nodes in
+    one stack) and interpolated by FFT, and the coefficients at most 1e-10
+    of the largest are set to zero."""
     degrees_a, degrees_b = _degrees(A), _degrees(B)
     (dpk, m), (dqk, n) = degrees_a, degrees_b
     if _zero_resultant(m, n):
         return np.zeros(1)
-    real = _is_real(A) and _is_real(B)
     if min(m, n) == 0:
-        power = np.polynomial.polynomial.polypow(
-            A[:, 0] if m == 0 else B[:, 0], max(m, n))
-        return power.real if real else power
+        return np.polynomial.polynomial.polypow(
+            A[:, 0] if m == 0 else B[:, 0], max(m, n)).real
     count = n * dpk + m * dqk + 1
     nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    coeffs = np.fft.fft(_sylvester_dets(A, B, nodes, degrees_a,
-                                        degrees_b)) / count
-    if real:
-        coeffs = coeffs.real  # resultant of real polynomials is real
+    # the resultant of real polynomials is real
+    coeffs = (np.fft.fft(_sylvester_dets(A, B, nodes, degrees_a,
+                                         degrees_b)) / count).real
     mag = abs(coeffs)
     coeffs[mag <= 1e-10 * mag.max()] = 0.0
     return coeffs

@@ -417,7 +417,7 @@ def test_analyze_family_records_errors_without_aborting():
         lambda rng: {"k": float(rng.uniform(0, 1))},
         lambda theta, t: (0.0, 0.0),
     )
-    rep = analyze_family(fam, 8, rng=np.random.default_rng(5), exact=False)
+    rep = analyze_family(fam, 8, rng=np.random.default_rng(5))
     kinds = {s.verdict for s in rep.samples}
     assert "error" in kinds and "admissible" in kinds
     assert all(s.error for s in rep.samples if s.verdict == "error")

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from gradfit import cli, errors
 from gradfit.cli import EXIT_NOT_CONVERGED, exit_code_for, main
 from gradfit.moments import MomentVector
 from gradfit.errors import (BoundExhausted, CenterHitsDataPoint,
@@ -222,12 +224,28 @@ def test_fit_bad_family_is_usage_error(circle_csv, capsys):
 @pytest.mark.parametrize("argv", [
     ("fit",),
     ("fit", "--moments", "m.json", "--algo", "geometric"),
-    ("fit", "--algo", "reduced", "--family", "ellipse"),
 ])
 def test_fit_invalid_flag_combinations(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 5
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "{csv}", "--family", "circle"),
+    ("analyze", "1 x^2 + 1 y^2 - 1", "--float"),
+])
+def test_removed_options_are_usage_errors(circle_csv, capsys, argv):
+    rc, out, _ = run(capsys, *(a.format(csv=circle_csv) for a in argv))
+    assert rc == 2
+    assert out == ""
+
+
+def test_fit_nan_tolerances_exit(circle_csv, capsys):
+    rc, out, err = run(capsys, "fit", circle_csv, "--gradient-tol", "nan",
+                       "--step-tol", "nan")
+    assert rc == 5
+    assert out == "" and err.startswith("error:")
 
 
 def test_fit_both_input_kinds_rejected(circle_csv, tmp_path, capsys):
@@ -273,6 +291,13 @@ def test_analyze_circle_poly_certificate_values(capsys):
     assert blob["certificate"]["W"] == "1/9"
     assert blob["certificate"]["U"] == "-4/9"
     assert blob["certificate"]["identity_residual"] == 0.0
+
+
+def test_analyze_non_finite_coefficient_exit(capsys):
+    rc, out, err = run(capsys, "analyze", "1e999 x^2 + 1 y^2 - 1")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error:") and "1e999 x^2" in err
 
 
 def test_analyze_requires_exactly_one_target(capsys):
@@ -401,6 +426,24 @@ def test_bench_rejects_tiny_n(capsys):
 ])
 def test_exit_code_table(exc, code):
     assert exit_code_for(exc) == code
+
+
+def test_docstring_exit_code_table_matches_mapping():
+    # rows of the module docstring's table, continuation lines joined
+    table = cli.__doc__.split("====  ")[2].splitlines()[1:]
+    rows: dict = {}
+    code = None
+    for line in table:
+        head = re.match(r"(\d+)\s", line)
+        code = int(head.group(1)) if head else code
+        rows[code] = rows.get(code, "") + " " + line
+    names = {n for n, c in vars(errors).items()
+             if isinstance(c, type) and issubclass(c, errors.GradfitError)}
+    for code, text in rows.items():
+        named = set(re.findall(r"\w+", text)) & names
+        assert named == {cls.__name__ for cls, c in cli._EXIT_CODES.items()
+                         if c == code}, code
+    assert set(cli._EXIT_CODES.values()) <= set(rows)
 
 
 def test_exit_code_unknown_subclass_falls_back_to_base():

@@ -96,6 +96,10 @@ def test_fit_config_validates():
         FitConfig(max_iterations=0)
     with pytest.raises(InvalidSpec):
         FitConfig(gradient_tol=0.0)
+    for tol in ({"gradient_tol": math.nan, "step_tol": math.nan},
+                {"step_tol": math.nan}):
+        with pytest.raises(InvalidSpec):
+            FitConfig(**tol)
 
 
 # -- reduced circle objective ------------------------------------------------
@@ -294,6 +298,14 @@ def test_reduced_max_iterations_flag_not_exception():
     assert isinstance(res, FitResult)
     assert not res.converged
     assert res.iterations == 1
+
+
+def test_reduced_non_finite_start_is_refused():
+    # R^2 underflows: objective and gradient are inf at the start, which
+    # once read as a met gradient test (inf <= inf)
+    mv = centered_mv(circle_points(0.0, 0.0, 1.0, 50))
+    with pytest.raises(InvalidSpec, match="not finite"):
+        fit_circle_reduced(mv, FitConfig(init=(0.0, 0.0, 1e-200)))
 
 
 def test_reduced_hessian_matches_gradient_differences():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradfit.errors import DegenerateElimination, ParseError
+from gradfit.errors import DegenerateElimination, NonFiniteValue, ParseError
 from gradfit.poly import (
     BivariatePoly,
     SimilarityTransform,
@@ -129,6 +129,24 @@ def test_commutativity_exact(P1, P2):
 def test_pow_repeated_product(P):
     assert P ** 3 == P * P * P
     assert P ** 0 == BivariatePoly.constant(1)
+
+
+def test_float_coefficients_are_real_floats():
+    P = BivariatePoly({(2, 0): 1, (1, 1): Fraction(1, 2),
+                       (0, 1): np.float64(0.25), (0, 0): -1.5 + 0j},
+                      exact=False)
+    assert P.terms == {(2, 0): 1.0, (1, 1): 0.5, (0, 1): 0.25, (0, 0): -1.5}
+    for Q in (P, P * P, P.partial("x"), parse_poly("1.5 x - 2e-3"),
+              circle_poly(1, 2, 3).to_float()):
+        assert all(type(c) is float for c in Q.terms.values())
+
+
+@pytest.mark.parametrize("c", [2j, np.complex128(1 + 1e-300j)])
+def test_float_poly_refuses_complex_coefficients(c):
+    # x^2 + y^2 - 1 + 2i xy: its imaginary part must not be dropped
+    with pytest.raises(TypeError):
+        BivariatePoly({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0, (1, 1): c},
+                      exact=False)
 
 
 def test_mixed_mode_promotes_to_float():
@@ -429,6 +447,18 @@ def test_parse_rejects_garbage():
     for bad in ["", "x +", "1 z^2", "x ^ y"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text,exact", [
+    ("1e999 x^2 + 1 y^2 - 1", None),
+    ("1e999 x^2 + 1 y^2 - 1", True),
+    ("1 x^2 - 1e999 y", False),
+    ("1e308 x + 1e308 x", True),   # finite terms, overflowing sum
+    ("3/4 x + 1e999 x", None),
+])
+def test_parse_refuses_non_finite_coefficients(text, exact):
+    with pytest.raises(NonFiniteValue, match=r"1e\d+ [xy]"):
+        parse_poly(text, exact=exact)
 
 
 def test_format_canonical_order():
