@@ -109,18 +109,17 @@ def _int_degree(P: BivariatePoly) -> int:
     return 0 if d == NEG_INF else int(d)
 
 
-def _compile(polys, normalize: bool = False):
-    """``coefficient_matrices`` of the polynomials, their total degrees and
-    largest coefficient magnitudes; ``normalize`` first drops each one's
-    terms at most 1e-12 of its largest and scales that largest to 1."""
+def _compile(polys):
+    """``coefficient_matrices`` of the polynomials, each with its terms at
+    most 1e-12 of its largest dropped and that largest scaled to 1, their
+    total degrees and largest coefficient magnitudes."""
     F = coefficient_matrices(polys, 1 + max(_int_degree(P) for P in polys))
     mag = abs(F)
     scale = mag.max(axis=(1, 2))
-    if normalize:
-        F[mag <= COEFF_EQ_TOL * scale[:, None, None]] = 0.0
-        scale[scale == 0.0] = 1.0
-        F *= (1.0 / scale)[:, None, None]
-        scale = abs(F).max(axis=(1, 2))
+    F[mag <= COEFF_EQ_TOL * scale[:, None, None]] = 0.0
+    scale[scale == 0.0] = 1.0
+    F *= (1.0 / scale)[:, None, None]
+    scale = abs(F).max(axis=(1, 2))
     degree = [max((p + q).tolist(), default=0)
               for p, q in (np.nonzero(C) for C in F)]
     return F, degree, np.maximum(scale, 1e-300).tolist()
@@ -274,7 +273,7 @@ class _Search:
     Qx, Py, Qy, so one ``_values`` product evaluates all six at a point."""
 
     def __init__(self, P, Q):
-        PQ, self.degree, self.scale = _compile((P, Q), normalize=True)
+        PQ, self.degree, self.scale = _compile((P, Q))
         k = np.arange(PQ.shape[-1])  # rolled: row/column 0 times k = 0
         self.F = np.concatenate([PQ, np.roll(k[:, None] * PQ, -1, axis=1),
                                  np.roll(k * PQ, -1, axis=2)])
@@ -605,38 +604,6 @@ def verify_certificate(P: BivariatePoly, Q: BivariatePoly,
     return _identity_residual(P, Q, cert.U, cert.W)
 
 
-def restriction_residual(P: BivariatePoly, Q: BivariatePoly, W: BivariatePoly,
-                         samples: int = 24, span: float = 3.0):
-    """max |W*Q - 1| over sampled real points of the curve P = 0.
-
-    On the curve the identity forces W = 1/Q, so this measures how well W
-    restricts to the reciprocal weight. Returns None when no real points are
-    found in the scanned window.
-    """
-    F, degree, scale = _compile((P, Q, W))
-    worst = None
-    count = 0
-    for elim in ("y", "x"):
-        for val in np.linspace(-span, span, 61):
-            cu = _slice_coeffs(F[0], degree[0], complex(val), elim)
-            if cu is None or cu.size <= 1:
-                continue
-            for root in _poly_roots(cu):
-                if abs(root.imag) > 1e-8 * max(1.0, abs(root)):
-                    continue
-                x, y = (val, root.real) if elim == "y" else (root.real, val)
-                pv, qv, wv = _values(F, x, y)
-                if _rel_residual(pv, degree[0], scale[0], x, y) > 1e-7 \
-                        or abs(qv) < 1e-12:
-                    continue
-                gap = float(abs(wv * qv - 1.0))
-                worst = gap if worst is None else max(worst, gap)
-                count += 1
-                if count >= samples:
-                    return worst
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # verdicts and family reports
 # ---------------------------------------------------------------------------
@@ -705,7 +672,6 @@ class SampleReport:
     verdict: str                      # admissible | not_admissible | inconclusive | error
     witness: CommonZeroWitness | None = None
     certificate: ReductionCertificate | None = None
-    restriction: float | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -715,7 +681,6 @@ class SampleReport:
             "verdict": self.verdict,
             "witness": self.witness.to_dict() if self.witness else None,
             "certificate": self.certificate.to_dict() if self.certificate else None,
-            "restriction": self.restriction,
             "error": self.error,
         }
 
@@ -747,10 +712,8 @@ def _analyze_one(family: CurveFamily, idx: int, theta: dict,
     except Exception as exc:
         return SampleReport(idx, theta, "error", error=f"{type(exc).__name__}: {exc}")
     if decision.admissible:
-        restriction = restriction_residual(P, Q, decision.certificate.W)
         return SampleReport(idx, theta, "admissible",
-                            certificate=decision.certificate,
-                            restriction=restriction)
+                            certificate=decision.certificate)
     return SampleReport(idx, theta, "not_admissible", witness=decision.witness)
 
 

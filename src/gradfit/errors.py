@@ -55,11 +55,12 @@ class GradientVanishesAtSample(GradfitError):
 
 
 class DegenerateData(GradfitError):
-    """Linear initializer normal matrix is singular (e.g. collinear data)."""
+    """No closed-form circle start: too few, collinear or coincident points,
+    or moments whose rounding could move Pratt's circle too far."""
 
 
 class ImaginaryRadius(GradfitError):
-    """Linear circle initializer produced a non-positive squared radius."""
+    """Pratt's closed-form circle has a non-positive squared radius."""
 
 
 class ParseError(GradfitError):

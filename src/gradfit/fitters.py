@@ -11,7 +11,7 @@ Four fitting routines around one damped-Newton core:
   whose rounding could move the circle by more than 1e-6 R.
 * ``fit_circle_geometric`` damped Gauss-Newton on the signed distance
   residuals sqrt((x-a)^2+(y-b)^2) - R; the O(kn) baseline. It starts from
-  ``kasa_init``, which needs only degree-3 moments.
+  ``pratt_init`` on the degree-4 moments about the points' centroid.
 * ``fit_conic_reweight``   gradient-weighted algebraic conic fit by weight
   freezing: eigenvector steps on the weighted scatter matrix with weights
   1/|grad P|^2 recomputed between steps, on centred and scaled points;
@@ -70,7 +70,6 @@ __all__ = [
     "fit_circle_geometric",
     "fit_conic_reweight",
     "fit_reduced_generic",
-    "kasa_init",
     "pratt_init",
 ]
 
@@ -78,7 +77,6 @@ _CERT_ACCEPT = 1e-8
 # the generic objective's rounding bound per unit of sum |w| (|T| |p| |p|);
 # its measured rounding errors stay below a quarter of eps times that sum
 _CERT_ROUNDING = 16.0 * np.finfo(float).eps
-_KASA_COND_LIMIT = 1e14
 # the moment circle fits refuse moments whose rounding could move Pratt's
 # circle by more than this fraction of R
 _ROUNDING_TOL = 1e-6
@@ -216,9 +214,13 @@ def _fa_val_grad_hess(z, n, a, b, R):
     E_b = z3 + 2.0 * b * z5 + a * z6 + c * z9 + 2.0 * b * T
     E_R = -2.0 * R * T
     R2 = R * R
-    if R2 * R2 == 0.0:
-        # R^4 underflows: numpy divides by it to inf or nan, floats raise
-        R2 = np.float64(R2)
+    if R2 * R2 == 0.0 and not isinstance(R2, np.float64):
+        # R^4 underflows, and floats raise on dividing by it: numpy scalars
+        # divide to the inf or nan the driver refuses, here without warnings
+        with np.errstate(all="ignore"):
+            F, grad, hess = _fa_val_grad_hess(z, n, a, b, np.float64(R))
+            H = hess()
+        return F, grad, lambda: H
     R3 = R2 * R
     F = E / R2
     grad = np.array([E_a / R2, E_b / R2, E_R / R2 - 2.0 * E / R3])
@@ -385,38 +387,6 @@ def _result(family: str, params, run: _Run, data_passes: int,
 # ---------------------------------------------------------------------------
 
 
-def kasa_init(mv: MomentVector) -> CircleParams:
-    """Linear least-squares circle: solve x^2+y^2+ax+by+g ~ 0 in the normal
-    equations assembled from moments, then complete the square."""
-    n = mv.n
-    if n < 3:
-        raise DegenerateData(f"need at least 3 points, got {n}")
-
-    def m(p, q):
-        return float(mv.entry(p, q))
-
-    M = np.array([
-        [m(2, 0), m(1, 1), m(1, 0)],
-        [m(1, 1), m(0, 2), m(0, 1)],
-        [m(1, 0), m(0, 1), float(n)],
-    ])
-    rhs = -np.array([m(3, 0) + m(1, 2), m(2, 1) + m(0, 3), m(2, 0) + m(0, 2)])
-    # equilibrated by its diagonal, so the test is free of the data's scale
-    d = np.sqrt(np.abs(np.diag(M)))
-    cond = np.linalg.cond(M / np.outer(d, d)) if np.all(d > 0.0) else math.inf
-    if not math.isfinite(cond) or cond > _KASA_COND_LIMIT:
-        raise DegenerateData("normal matrix is singular (collinear or "
-                             "coincident samples)")
-    alpha, beta, gamma = np.linalg.solve(M, rhs)
-    a = -0.5 * alpha
-    b = -0.5 * beta
-    r2 = a * a + b * b - gamma
-    if r2 <= 0.0:
-        raise ImaginaryRadius(f"completed square gives R^2 = {r2}")
-    ox, oy = mv.offset
-    return CircleParams(a + ox, b + oy, math.sqrt(r2))
-
-
 def _pratt(Mxx, Myy, Mxy, Mxz, Myz, Mzz):
     """Centre (about the centroid) and radius of Pratt's circle from the
     mean central moments; see ``pratt_init``."""
@@ -570,7 +540,7 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
         init = _circle_start(cfg.init)
     else:
         centroid = (float(x.mean()), float(y.mean()))
-        init = kasa_init(MomentVector.from_points(pts, 3, offset=centroid))
+        init = pratt_init(MomentVector.from_points(pts, 4, offset=centroid))
     ones = np.ones(n)
 
     def fun(th):

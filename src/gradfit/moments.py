@@ -393,6 +393,8 @@ class MomentVector:
                 mv._frac[i] = Fraction(int(num), int(den))
             else:
                 mv._sum[i] = float(val)
+                if not math.isfinite(mv._sum[i]):
+                    raise ValueError(f"moment {key} is not finite: {val}")
         missing = [k for k in mv._keys if k not in seen]
         if missing:
             raise ValueError(f"moment {missing[0]} is missing")

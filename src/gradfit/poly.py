@@ -35,20 +35,25 @@ COEFF_EQ_TOL = 1e-12
 NEG_INF = float("-inf")
 
 
-def _to_exact(c) -> Fraction:
+def _to_exact(c, term) -> Fraction:
     if isinstance(c, Rational):
         return Fraction(c)
     if isinstance(c, float):
-        return Fraction(c)  # exact: floats are dyadic rationals
+        return Fraction(_to_float(c, term))  # exact: floats are dyadic
     raise TypeError(f"unsupported coefficient type {type(c)!r}")
 
 
-def _to_float(c) -> float:
+def _to_float(c, term) -> float:
+    """c as a float; NonFiniteValue naming the term (p, q) if not finite."""
     if isinstance(c, complex):
         if c.imag != 0.0:
             raise TypeError("float mode supports real coefficients only")
         c = c.real
-    return float(c)
+    c = float(c)
+    if not math.isfinite(c):
+        raise NonFiniteValue(f"coefficient of x^{term[0]}*y^{term[1]} is "
+                             f"not finite: {c}")
+    return c
 
 
 class BivariatePoly:
@@ -66,7 +71,7 @@ class BivariatePoly:
             p, q = int(p), int(q)
             if p < 0 or q < 0:
                 raise ValueError("exponents must be nonnegative")
-            cc = conv(c)
+            cc = conv(c, (p, q))
             if cc != 0:
                 clean[(p, q)] = cc
         object.__setattr__(self, "terms", clean)
@@ -125,12 +130,12 @@ class BivariatePoly:
     def to_float(self) -> "BivariatePoly":
         if not self.exact:
             return self
-        return BivariatePoly({k: _to_float(c) for k, c in self.terms.items()}, exact=False)
+        return BivariatePoly({k: _to_float(c, k) for k, c in self.terms.items()}, exact=False)
 
     def to_exact(self) -> "BivariatePoly":
         if self.exact:
             return self
-        return BivariatePoly({k: _to_exact(c) for k, c in self.terms.items()}, exact=True)
+        return BivariatePoly({k: _to_exact(c, k) for k, c in self.terms.items()}, exact=True)
 
     # -- arithmetic ---------------------------------------------------------
 

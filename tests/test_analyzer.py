@@ -15,7 +15,6 @@ from gradfit.analyzer import (
     decide_reduction,
     default_degree_bound,
     find_common_zero,
-    restriction_residual,
     solve_nullstellensatz,
     verify_certificate,
     _solve_exact_at,
@@ -281,35 +280,6 @@ def test_verify_certificate_detects_perturbation():
     assert verify_certificate(P, Q, broken) == 4.0
 
 
-def test_restriction_equals_reciprocal_weight_on_curve():
-    P = circle_poly(1, -2, 3)
-    Q = gradient_norm_squared(P)
-    cert = solve_nullstellensatz(P, Q, 9)
-    gap = restriction_residual(P, Q, cert.W)
-    assert gap is not None and gap <= 1e-8
-
-
-@pytest.mark.parametrize("family, theta, plain, tilted", [
-    ("circle", {"a": 0.5, "b": -0.375, "R": 1.75},
-     6.661338147750939e-16, 1.8375000000000001),
-    ("circle", {"a": -1.25, "b": 2.0, "R": 0.625},
-     5.773159728050814e-15, 0.35156250000000144),
-    ("line", {"u": 0.6, "v": 0.8, "w": -0.5}, 0.0, 0.375),
-    ("line", {"u": -1.5, "v": 0.25, "w": 2.0}, 0.0, 0.8671875),
-])
-def test_restriction_residual_matches_reference_values(family, theta, plain,
-                                                       tilted):
-    # values of the BivariatePoly-evaluated version: the dense port samples
-    # the same curve points; the tilted weight W + x/8 makes the maximum
-    # depend on which points those are
-    P = get_family(family).poly(theta, exact=True)
-    Q = gradient_norm_squared(P)
-    W = decide_reduction(P, Q).certificate.W
-    assert restriction_residual(P, Q, W) == pytest.approx(plain, abs=1e-12)
-    assert restriction_residual(P, Q, W + X * Fraction(1, 8)) == \
-        pytest.approx(tilted, abs=1e-12)
-
-
 # -- combined decision ------------------------------------------------------
 
 def test_decide_circle_admissible():
@@ -377,7 +347,6 @@ def test_analyze_circle_family():
         assert s.certificate.W == BivariatePoly.constant(1 / (4 * R * R))
         assert s.certificate.U == BivariatePoly.constant(-1 / (R * R))
         assert s.certificate.identity_residual == 0.0
-        assert s.restriction is not None and s.restriction <= 1e-8
 
 
 def test_analyze_ellipse_family():

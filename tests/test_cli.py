@@ -164,9 +164,13 @@ def test_fit_malformed_moment_file_is_parse_error(tmp_path, capsys, text):
     assert out == ""
 
 
-@pytest.mark.parametrize("edit", ["missing", "duplicate", "above-degree"])
+@pytest.mark.parametrize("edit, algo", [
+    ("missing", "reduced"), ("duplicate", "reduced"),
+    ("above-degree", "reduced"), ("infinite", "reduced"),
+    ("nan", "generic"),
+], ids=["missing", "duplicate", "above-degree", "infinite", "nan"])
 def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
-                                                         capsys, edit):
+                                                         capsys, edit, algo):
     mfile = tmp_path / "m.json"
     rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
     assert rc == 0
@@ -175,10 +179,14 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
         blob["entries"] = [e for e in blob["entries"] if e[:2] != [1, 2]]
     elif edit == "duplicate":
         blob["entries"].append([1, 2, 0.0])
-    else:
+    elif edit == "above-degree":
         blob["entries"].append([5, 0, 0.0])
+    else:  # written as Infinity or NaN, which json reads back
+        value = float("inf") if edit == "infinite" else float("nan")
+        blob["entries"] = [e[:2] + [value] if e[:2] == [1, 2] else e
+                           for e in blob["entries"]]
     mfile.write_text(json.dumps(blob))
-    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile), "--algo", algo)
     assert rc == 3
     assert err.startswith("error:") and "not a moment file" in err
     assert out == ""

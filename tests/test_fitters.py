@@ -16,7 +16,6 @@ from gradfit.errors import (
     DegenerateData,
     DegreeMismatch,
     GradientVanishesAtSample,
-    ImaginaryRadius,
     InvalidRadius,
     InvalidSpec,
     NoCircle,
@@ -33,7 +32,6 @@ from gradfit.fitters import (
     fit_circle_reduced,
     fit_conic_reweight,
     fit_reduced_generic,
-    kasa_init,
     pratt_init,
     _CertObjective,
 )
@@ -164,60 +162,6 @@ def test_gradient_matches_central_differences():
         worst = max(worst, float(np.max(np.abs(grad - fd)
                                         / (1.0 + np.abs(fd)))))
     assert worst < 1e-6
-
-
-# -- linear initializer ------------------------------------------------------
-
-
-def test_kasa_exact_circle_points():
-    pts = circle_points(1.0, -2.0, 3.0, 20)
-    p = kasa_init(centered_mv(pts))
-    assert p.a == pytest.approx(1.0, abs=1e-12)
-    assert p.b == pytest.approx(-2.0, abs=1e-12)
-    assert p.R == pytest.approx(3.0, abs=1e-12)
-
-
-def test_kasa_three_points_is_circumcircle():
-    # oracle: circumcenter from two perpendicular bisectors
-    tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
-    p = kasa_init(MomentVector.from_points(tri, 3))
-    ax, ay = tri[0]
-    bx, by = tri[1]
-    cx, cy = tri[2]
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    ux = ((ax ** 2 + ay ** 2) * (by - cy) + (bx ** 2 + by ** 2) * (cy - ay)
-          + (cx ** 2 + cy ** 2) * (ay - by)) / d
-    uy = ((ax ** 2 + ay ** 2) * (cx - bx) + (bx ** 2 + by ** 2) * (ax - cx)
-          + (cx ** 2 + cy ** 2) * (bx - ax)) / d
-    r = math.hypot(ax - ux, ay - uy)
-    assert p.a == pytest.approx(ux, abs=1e-10)
-    assert p.b == pytest.approx(uy, abs=1e-10)
-    assert p.R == pytest.approx(r, abs=1e-10)
-
-
-def test_kasa_collinear_degenerate():
-    xs = np.linspace(0.0, 1.0, 12)
-    pts = np.column_stack([xs, 2.0 * xs - 0.3])
-    with pytest.raises(DegenerateData):
-        kasa_init(centered_mv(pts))
-
-
-def test_kasa_too_few_points():
-    with pytest.raises(DegenerateData):
-        kasa_init(MomentVector.from_points([(0.0, 0.0), (1.0, 0.0)], 3))
-
-
-def test_kasa_imaginary_radius_on_tampered_moments():
-    # real data cannot produce a nonpositive completed square (the residuals
-    # would all be positive yet must sum to zero), so doctor the accumulator
-    mv = MomentVector.from_points(circle_points(0.0, 0.0, 1.0, 8), 3)
-    blob = mv.to_dict()
-    entries = {(p, q): v for p, q, v in blob["entries"]}
-    entries[(2, 0)] = -1.0
-    entries[(0, 2)] = -1.0
-    blob["entries"] = [[p, q, v] for (p, q), v in entries.items()]
-    with pytest.raises(ImaginaryRadius):
-        kasa_init(MomentVector.from_dict(blob))
 
 
 # -- reduced circle fit ------------------------------------------------------
@@ -581,8 +525,7 @@ def test_geometric_recovers_exact_circle():
 
 @pytest.mark.parametrize("R", [1e-7, 1e7, 1e8])
 def test_geometric_fits_a_clean_circle_at_any_scale(R):
-    # Kasa's start tested the unscaled normal matrix, whose condition
-    # number grows like R^2 or 1/R^2
+    # the start's degeneracy tests are relative to the data's own scale
     res = fit_circle_geometric(circle_points(3.0 * R, 0.0, R, 50))
     assert res.converged
     p = res.params
@@ -644,6 +587,17 @@ def test_geometric_starts_from_config_init(start):
     pts = circle_points(0.0, 0.0, 1.0, 40, noise=0.01, seed=5)
     res = fit_circle_geometric(pts, cfg=FitConfig(init=start))
     assert res.diagnostics["init"] == {"a": 0.2, "b": -0.1, "R": 1.3}
+    assert res.converged
+
+
+def test_geometric_starts_from_pratt_init_about_the_centroid():
+    # a noisy short arc far from the origin, where Pratt's circle differs
+    # from the other algebraic fits
+    t = np.random.default_rng(9).uniform(0.0, 0.5, 60)
+    pts = np.column_stack([40.0 + 2.0 * np.cos(t), -25.0 + 2.0 * np.sin(t)])
+    pts += np.random.default_rng(10).normal(scale=0.02, size=pts.shape)
+    res = fit_circle_geometric(pts)
+    assert res.diagnostics["init"] == pratt_init(centered_mv(pts)).to_dict()
     assert res.converged
 
 

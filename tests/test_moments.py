@@ -458,7 +458,9 @@ def _blob_without(key=None, extra=None):
     (_blob_without(key=(1, 2)), "(1, 2)"),
     (_blob_without(extra=[2, 2, 7.0]), "(2, 2)"),
     (_blob_without(extra=[3, 2, 1.0]), "(3, 2)"),
-], ids=["missing", "duplicate", "above-degree"])
+    (_blob_without(key=(1, 2), extra=[1, 2, math.inf]), "(1, 2)"),
+    (_blob_without(key=(0, 3), extra=[0, 3, math.nan]), "(0, 3)"),
+], ids=["missing", "duplicate", "above-degree", "infinite", "nan"])
 def test_from_dict_requires_every_moment_once(blob, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         MomentVector.from_dict(blob)

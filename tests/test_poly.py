@@ -461,6 +461,13 @@ def test_parse_refuses_non_finite_coefficients(text, exact):
         parse_poly(text, exact=exact)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("exact", [False, True])
+def test_non_finite_coefficients_are_refused(value, exact):
+    with pytest.raises(NonFiniteValue, match=r"x\^2\*y\^0"):
+        BivariatePoly({(2, 0): value, (0, 2): 1.0, (0, 0): -1.0}, exact=exact)
+
+
 def test_format_canonical_order():
     P = BivariatePoly({(0, 0): -1, (0, 2): 1, (2, 0): 1})
     assert format_poly(P) == "1 x^2 + 1 y^2 - 1"
