@@ -23,8 +23,8 @@ from .fitters import (CircleParams, ConicParams, FitConfig, FitResult,
                       fit_circle_reduced, fit_conic_reweight,
                       fit_reduced_generic, pratt_init)
 from .moments import MomentVector, merge
-from .poly import (BivariatePoly, SimilarityTransform, format_poly,
-                   gradient_norm_squared, parse_poly)
+from .poly import (BivariatePoly, format_poly, gradient_norm_squared,
+                   parse_poly)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "MomentVector",
     "ReductionCertificate",
     "ReductionDecision",
-    "SimilarityTransform",
     "SyntheticSpec",
     "analyze_family",
     "decide_reduction",

@@ -41,6 +41,8 @@ from .poly import (
     dense_resultant,
     format_poly,
     gradient_norm_squared,
+    monomial_index,
+    monomials,
     structural_trim,
     sylvester_dets,
 )
@@ -383,13 +385,6 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def monomials(d: int) -> tuple[tuple[int, int], ...]:
-    """The exponents (p, q) of x^p y^q with p + q <= d, in lexicographic
-    order: the basis of a coefficient vector of a polynomial of degree d."""
-    return tuple((p, q) for p in range(d + 1) for q in range(d + 1 - p))
-
-
 def _row(p: int, q: int) -> int:
     """Row of x^p y^q: rows run by total degree, so the rows of a system of
     lower row degree are a prefix of a higher one's."""
@@ -461,7 +456,7 @@ def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
 
 def coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
     """P's coefficient vector on ``monomials(degree)``."""
-    index = {mn: i for i, mn in enumerate(monomials(degree))}
+    index = monomial_index(degree)
     if exact:
         vec = np.full(len(index), Fraction(0), dtype=object)
     else:

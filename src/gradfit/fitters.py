@@ -43,8 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analyzer import (ReductionCertificate, certificate_layout,
-                       coefficients, monomials)
+from .analyzer import ReductionCertificate, certificate_layout, coefficients
 from .errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -59,6 +58,7 @@ from .errors import (
 )
 from .families import CurveFamily, get_family
 from .moments import MomentVector
+from .poly import monomial_index, monomials
 
 __all__ = [
     "CircleParams",
@@ -755,8 +755,8 @@ def _objective_shape(deg: int, degree: int) -> _ObjectiveShape:
     for gamma the certificate's monomials."""
     alpha = monomials(deg)
     layout = certificate_layout(deg, 2 * deg - 2, degree)
-    beta = {mn: i for i, mn in enumerate(monomials(deg - 1))}
-    kappa = {mn: i for i, mn in enumerate(monomials(2 * deg - 2))}
+    beta = monomial_index(deg - 1)
+    kappa = monomial_index(2 * deg - 2)
     D = np.zeros((2, len(beta), len(alpha)))
     for i, (a, e) in enumerate(alpha):
         if a:
@@ -768,7 +768,7 @@ def _objective_shape(deg: int, degree: int) -> _ObjectiveShape:
         for (a2, e2), j in beta.items():
             prod[kappa[a1 + a2, e1 + e2], i, j] = 1.0
     keys = monomials(degree + 2 * deg)
-    index = {key: i for i, key in enumerate(keys)}
+    index = monomial_index(degree + 2 * deg)
     at = np.array([[[index[g0 + a0 + b0, g1 + a1 + b1] for b0, b1 in alpha]
                     for a0, a1 in alpha] for g0, g1 in layout.cols])
     return _ObjectiveShape(layout, np.einsum("cia,kij,cjb->kab", D, prod, D),

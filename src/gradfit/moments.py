@@ -21,12 +21,12 @@ import functools
 import json
 import math
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegreeMismatch, InvalidSpec, NonFiniteInput
+from .poly import monomial_index, monomials
 
 _CHUNK = 1 << 16
 # chunks of at most this many points form all (D+1)^2 products u^p v^q in
@@ -46,27 +46,14 @@ _EPS = 2.0 ** -52
 _CENTRAL_ROUNDING = 32.0
 
 
-class _Layout(NamedTuple):
-    """Where each moment of one total degree lives; shared by every
-    accumulator of that degree, so nothing in it can be changed."""
-
-    keys: tuple          # the (p, q) with p + q <= D, lexicographic
-    index: Mapping       # (p, q) -> position in ``keys``
-    square: np.ndarray   # position of each key in a flat (D+1)^2 block
-
-
 @functools.cache
-def _layout(D: int) -> _Layout:
-    keys = tuple((p, q) for p in range(D + 1) for q in range(D + 1 - p))
-    square = np.array([p * (D + 1) + q for p, q in keys], dtype=np.intp)
+def _square_at(D: int) -> np.ndarray:
+    """The position of each of ``monomials(D)`` in a flat (D+1)^2 block of
+    products u^p v^q; shared by every accumulator of degree D, so read-only."""
+    square = np.array([p * (D + 1) + q for p, q in monomials(D)],
+                      dtype=np.intp)
     square.flags.writeable = False
-    return _Layout(keys, MappingProxyType({k: i for i, k in enumerate(keys)}),
-                   square)
-
-
-def moment_keys(D: int) -> list[tuple[int, int]]:
-    """All (p, q) with p+q <= D in lexicographic order."""
-    return list(_layout(D).keys)
+    return square
 
 
 def _circle_z(x, y, xx, yy, xy, xs, ys, ss) -> tuple:
@@ -126,9 +113,8 @@ class MomentVector:
         self.offset = (float(ox), float(oy))
         self.exact = bool(exact)
         self.n = 0
-        layout = _layout(self.max_total_degree)
-        self._keys = layout.keys
-        self._index = layout.index
+        self._keys = monomials(self.max_total_degree)
+        self._index = monomial_index(self.max_total_degree)
         if exact:
             self._frac = [Fraction(0)] * len(self._keys)
             self._sum = self._comp = None
@@ -186,7 +172,7 @@ class MomentVector:
         D = self.max_total_degree
         n = xy.shape[1]
         offset = np.array(self.offset).reshape(2, 1)
-        square_at = _layout(D).square
+        square_at = _square_at(D)
         width, K = min(n, _CHUNK), len(self._keys)
         # one allocation for the power block and the product rows: as two,
         # malloc gave their pages back and faulted them in again on every
@@ -375,9 +361,9 @@ class MomentVector:
     def from_dict(cls, d: dict) -> "MomentVector":
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"not a {FORMAT_TAG} record")
-        mv = cls(int(d["max_total_degree"]), offset=tuple(d["offset"]),
-                 exact=bool(d["exact"]))
-        mv.n = int(d["n"])
+        mv = cls(_field(d, "max_total_degree", int),
+                 offset=tuple(d["offset"]), exact=_field(d, "exact", bool))
+        mv.n = _field(d, "n", int)
         seen = set()
         for p, q, val in d["entries"]:
             key = (int(p), int(q))
@@ -413,6 +399,16 @@ class MomentVector:
     def __repr__(self):
         return (f"MomentVector(D={self.max_total_degree}, n={self.n}, "
                 f"offset={self.offset}, exact={self.exact})")
+
+
+def _field(d: dict, name: str, kind: type):
+    """The record's field ``name``: a JSON boolean if ``kind`` is bool, an
+    integer >= 0 if it is int (by exact type, as True is an int too)."""
+    value = d[name]
+    if type(value) is not kind or (kind is int and value < 0):
+        want = "true or false" if kind is bool else "an integer >= 0"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return value
 
 
 def merge(a: MomentVector, b: MomentVector) -> MomentVector:

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -397,103 +399,21 @@ def univariate_coeffs(P: BivariatePoly, var: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# similarity transforms
+# monomial basis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Composition of mirror (across the x-axis, applied first), rotation,
-    uniform scaling by a nonzero factor, then translation."""
-
-    angle: float = 0.0
-    scale: float = 1.0
-    tx: float = 0.0
-    ty: float = 0.0
-    mirror: bool = False
-
-    def __post_init__(self):
-        if self.scale == 0.0:
-            raise ValueError("scale must be nonzero")
-
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls()
-
-    @classmethod
-    def translation(cls, tx: float, ty: float) -> "SimilarityTransform":
-        return cls(tx=tx, ty=ty)
-
-    @classmethod
-    def scaling(cls, c: float) -> "SimilarityTransform":
-        return cls(scale=c)
-
-    @classmethod
-    def rotation(cls, angle: float) -> "SimilarityTransform":
-        return cls(angle=angle)
-
-    def linear_matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        cs, sn = math.cos(self.angle), math.sin(self.angle)
-        mu = -1.0 if self.mirror else 1.0
-        c = self.scale
-        return ((c * cs, -c * sn * mu), (c * sn, c * cs * mu))
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        (axx, axy), (ayx, ayy) = self.linear_matrix()
-        return (axx * x + axy * y + self.tx, ayx * x + ayy * y + self.ty)
-
-    def inverse(self) -> "SimilarityTransform":
-        ang = self.angle if self.mirror else -self.angle
-        inv = SimilarityTransform(angle=ang, scale=1.0 / self.scale, mirror=self.mirror)
-        (axx, axy), (ayx, ayy) = inv.linear_matrix()
-        return SimilarityTransform(
-            angle=ang,
-            scale=1.0 / self.scale,
-            mirror=self.mirror,
-            tx=-(axx * self.tx + axy * self.ty),
-            ty=-(ayx * self.tx + ayy * self.ty),
-        )
-
-    def compose(self, inner: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform equal to applying ``inner`` first, then ``self``."""
-        angle = self.angle + (-inner.angle if self.mirror else inner.angle)
-        t1x, t1y = self.apply(inner.tx, inner.ty)
-        return SimilarityTransform(
-            angle=angle,
-            scale=self.scale * inner.scale,
-            mirror=self.mirror ^ inner.mirror,
-            tx=t1x,
-            ty=t1y,
-        )
+@lru_cache(maxsize=64)
+def monomials(d: int) -> tuple[tuple[int, int], ...]:
+    """The exponents (p, q) of x^p y^q with p + q <= d, lexicographic: the
+    basis of coefficient vectors of degree d and of moment sums to degree d."""
+    return tuple((p, q) for p in range(d + 1) for q in range(d + 1 - p))
 
 
-def apply_transform(P: BivariatePoly, T: SimilarityTransform) -> BivariatePoly:
-    """The polynomial in transformed coordinates: composes P with the inverse map.
-
-    Exact polynomials stay exact: every float entry of the map is a dyadic
-    rational and converts without rounding.
-    """
-    inv = T.inverse()
-    (axx, axy), (ayx, ayy) = inv.linear_matrix()
-    bx, by = inv.tx, inv.ty
-    exact = P.exact
-    xs = BivariatePoly({(1, 0): axx, (0, 1): axy, (0, 0): bx}, exact=exact)
-    ys = BivariatePoly({(1, 0): ayx, (0, 1): ayy, (0, 0): by}, exact=exact)
-    max_p = max((k[0] for k in P.terms), default=0)
-    max_q = max((k[1] for k in P.terms), default=0)
-    xpow = _power_table(xs, max_p, exact)
-    ypow = _power_table(ys, max_q, exact)
-    acc = BivariatePoly.zero(exact=exact)
-    for (p, q), c in P.terms.items():
-        acc = acc + xpow[p] * ypow[q] * c
-    return acc
-
-
-def _power_table(base: BivariatePoly, n: int, exact: bool) -> list[BivariatePoly]:
-    table = [BivariatePoly.constant(1, exact=exact)]
-    for _ in range(n):
-        table.append(table[-1] * base)
-    return table
+@lru_cache(maxsize=64)
+def monomial_index(d: int) -> Mapping[tuple[int, int], int]:
+    """(p, q) -> its position in ``monomials(d)``; shared, so read-only."""
+    return MappingProxyType({k: i for i, k in enumerate(monomials(d))})
 
 
 # ---------------------------------------------------------------------------

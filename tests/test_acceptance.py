@@ -20,8 +20,7 @@ from gradfit.fitters import (CircleParams, eval_Fa_circle,
                              fit_circle_geometric, fit_circle_reduced,
                              _CertObjective, _fa_val_grad_hess)
 from gradfit.moments import MomentVector
-from gradfit.poly import (BivariatePoly, SimilarityTransform, apply_transform,
-                          gradient_norm_squared)
+from gradfit.poly import BivariatePoly, gradient_norm_squared
 
 
 def _report(capsys, num, label, ok, t0, detail=""):
@@ -266,7 +265,7 @@ def test_criterion_6_monte_carlo_accuracy(capsys):
 # -- criterion 7 ------------------------------------------------------------
 
 
-def test_criterion_7_verdicts_invariant_under_similarity(capsys):
+def test_criterion_7_verdicts_invariant_under_similarity(capsys, similar):
     t0 = time.perf_counter()
     rng = np.random.default_rng(31)
     problems = []
@@ -286,13 +285,12 @@ def test_criterion_7_verdicts_invariant_under_similarity(capsys):
             P = _random_poly(rng)
             if P.degree() <= 0:
                 continue
-        T = SimilarityTransform(angle=float(rng.uniform(-3, 3)),
-                                scale=float(rng.uniform(0.5, 2.0)),
-                                tx=float(rng.uniform(-1, 1)),
-                                ty=float(rng.uniform(-1, 1)),
-                                mirror=bool(rng.integers(2)))
+        Pt = similar(P, angle=float(rng.uniform(-3, 3)),
+                     scale=float(rng.uniform(0.5, 2.0)),
+                     tx=float(rng.uniform(-1, 1)),
+                     ty=float(rng.uniform(-1, 1)),
+                     mirror=bool(rng.integers(2)))
         before = find_common_zero(P, gradient_norm_squared(P)) is not None
-        Pt = apply_transform(P, T)
         after = find_common_zero(Pt, gradient_norm_squared(Pt)) is not None
         if before != after:
             problems.append(f"pair {done}: {before} -> {after}")

@@ -23,8 +23,6 @@ from gradfit.errors import BoundExhausted, DegenerateInput
 from gradfit.families import CurveFamily, get_family
 from gradfit.poly import (
     BivariatePoly,
-    SimilarityTransform,
-    apply_transform,
     gradient_norm_squared,
     parse_poly,
 )
@@ -318,13 +316,14 @@ def test_exclusivity_on_random_pairs():
         checked += 1
 
 
-def test_invariance_under_similarity_transforms():
+def test_invariance_under_similarity_transforms(similar):
     rng = np.random.default_rng(17)
     for _ in range(12):
         P = random_poly(rng, max_deg=2, nterms=5)
         if P.degree() <= 0:
             continue
-        T = SimilarityTransform(
+        Pt = similar(
+            P,
             angle=float(rng.uniform(-3, 3)),
             scale=float(rng.uniform(0.5, 2.0)),
             tx=float(rng.uniform(-1, 1)),
@@ -332,7 +331,6 @@ def test_invariance_under_similarity_transforms():
             mirror=bool(rng.integers(2)),
         )
         before = find_common_zero(P, gradient_norm_squared(P)) is not None
-        Pt = apply_transform(P, T)
         after = find_common_zero(Pt, gradient_norm_squared(Pt)) is not None
         assert before == after
 

@@ -192,6 +192,23 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", float("inf")), ("max_total_degree", 4.7), ("exact", "no"),
+])
+def test_fit_moment_file_with_bad_header_is_parse_error(tmp_path, capsys,
+                                                        field, value):
+    t = np.linspace(0.0, 6.0, 40)
+    blob = MomentVector(4, exact=True).extend(
+        0.3 + np.cos(t), -0.2 + np.sin(t)).to_dict()
+    blob[field] = value  # infinity is written as Infinity, which json reads
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 3
+    assert err.startswith("error:") and field in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("algo", ["reduced", "generic", "geometric", "reweight"])
 def test_fit_empty_input_exit(tmp_path, capsys, algo):
     empty = tmp_path / "empty.csv"
@@ -301,6 +318,26 @@ def test_analyze_circle_poly_certificate_values(capsys):
     assert blob["certificate"]["identity_residual"] == 0.0
 
 
+def test_analyze_poly_text_certificate(capsys):
+    rc, out, _ = run(capsys, "analyze", "1 x^2 + 1 y^2 - 1")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:4] == ["ADMISSIBLE", "certificate degree: 0", "U = -1",
+                         "W = 1/4"]
+    assert re.fullmatch(r"identity residual: \S+", lines[4])
+    assert len(lines) == 5
+
+
+def test_analyze_poly_text_witness(capsys):
+    rc, out, _ = run(capsys, "analyze", "1 x^2 + 2 y^2 - 1")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "NOT ADMISSIBLE"
+    assert re.fullmatch(r"witness: x = \S+, y = \S+", lines[1])
+    assert re.fullmatch(r"residuals: P \S+, Q \S+", lines[2])
+    assert len(lines) == 3
+
+
 def test_analyze_non_finite_coefficient_exit(capsys):
     rc, out, err = run(capsys, "analyze", "1e999 x^2 + 1 y^2 - 1")
     assert rc == 4
@@ -405,6 +442,20 @@ def test_bench_json_shape_and_exit(capsys):
     assert cells == {("reduced", 20), ("reduced", 50),
                      ("generic", 20), ("generic", 50),
                      ("reweight", 20), ("reweight", 50)}
+
+
+def test_bench_text_table(capsys):
+    rc, out, _ = run(capsys, "bench", "--n", "20", "50", "--reps", "5",
+                     "--seed", "3")
+    assert rc == 0
+    head, rule, *rows = out.splitlines()
+    assert head.split() == ["algorithm", "n", "accum[s]", "per-iter[s]",
+                            "iters", "total[s]", "objective"]
+    assert set(rule) == {"-"}
+    cells = {(r.split()[0], int(r.split()[1])) for r in rows}
+    assert len(rows) == 6 and cells == {
+        (algo, n) for algo in ("reduced", "generic", "reweight")
+        for n in (20, 50)}
 
 
 def test_bench_rejects_tiny_n(capsys):

@@ -11,20 +11,21 @@ from hypothesis import strategies as st
 
 from gradfit.errors import DegreeMismatch, InvalidSpec, NonFiniteInput
 from gradfit.moments import (_CHUNK, _SQUARE_MAX, MomentVector,
-                             _add_compensated, _layout, merge, moment_keys)
-from gradfit.poly import BivariatePoly
+                             _add_compensated, _square_at, merge)
+from gradfit.poly import BivariatePoly, monomial_index, monomials
 
 
 def test_keys_cover_total_degree_simplex():
-    keys = moment_keys(2)
-    assert keys == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    keys = monomials(2)
+    assert keys == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    assert [monomial_index(2)[k] for k in keys] == list(range(len(keys)))
 
 
 def test_single_point_powers_of_one_and_zero():
     mv = MomentVector(4).accumulate(1.0, 0.0)
     for p in range(5):
         assert mv.entry(p, 0) == 1.0
-    for (p, q) in moment_keys(4):
+    for (p, q) in monomials(4):
         if q > 0:
             assert mv.entry(p, q) == 0.0
     assert mv.entry(0, 0) == mv.n == 1
@@ -67,7 +68,7 @@ def test_merge_empty_is_identity():
     rng = np.random.default_rng(1)
     mv = MomentVector(3).extend(rng.normal(size=20), rng.normal(size=20))
     out = merge(mv, MomentVector(3))
-    for k in moment_keys(3):
+    for k in monomials(3):
         assert out.entry(*k) == pytest.approx(mv.entry(*k), rel=1e-15, abs=1e-15)
     assert out.n == mv.n
 
@@ -77,7 +78,7 @@ def test_merge_of_single_points_equals_two_point_accumulator():
     b = MomentVector(4).accumulate(2.5, 0.7)
     both = MomentVector(4).accumulate(0.3, -1.2).accumulate(2.5, 0.7)
     m = merge(a, b)
-    for k in moment_keys(4):
+    for k in monomials(4):
         assert m.entry(*k) == pytest.approx(both.entry(*k), rel=1e-14, abs=1e-14)
     assert m.n == 2
 
@@ -103,7 +104,7 @@ def test_merge_commutes_exactly_in_exact_mode(pts_a, pts_b):
     for x, y in pts_b:
         b.accumulate(x, y)
     ab, ba = merge(a, b), merge(b, a)
-    assert all(ab.entry(*k) == ba.entry(*k) for k in moment_keys(4))
+    assert all(ab.entry(*k) == ba.entry(*k) for k in monomials(4))
     assert ab.n == ba.n
 
 
@@ -114,7 +115,7 @@ def test_float_permutation_stability():
     fwd = MomentVector(4).extend(xs, ys)
     perm = rng.permutation(500)
     rev = MomentVector(4).extend(xs[perm], ys[perm])
-    for k in moment_keys(4):
+    for k in monomials(4):
         a, b = fwd.entry(*k), rev.entry(*k)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -199,20 +200,18 @@ def test_from_points_takes_pairs_a_single_pair_and_nothing():
 
 
 def test_layout_cannot_be_changed_through_a_caller():
-    keys = moment_keys(3)
-    keys.append((3, 1))
-    keys.reverse()
     used = MomentVector(3).extend([1.0, 2.0], [3.0, -1.0])
+    assert used._keys is monomials(3) and used._index is monomial_index(3)
     with pytest.raises(TypeError):
         used._index[(3, 1)] = 0
     with pytest.raises(TypeError):
         used._keys[0] = (3, 1)
     with pytest.raises(ValueError):
-        _layout(3).square[0] = 1
+        _square_at(3)[0] = 1
     used._sum[:] = 7.0
     fresh = MomentVector(3)
     want = [(p, q) for p in range(4) for q in range(4 - p)]
-    assert moment_keys(3) == want
+    assert list(monomials(3)) == want
     assert [(p, q) for p, q, _ in fresh.to_dict()["entries"]] == want
     assert all(v == 0.0 for _, _, v in fresh.to_dict()["entries"])
     with pytest.raises(DegreeMismatch):
@@ -227,7 +226,7 @@ def test_extend_matches_pointwise_accumulate():
     slow = MomentVector(4)
     for x, y in zip(xs, ys):
         slow.accumulate(x, y)
-    for k in moment_keys(4):
+    for k in monomials(4):
         a, b = bulk.entry(*k), slow.entry(*k)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -240,7 +239,7 @@ def test_exact_mode_is_order_independent():
         a.accumulate(x, y)
     for x, y in reversed(pts):
         b.accumulate(x, y)
-    assert all(a.entry(*k) == b.entry(*k) for k in moment_keys(4))
+    assert all(a.entry(*k) == b.entry(*k) for k in monomials(4))
     assert isinstance(a.entry(4, 0), Fraction)
 
 
@@ -321,7 +320,7 @@ def test_offset_shifts_the_accumulated_coordinates():
     for x, y in pts:
         centered.accumulate(x, y)
         plain.accumulate(x - 3.0, y - 5.0)
-    for k in moment_keys(4):
+    for k in monomials(4):
         assert centered.entry(*k) == pytest.approx(plain.entry(*k), abs=1e-12)
 
 
@@ -424,7 +423,7 @@ def test_roundtrip_float(tmp_path):
     back = MomentVector.load(path)
     assert back.n == mv.n
     assert back.offset == mv.offset
-    for k in moment_keys(4):
+    for k in monomials(4):
         assert back.entry(*k) == pytest.approx(mv.entry(*k), rel=1e-15)
 
 
@@ -463,4 +462,17 @@ def _blob_without(key=None, extra=None):
 ], ids=["missing", "duplicate", "above-degree", "infinite", "nan"])
 def test_from_dict_requires_every_moment_once(blob, named):
     with pytest.raises(ValueError, match=re.escape(named)):
+        MomentVector.from_dict(blob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", math.inf), ("n", 2.5), ("n", -5), ("n", True),
+    ("max_total_degree", math.inf), ("max_total_degree", 4.7),
+    ("exact", "no"), ("exact", 1),
+])
+def test_from_dict_requires_typed_header_fields(field, value):
+    blob = MomentVector(4, exact=True).extend([1.0, 2.0, 0.5],
+                                              [0.0, 1.5, -1.0]).to_dict()
+    blob[field] = value
+    with pytest.raises(ValueError, match=field):
         MomentVector.from_dict(blob)

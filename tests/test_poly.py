@@ -1,4 +1,4 @@
-"""Polynomial core: arithmetic, calculus, resultants, transforms, text form."""
+"""Polynomial core: arithmetic, calculus, resultants, text form."""
 
 import math
 import random
@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from gradfit.errors import DegenerateElimination, NonFiniteValue, ParseError
 from gradfit.poly import (
     BivariatePoly,
-    SimilarityTransform,
-    apply_transform,
     format_poly,
     gradient_norm_squared,
     parse_poly,
@@ -342,85 +340,6 @@ def test_float_power_resultant_keeps_small_coefficients(row, n, elim):
     assert len(have) == len(want)
     for w, h, b in zip(want, have, bound):
         assert abs(float(w) - h) <= 1e-12 * abs(b)
-
-
-# -- similarity transforms --------------------------------------------------
-
-def test_identity_transform_is_noop():
-    P = circle_poly(1, 2, 3)
-    assert apply_transform(P, SimilarityTransform.identity()) == P
-
-
-def test_translation_moves_circle_center():
-    P = circle_poly(0, 0, 1)
-    T = SimilarityTransform.translation(0.5, -3.0)
-    assert apply_transform(P, T) == circle_poly(Fraction(1, 2), Fraction(-3), 1)
-
-
-def test_scaling_divides_quadratic_coefficients():
-    P = 3 * X ** 2 + 5 * Y ** 2 + BivariatePoly.constant(7)
-    got = apply_transform(P, SimilarityTransform.scaling(2.0))
-    want = Fraction(3, 4) * X ** 2 + Fraction(5, 4) * Y ** 2 + BivariatePoly.constant(7)
-    assert got == want
-
-
-def test_transform_preserves_degree():
-    rng = random.Random(7)
-    for _ in range(10):
-        terms = {
-            (rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-2, 2) for _ in range(5)
-        }
-        P = BivariatePoly(terms, exact=False)
-        if P.is_zero():
-            continue
-        T = SimilarityTransform(
-            angle=rng.uniform(-math.pi, math.pi),
-            scale=rng.choice([0.5, 1.7, 3.0]),
-            tx=rng.uniform(-2, 2),
-            ty=rng.uniform(-2, 2),
-            mirror=rng.random() < 0.5,
-        )
-        assert apply_transform(P, T).degree() == P.degree()
-
-
-def test_transform_point_consistency():
-    # P'(T(v)) == P(v) for P' the polynomial in transformed coordinates
-    P = (X ** 2 * Y - 2 * X + Y ** 3 - 1).to_float()
-    T = SimilarityTransform(angle=0.7, scale=1.3, tx=0.2, ty=-0.4, mirror=True)
-    Pt = apply_transform(P, T)
-    for x, y in [(0.3, -0.8), (1.2, 0.5), (-0.1, 2.0)]:
-        xp, yp = T.apply(x, y)
-        assert abs(Pt.eval(xp, yp) - P.eval(x, y)) < 1e-9
-
-
-def test_transform_inverse_roundtrip():
-    P = (X ** 2 + 2 * X * Y - Y + 4).to_float()
-    T = SimilarityTransform(angle=-1.1, scale=0.6, tx=1.5, ty=-0.7, mirror=False)
-    assert apply_transform(apply_transform(P, T), T.inverse()) == P
-
-
-def test_transform_compose_associates_with_application():
-    P = (X ** 3 - Y ** 2 + 2).to_float()
-    S = SimilarityTransform(angle=0.4, scale=2.0, tx=0.1, ty=0.2, mirror=True)
-    T = SimilarityTransform(angle=-0.9, scale=0.5, tx=-1.0, ty=0.3, mirror=False)
-    via_compose = apply_transform(P, S.compose(T))
-    stepwise = apply_transform(apply_transform(P, T), S)
-    assert via_compose == stepwise
-
-
-def test_compose_matches_pointwise_application():
-    S = SimilarityTransform(angle=0.4, scale=2.0, tx=0.1, ty=0.2, mirror=True)
-    T = SimilarityTransform(angle=-0.9, scale=0.5, tx=-1.0, ty=0.3, mirror=True)
-    C = S.compose(T)
-    for v in [(0.0, 0.0), (1.0, -2.0), (0.3, 0.7)]:
-        direct = S.apply(*T.apply(*v))
-        composed = C.apply(*v)
-        assert np.allclose(direct, composed, atol=1e-12)
-
-
-def test_zero_scale_rejected():
-    with pytest.raises(ValueError):
-        SimilarityTransform(scale=0.0)
 
 
 # -- text form --------------------------------------------------------------
