@@ -548,6 +548,11 @@ def _identity_residual(P, Q, U, W) -> float:
     return E.max_coeff_mag()
 
 
+def _check_degree_bound(max_degree) -> None:
+    if max_degree is not None and max_degree < 0:
+        raise InvalidSpec(f"max_degree must be >= 0, got {max_degree}")
+
+
 def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
     """Minimal-degree polynomials U, W with P*U + Q*W = 1, if any exist with
     total degree <= max_degree; None when the identity is infeasible that far.
@@ -557,10 +562,9 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
     from zero to locate the minimal degree. Exact (rational) inputs use
     fraction-free elimination and return the exact minimum-norm solution.
     """
+    _check_degree_bound(max_degree)
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("P and Q must be nonzero")
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     exact = P.exact and Q.exact
 
     if exact:
@@ -634,6 +638,7 @@ def decide_reduction(P: BivariatePoly, Q: BivariatePoly | None = None,
     neither a witness nor a certificate materializes — an inconclusive state
     distinct from both definite answers.
     """
+    _check_degree_bound(max_degree)
     if Q is None:
         Q = gradient_norm_squared(P)
     if max_degree is None:
@@ -725,6 +730,7 @@ def analyze_family(family, samples: int, rng=None,
         family = get_family(family)
     if samples < 1:
         raise InvalidSpec(f"samples must be at least 1, got {samples}")
+    _check_degree_bound(max_degree)
     if rng is None:
         rng = np.random.default_rng(0)
     thetas = [family.sample_theta(rng) for _ in range(samples)]

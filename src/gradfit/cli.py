@@ -32,10 +32,10 @@ code  meaning
 12    DegreeMismatch
 13    CenterHitsDataPoint
 14    DegenerateInput / DegenerateElimination
+141   standard output closed before everything was written
+      (broken pipe, as in ``gradfit generate ... | head``)
 ====  =======================================================
 
-``GRADFIT_SEED`` provides the default seed wherever ``--seed`` is accepted;
-a value that is not an integer is a usage error.
 Structured output (``--json``) is byte-identical across runs with the same
 seed and flags, apart from the ``*_seconds`` timing fields.
 """
@@ -49,7 +49,7 @@ import sys
 
 import numpy as np
 
-from .analyzer import analyze_family, circle_certificate, decide_reduction
+from .analyzer import analyze_family, decide_reduction
 from .bench import run_bench
 from .datagen import SyntheticSpec, generate, ingest, write_points
 from .errors import (BoundExhausted, CenterHitsDataPoint, DegenerateData,
@@ -58,9 +58,8 @@ from .errors import (BoundExhausted, CenterHitsDataPoint, DegenerateData,
                      InvalidRadius, InvalidSpec, NoCircle, NonFiniteInput,
                      NonFiniteValue, NumericalFailure, ParseError)
 from .families import FAMILIES, get_family
-from .fitters import (CircleParams, FitConfig, fit_circle_geometric,
-                      fit_circle_reduced, fit_conic_reweight,
-                      fit_reduced_generic)
+from .fitters import (FitConfig, fit_circle_geometric, fit_circle_reduced,
+                      fit_conic_reweight)
 from .moments import MomentVector
 from .poly import format_poly, parse_poly
 
@@ -84,6 +83,7 @@ _EXIT_CODES = {
 }
 
 EXIT_NOT_CONVERGED = 7
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -91,18 +91,6 @@ def exit_code_for(exc: BaseException) -> int:
         if cls in _EXIT_CODES:
             return _EXIT_CODES[cls]
     return 1
-
-
-def _default_seed():
-    raw = os.environ.get("GRADFIT_SEED")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"error: GRADFIT_SEED must be an integer, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def _emit_json(obj) -> None:
@@ -145,11 +133,8 @@ def _fit_config(args) -> FitConfig:
 
 
 def cmd_fit(args) -> int:
-    needs_points = args.algo in ("geometric", "reweight")
-    mv = None
-    points = None
     if args.moments:
-        if needs_points:
+        if args.algo != "reduced":
             raise InvalidSpec(
                 f"--algo {args.algo} reads raw points, not a moment file")
         if args.input:
@@ -162,13 +147,11 @@ def cmd_fit(args) -> int:
             points = ingest(args.input)
         except OSError as exc:
             raise _cannot("read", args.input, exc) from None
+        mv = _accumulate(points, 4) if args.algo == "reduced" else None
 
-    if mv is None and args.algo in ("reduced", "generic"):
-        mv = _accumulate(points, 4)
     if args.save_moments:
         if mv is None:
-            raise InvalidSpec(
-                "--save-moments needs a moment-based algorithm (reduced, generic)")
+            raise InvalidSpec("--save-moments needs --algo reduced")
         try:
             mv.dump(args.save_moments)
         except OSError as exc:
@@ -177,9 +160,6 @@ def cmd_fit(args) -> int:
     cfg = _fit_config(args)
     if args.algo == "reduced":
         result = fit_circle_reduced(mv, cfg)
-    elif args.algo == "generic":
-        result = fit_reduced_generic(get_family("circle"),
-                                     circle_certificate(), mv, cfg)
     elif args.algo == "geometric":
         result = fit_circle_geometric(points, cfg=cfg)
     else:
@@ -308,8 +288,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = run_bench(args.n, repetitions=args.reps,
-                       seed=args.seed if args.seed is not None else 0,
+    report = run_bench(args.n, repetitions=args.reps, seed=args.seed,
                        sigma=args.sigma)
     if args.json:
         _emit_json(report.to_dict())
@@ -328,12 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gradfit",
         description="Gradient-weighted algebraic curve fitting tools.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
     p_fit = sub.add_parser("fit", help="fit a curve to points")
     p_fit.add_argument("input", nargs="?", help="CSV file of x,y lines")
     p_fit.add_argument("--algo", default="reduced",
-                       choices=("reduced", "geometric", "reweight", "generic"))
+                       choices=("reduced", "geometric", "reweight"))
     p_fit.add_argument("--moments", metavar="FILE",
                        help="fit from a saved moment file instead of points")
     p_fit.add_argument("--save-moments", metavar="FILE",
@@ -355,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--family", choices=sorted(FAMILIES))
     p_an.add_argument("--samples", type=int, default=5)
     p_an.add_argument("--max-degree", type=int, default=None)
-    p_an.add_argument("--seed", type=int, default=seed_default)
+    p_an.add_argument("--seed", type=int)
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -366,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=100)
     p_gen.add_argument("--sigma", type=float, default=0.0)
     p_gen.add_argument("--arc", type=float, nargs=2, metavar=("LO", "HI"))
-    p_gen.add_argument("--seed", type=int, default=seed_default)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--output", metavar="FILE")
     p_gen.add_argument("--json", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
@@ -377,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[1000, 10000, 100000])
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--sigma", type=float, default=0.01)
-    p_bench.add_argument("--seed", type=int, default=seed_default)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -390,11 +368,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except GradfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except BrokenPipeError:
+        # drop what is still buffered, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE

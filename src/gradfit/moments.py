@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -361,12 +362,19 @@ class MomentVector:
     def from_dict(cls, d: dict) -> "MomentVector":
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"not a {FORMAT_TAG} record")
+        offset = d["offset"]
+        if type(offset) is not list or len(offset) != 2:
+            raise ValueError(f"offset must be two numbers, got {offset!r}")
         mv = cls(_field(d, "max_total_degree", int),
-                 offset=tuple(d["offset"]), exact=_field(d, "exact", bool))
+                 offset=tuple(_number("offset", v) for v in offset),
+                 exact=_field(d, "exact", bool))
         mv.n = _field(d, "n", int)
         seen = set()
         for p, q, val in d["entries"]:
-            key = (int(p), int(q))
+            key = (p, q)
+            if not all(type(e) is int and e >= 0 for e in key):
+                raise ValueError(f"moment {key}: exponents must be integers "
+                                 f">= 0")
             i = mv._index.get(key)
             if i is None:
                 raise ValueError(f"moment {key} exceeds max_total_degree "
@@ -375,12 +383,13 @@ class MomentVector:
                 raise ValueError(f"moment {key} appears more than once")
             seen.add(key)
             if mv.exact:
-                num, den = str(val).split("/")
-                mv._frac[i] = Fraction(int(num), int(den))
+                ratio = re.fullmatch(r"(-?\d+)/(\d+)", str(val))
+                if ratio is None or int(ratio[2]) == 0:
+                    raise ValueError(f"moment {key} must be 'num/den' with "
+                                     f"den > 0, got {val!r}")
+                mv._frac[i] = Fraction(int(ratio[1]), int(ratio[2]))
             else:
-                mv._sum[i] = float(val)
-                if not math.isfinite(mv._sum[i]):
-                    raise ValueError(f"moment {key} is not finite: {val}")
+                mv._sum[i] = _number(f"moment {key}", val)
         missing = [k for k in mv._keys if k not in seen]
         if missing:
             raise ValueError(f"moment {missing[0]} is missing")
@@ -409,6 +418,19 @@ def _field(d: dict, name: str, kind: type):
         want = "true or false" if kind is bool else "an integer >= 0"
         raise ValueError(f"{name} must be {want}, got {value!r}")
     return value
+
+
+def _number(name: str, value) -> float:
+    """A finite number (a bool is not one) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} is not finite: {value!r}")
+    return x
 
 
 def merge(a: MomentVector, b: MomentVector) -> MomentVector:

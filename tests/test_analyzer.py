@@ -19,7 +19,7 @@ from gradfit.analyzer import (
     verify_certificate,
     _solve_exact_at,
 )
-from gradfit.errors import BoundExhausted, DegenerateInput
+from gradfit.errors import BoundExhausted, DegenerateInput, InvalidSpec
 from gradfit.families import CurveFamily, get_family
 from gradfit.poly import (
     BivariatePoly,
@@ -370,6 +370,18 @@ def test_analyze_line_family_is_admissible():
     for s in rep.samples:
         u, v = Fraction(s.theta["u"]), Fraction(s.theta["v"])
         assert s.certificate.W == BivariatePoly.constant(1 / (u * u + v * v))
+
+
+def test_negative_degree_bound_is_invalid_spec():
+    # refused before any work: the family report used to record it as a
+    # per-sample error, and the two solvers raised a bare ValueError
+    P = circle_poly(0, 0, 1)
+    Q = gradient_norm_squared(P)
+    for call in (lambda: decide_reduction(P, max_degree=-1),
+                 lambda: solve_nullstellensatz(P, Q, -1),
+                 lambda: analyze_family("circle", 2, max_degree=-1)):
+        with pytest.raises(InvalidSpec, match="max_degree"):
+            call()
 
 
 def test_analyze_family_records_errors_without_aborting():

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradfit import cli, errors
 from gradfit.cli import EXIT_NOT_CONVERGED, exit_code_for, main
+from gradfit.datagen import ingest
 from gradfit.moments import MomentVector
 from gradfit.errors import (BoundExhausted, CenterHitsDataPoint,
                             DegenerateData, DegenerateElimination,
@@ -58,7 +63,7 @@ def test_fit_reduced_exact_on_noiseless_data(tmp_path, capsys):
     assert blob["data_passes"] == 1
 
 
-@pytest.mark.parametrize("algo", ["reduced", "geometric", "reweight", "generic"])
+@pytest.mark.parametrize("algo", ["reduced", "geometric", "reweight"])
 def test_fit_all_algorithms_exit_zero(circle_csv, capsys, algo):
     rc, out, _ = run(capsys, "fit", circle_csv, "--algo", algo)
     assert rc == 0
@@ -164,29 +169,32 @@ def test_fit_malformed_moment_file_is_parse_error(tmp_path, capsys, text):
     assert out == ""
 
 
-@pytest.mark.parametrize("edit, algo", [
-    ("missing", "reduced"), ("duplicate", "reduced"),
-    ("above-degree", "reduced"), ("infinite", "reduced"),
-    ("nan", "generic"),
-], ids=["missing", "duplicate", "above-degree", "infinite", "nan"])
+@pytest.mark.parametrize("exact, entries", [
+    (False, []), (False, [[1, 2, 0.0], [1, 2, 0.0]]),
+    (False, [[1, 2, 0.0], [5, 0, 0.0]]), (False, [[1, 2, float("inf")]]),
+    (False, [[1, 2, float("nan")]]),
+    (False, [[1, 2, 0.0], [float("inf"), 0, 0.0]]),
+    (False, [[1.5, 2, 0.0]]), (False, [[True, 2, 0.0]]),
+    (False, [[1, 2, "7"]]), (False, [[1, 2, True]]), (True, [[1, 2, "1/0"]]),
+], ids=["missing", "duplicate", "above-degree", "infinite", "nan",
+        "infinite-exponent", "fractional-exponent", "boolean-exponent",
+        "string-value", "boolean-value", "zero-denominator"])
 def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
-                                                         capsys, edit, algo):
+                                                         capsys, exact,
+                                                         entries):
+    # the entries replace the file's moment (1, 2); Infinity and NaN are
+    # written as such, and json reads them back
     mfile = tmp_path / "m.json"
     rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
     assert rc == 0
     blob = json.loads(mfile.read_text())
-    if edit == "missing":
-        blob["entries"] = [e for e in blob["entries"] if e[:2] != [1, 2]]
-    elif edit == "duplicate":
-        blob["entries"].append([1, 2, 0.0])
-    elif edit == "above-degree":
-        blob["entries"].append([5, 0, 0.0])
-    else:  # written as Infinity or NaN, which json reads back
-        value = float("inf") if edit == "infinite" else float("nan")
-        blob["entries"] = [e[:2] + [value] if e[:2] == [1, 2] else e
-                           for e in blob["entries"]]
+    if exact:  # the same points, summed in Fractions
+        pts = ingest(circle_csv)
+        blob = MomentVector(4, exact=True).extend(pts[:, 0],
+                                                  pts[:, 1]).to_dict()
+    blob["entries"] = [e for e in blob["entries"] if e[:2] != [1, 2]] + entries
     mfile.write_text(json.dumps(blob))
-    rc, out, err = run(capsys, "fit", "--moments", str(mfile), "--algo", algo)
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
     assert rc == 3
     assert err.startswith("error:") and "not a moment file" in err
     assert out == ""
@@ -194,6 +202,7 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
 
 @pytest.mark.parametrize("field, value", [
     ("n", float("inf")), ("max_total_degree", 4.7), ("exact", "no"),
+    ("offset", [True, 0]),
 ])
 def test_fit_moment_file_with_bad_header_is_parse_error(tmp_path, capsys,
                                                         field, value):
@@ -209,7 +218,7 @@ def test_fit_moment_file_with_bad_header_is_parse_error(tmp_path, capsys,
     assert out == ""
 
 
-@pytest.mark.parametrize("algo", ["reduced", "generic", "geometric", "reweight"])
+@pytest.mark.parametrize("algo", ["reduced", "geometric", "reweight"])
 def test_fit_empty_input_exit(tmp_path, capsys, algo):
     empty = tmp_path / "empty.csv"
     empty.write_text("# header only\n\n")
@@ -225,7 +234,7 @@ def test_fit_collinear_exit(tmp_path, capsys):
     assert rc == 6
 
 
-@pytest.mark.parametrize("algo", ["reduced", "generic"])
+@pytest.mark.parametrize("algo", ["reduced"])
 @pytest.mark.parametrize("dist", [1e4, 1e6])
 def test_fit_moments_about_a_far_origin_exit(tmp_path, capsys, algo, dist):
     # a 1.5 rad arc of radius 2 accumulated about (0, 0): the shift to its
@@ -259,6 +268,7 @@ def test_fit_invalid_flag_combinations(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("fit", "{csv}", "--family", "circle"),
     ("analyze", "1 x^2 + 1 y^2 - 1", "--float"),
+    ("fit", "{csv}", "--algo", "generic"),
 ])
 def test_removed_options_are_usage_errors(circle_csv, capsys, argv):
     rc, out, _ = run(capsys, *(a.format(csv=circle_csv) for a in argv))
@@ -361,6 +371,16 @@ def test_analyze_rejects_fewer_than_one_sample(capsys, samples):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "1 x^2 + 1 y^2 - 1", "--max-degree", "-1"),
+    ("analyze", "--family", "circle", "--max-degree", "-1", "--seed", "1"),
+])
+def test_analyze_negative_degree_bound_is_invalid_spec(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 5
+    assert out == "" and err.startswith("error:") and "max_degree" in err
+
+
 def test_analyze_json_reproducible(capsys):
     argv = ("analyze", "--family", "parabola", "--samples", "2",
             "--seed", "9", "--json")
@@ -378,24 +398,6 @@ def test_generate_deterministic_given_seed(capsys):
     _, one, _ = run(capsys, *argv)
     _, two, _ = run(capsys, *argv)
     assert one == two
-
-
-def test_generate_env_var_supplies_seed(capsys, monkeypatch):
-    argv = ("generate", "--params", "a=0", "b=0", "R=1", "--n", "20",
-            "--sigma", "0.05")
-    monkeypatch.setenv("GRADFIT_SEED", "42")
-    _, from_env, _ = run(capsys, *argv)
-    monkeypatch.delenv("GRADFIT_SEED")
-    _, explicit, _ = run(capsys, *(argv + ("--seed", "42")))
-    assert from_env == explicit
-
-
-def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GRADFIT_SEED", "abc")
-    rc, out, err = run(capsys, "analyze", "--family", "circle")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:") and "GRADFIT_SEED" in err
 
 
 def test_generate_json_points_lie_on_curve(capsys):
@@ -522,3 +524,43 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0
     assert "fit" in out and "analyze" in out
+
+
+# -- the installed entry point ---------------------------------------------
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    """``python -m gradfit ARGV`` with this checkout's package first on the
+    path, and GRADFIT_SEED set to a value the CLI must not read."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, GRADFIT_SEED="abc", PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "gradfit", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command", [(), ("fit",), ("analyze",),
+                                     ("generate",), ("bench",)],
+                         ids=["gradfit", "fit", "analyze", "generate", "bench"])
+def test_module_help_exits_zero(command):
+    proc = run_module(*command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gradfit") and proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--params", "a=0", "b=0", "R=1", "--n", "200000"),
+    ("analyze", "--family", "ellipse", "--samples", "1", "--json"),
+], ids=["generate", "analyze"])
+def test_closed_reader_ends_without_a_traceback(argv):
+    # the pipe's read end is closed before the program writes anything, as
+    # when `| head` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert proc.stderr == ""

@@ -490,12 +490,13 @@ def test_reduced_about_the_origin_fits_within_tolerance_or_refuses(
 def test_generic_circle_refuses_what_pratt_refuses_from_any_start():
     # a far arc accumulated about the origin: from an explicit start the
     # generic fit used to report a circle 0.1 off as converged
-    pts = arc_points(1e3, -1e3, 2.0, 1.5, 300, 0.01, 0)
-    mv = MomentVector.from_points(pts, 4)
-    for init in (None, (1e3 + 0.1, -1e3, 2.1)):
-        with pytest.raises(NoCircle):
-            fit_reduced_generic("circle", circle_cert(), mv,
-                                FitConfig(init=init))
+    for dist in (1e3, 1e4, 1e6):
+        pts = arc_points(dist, -dist, 2.0, 1.5, 300, 0.01, 0)
+        mv = MomentVector.from_points(pts, 4)
+        for init in (None, (dist + 0.1, -dist, 2.1)):
+            with pytest.raises(NoCircle):
+                fit_reduced_generic("circle", circle_cert(), mv,
+                                    FitConfig(init=init))
 
 
 def test_pratt_init_collinear_and_coincident_are_degenerate():

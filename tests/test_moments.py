@@ -444,8 +444,8 @@ def test_dict_entries_are_lexicographic():
     assert d["format"] == "moment-vector/1"
 
 
-def _blob_without(key=None, extra=None):
-    mv = MomentVector(4).extend([1.0, 2.0, 0.5], [0.0, 1.5, -1.0])
+def _blob_without(key=None, extra=None, exact=False):
+    mv = MomentVector(4, exact=exact).extend([1.0, 2.0, 0.5], [0.0, 1.5, -1.0])
     blob = mv.to_dict()
     blob["entries"] = [e for e in blob["entries"] if tuple(e[:2]) != key]
     if extra is not None:
@@ -459,7 +459,18 @@ def _blob_without(key=None, extra=None):
     (_blob_without(extra=[3, 2, 1.0]), "(3, 2)"),
     (_blob_without(key=(1, 2), extra=[1, 2, math.inf]), "(1, 2)"),
     (_blob_without(key=(0, 3), extra=[0, 3, math.nan]), "(0, 3)"),
-], ids=["missing", "duplicate", "above-degree", "infinite", "nan"])
+    (_blob_without(extra=[math.inf, 0, 0.0]), "(inf, 0)"),
+    (_blob_without(key=(1, 2), extra=[1.5, 2, 7.0]), "(1.5, 2)"),
+    (_blob_without(key=(1, 2), extra=[True, 2, 7.0]), "(True, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, "7"]), "(1, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, True]), "(1, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, 10 ** 400]), "(1, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, "1/0"], exact=True), "(1, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, "1.5/2"], exact=True), "(1, 2)"),
+], ids=["missing", "duplicate", "above-degree", "infinite", "nan",
+        "infinite-exponent", "fractional-exponent", "boolean-exponent",
+        "string-value", "boolean-value", "huge-integer-value",
+        "zero-denominator", "fractional-numerator"])
 def test_from_dict_requires_every_moment_once(blob, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         MomentVector.from_dict(blob)
@@ -469,6 +480,8 @@ def test_from_dict_requires_every_moment_once(blob, named):
     ("n", math.inf), ("n", 2.5), ("n", -5), ("n", True),
     ("max_total_degree", math.inf), ("max_total_degree", 4.7),
     ("exact", "no"), ("exact", 1),
+    ("offset", [True, 0]), ("offset", ["1", 0]), ("offset", [0.0, math.inf]),
+    ("offset", [0.0]),
 ])
 def test_from_dict_requires_typed_header_fields(field, value):
     blob = MomentVector(4, exact=True).extend([1.0, 2.0, 0.5],
