@@ -19,10 +19,9 @@ from .datagen import SyntheticSpec, generate, ingest, write_points
 from .errors import GradfitError
 from .families import FAMILIES, CurveFamily, get_family
 from .fitters import (CircleParams, ConicParams, FitConfig, FitResult,
-                      eval_Fa_circle, fit_circle_geometric,
-                      fit_circle_reduced, fit_conic_reweight,
-                      fit_reduced_generic, pratt_init)
-from .moments import MomentVector, merge
+                      fit_circle_geometric, fit_circle_reduced,
+                      fit_conic_reweight, fit_reduced_generic, pratt_init)
+from .moments import MomentVector
 from .poly import (BivariatePoly, format_poly, gradient_norm_squared,
                    parse_poly)
 
@@ -45,7 +44,6 @@ __all__ = [
     "analyze_family",
     "decide_reduction",
     "default_degree_bound",
-    "eval_Fa_circle",
     "fit_circle_geometric",
     "fit_circle_reduced",
     "fit_conic_reweight",
@@ -55,7 +53,6 @@ __all__ = [
     "get_family",
     "gradient_norm_squared",
     "ingest",
-    "merge",
     "parse_poly",
     "pratt_init",
     "write_points",

@@ -120,8 +120,9 @@ def _load_moments(path) -> MomentVector:
         return MomentVector.load(path)
     except OSError as exc:
         raise _cannot("read", path, exc) from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # JSON syntax, a missing field, a wrong format tag or a wrong type
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
+        # JSON syntax or nesting, a missing field, a wrong format tag or type
         raise ParseError(f"{path}: not a moment file: "
                          f"{type(exc).__name__}: {exc}") from None
 
@@ -273,7 +274,10 @@ def cmd_generate(args) -> int:
               + " ".join(f"{k}={theta[k]:.12g}" for k in fam.param_names),
               f"n={args.n} sigma={args.sigma} seed={args.seed}"]
     if args.output:
-        write_points(args.output, pts, header="\n".join(header))
+        try:
+            write_points(args.output, pts, header="\n".join(header))
+        except OSError as exc:
+            raise _cannot("write", args.output, exc) from None
     else:
         for line in header:
             print(f"# {line}")

@@ -49,6 +49,10 @@ class CurveFamily:
         missing = [k for k in self.param_names if k not in theta]
         if missing:
             raise InvalidSpec(f"{self.name}: missing parameters {missing}")
+        unknown = theta.keys() - self.param_names
+        if unknown:
+            raise InvalidSpec(f"{self.name}: unknown parameters "
+                              f"{sorted(unknown)}")
         for k in self.param_names:
             v = theta[k]
             if not math.isfinite(float(v)):

@@ -3,7 +3,7 @@
 Four fitting routines around one damped-Newton core:
 
 * ``fit_circle_reduced``   minimizes the moment-assembled circle objective;
-  each iteration touches only the nine z statistics and the count, so the
+  each iteration touches only the six central moments and the count, so the
   total cost is one data pass plus O(iterations). It starts from
   ``pratt_init``, Pratt's closed-form fit from the same moments, which is
   the objective's own minimizer, so the driver mostly confirms it. Both
@@ -65,7 +65,6 @@ __all__ = [
     "ConicParams",
     "FitConfig",
     "FitResult",
-    "eval_Fa_circle",
     "fit_circle_reduced",
     "fit_circle_geometric",
     "fit_conic_reweight",
@@ -200,25 +199,31 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _fa_val_grad_hess(z, n, a, b, R):
-    """Value, gradient and Hessian of F(a,b,R) = E/R^2 where E is the
-    quadratic z-statistic form with c = a^2+b^2-R^2 substituted; the
-    Hessian as a zero-argument callable, built only when called."""
-    z1, z2, z3, z4, z5, z6, z7, z8, z9 = (float(v) for v in z)
-    n = float(n)
+def _fa_val_grad_hess(view, a, b, R):
+    """Value, gradient and Hessian of F(a,b,R) = E/R^2 for (a, b) about
+    the centroid of ``view`` (a ``CentralCircleView``): E is the sum of
+    (z - 2ax - 2by + c)^2 over the data, z = x^2 + y^2, c = a^2+b^2-R^2.
+    The Hessian as a zero-argument callable, built only when called."""
+    n = float(view.n)
+    Mxx, Myy, Mxy, Mxz, Myz, Mzz = view.central
+    # E's coefficients in a, b, c; those of a c and b c vanish here
+    nxx, nyy = n * Mxx, n * Myy
+    e0, ea, eb = n * Mzz, -4.0 * (n * Mxz), -4.0 * (n * Myz)
+    eaa, ebb, eab = 4.0 * nxx, 4.0 * nyy, 8.0 * (n * Mxy)
+    ec = 2.0 * (nxx + nyy)
     c = a * a + b * b - R * R
-    T = z7 + a * z8 + b * z9 + 2.0 * c * n  # dE/dc
-    E = (z1 + a * z2 + b * z3 + a * a * z4 + b * b * z5 + a * b * z6
-         + c * z7 + a * c * z8 + b * c * z9 + c * c * n)
-    E_a = z2 + 2.0 * a * z4 + b * z6 + c * z8 + 2.0 * a * T
-    E_b = z3 + 2.0 * b * z5 + a * z6 + c * z9 + 2.0 * b * T
+    T = ec + 2.0 * c * n  # dE/dc
+    E = (e0 + a * ea + b * eb + a * a * eaa + b * b * ebb + a * b * eab
+         + c * ec + c * c * n)
+    E_a = ea + 2.0 * a * eaa + b * eab + 2.0 * a * T
+    E_b = eb + 2.0 * b * ebb + a * eab + 2.0 * b * T
     E_R = -2.0 * R * T
     R2 = R * R
     if R2 * R2 == 0.0 and not isinstance(R2, np.float64):
         # R^4 underflows, and floats raise on dividing by it: numpy scalars
         # divide to the inf or nan the driver refuses, here without warnings
         with np.errstate(all="ignore"):
-            F, grad, hess = _fa_val_grad_hess(z, n, a, b, np.float64(R))
+            F, grad, hess = _fa_val_grad_hess(view, a, b, np.float64(R))
             H = hess()
         return F, grad, lambda: H
     R3 = R2 * R
@@ -226,11 +231,11 @@ def _fa_val_grad_hess(z, n, a, b, R):
     grad = np.array([E_a / R2, E_b / R2, E_R / R2 - 2.0 * E / R3])
 
     def hess():
-        E_aa = 2.0 * z4 + 4.0 * a * z8 + 2.0 * T + 8.0 * a * a * n
-        E_ab = z6 + 2.0 * b * z8 + 2.0 * a * z9 + 8.0 * a * b * n
-        E_aR = -2.0 * R * z8 - 8.0 * a * R * n
-        E_bb = 2.0 * z5 + 4.0 * b * z9 + 2.0 * T + 8.0 * b * b * n
-        E_bR = -2.0 * R * z9 - 8.0 * b * R * n
+        E_aa = 2.0 * eaa + 2.0 * T + 8.0 * a * a * n
+        E_ab = eab + 8.0 * a * b * n
+        E_aR = -8.0 * a * R * n
+        E_bb = 2.0 * ebb + 2.0 * T + 8.0 * b * b * n
+        E_bR = -8.0 * b * R * n
         E_RR = -2.0 * T + 8.0 * R * R * n
         R4 = R2 * R2
         return np.array([
@@ -256,21 +261,6 @@ def _circle_start(p) -> CircleParams:
 
 def _circle_feasible(th) -> bool:
     return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
-
-
-def eval_Fa_circle(z, n, p):
-    """Evaluate the reduced circle objective and its (a, b, R) gradient.
-
-    ``z`` is the nine-statistic view and ``n`` the point count, both as
-    returned by ``MomentVector.circle_z_view``; coordinates of ``p`` must
-    live in the same frame as the accumulator (centered if it was centered).
-    Cost is independent of the number of data points.
-    """
-    p = _circle_start(p)
-    if len(z) != 9:
-        raise DegreeMismatch("expected the nine-statistic circle view")
-    F, grad, _ = _fa_val_grad_hess(z, n, p.a, p.b, p.R)
-    return float(F), grad
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +494,9 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
         init = _circle_start(cfg.init)
         start = (init.a, init.b, init.R)
     cx, cy = view.centroid
-    z, n = view.z(), view.n
 
     def fun(th):
-        return (*_fa_val_grad_hess(z, n, *th.tolist()), 0.0)
+        return (*_fa_val_grad_hess(view, *th.tolist()), 0.0)
 
     run = _damped_newton(fun, [start[0] - cx, start[1] - cy, start[2]], cfg,
                          _circle_feasible)

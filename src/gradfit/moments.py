@@ -8,7 +8,7 @@ the raw points can be discarded.
 Numerical notes:
 
 * floating accumulators use Neumaier compensated summation per slot — the
-  fourth-power sums feeding z1 are the dominant cancellation hazard;
+  fourth-power sums feeding Mzz are the dominant cancellation hazard;
 * callers may center the data by a visible ``offset`` (usually the centroid):
   powers are taken of (x - ox, y - oy), which improves the conditioning of
   fourth moments by orders of magnitude, and fits translate their result back;
@@ -57,13 +57,6 @@ def _square_at(D: int) -> np.ndarray:
     return square
 
 
-def _circle_z(x, y, xx, yy, xy, xs, ys, ss) -> tuple:
-    """The nine z statistics of the reduced circle objective from the sums
-    of x, y, x^2, y^2, xy, x s, y s and s^2, s = x^2 + y^2."""
-    return (ss, -4 * xs, -4 * ys, 4 * xx, 4 * yy, 8 * xy, 2 * (xx + yy),
-            -4 * x, -4 * y)
-
-
 class CentralCircleView(NamedTuple):
     """The statistics of the circle fits about the data's centroid.
 
@@ -77,13 +70,6 @@ class CentralCircleView(NamedTuple):
     centroid: tuple
     central: tuple
     rounding: tuple
-
-    def z(self) -> tuple:
-        """The nine z statistics about the centroid (z8 = z9 = 0)."""
-        n = self.n
-        Mxx, Myy, Mxy, Mxz, Myz, Mzz = self.central
-        return _circle_z(0.0, 0.0, n * Mxx, n * Myy, n * Mxy, n * Mxz,
-                         n * Myz, n * Mzz)
 
 
 def _add_compensated(s: np.ndarray, c: np.ndarray, vals: np.ndarray) -> None:
@@ -272,21 +258,6 @@ class MomentVector:
                 acc += float(coeff) * float(val)
         return acc
 
-    def circle_z_view(self):
-        """The nine z statistics of the reduced circle objective plus the count.
-
-        z1 = sum s^2, z2 = -4 sum x s, z3 = -4 sum y s, z4 = 4 sum x^2,
-        z5 = 4 sum y^2, z6 = 8 sum xy, z7 = 2 sum s, z8 = -4 sum x,
-        z9 = -4 sum y, with s = x^2 + y^2, all in centered coordinates.
-        """
-        if self.max_total_degree < 4:
-            raise DegreeMismatch("circle z-view needs moments of total degree 4")
-        m = self.entry
-        z = _circle_z(m(1, 0), m(0, 1), m(2, 0), m(0, 2), m(1, 1),
-                      m(3, 0) + m(1, 2), m(2, 1) + m(0, 3),
-                      m(4, 0) + 2 * m(2, 2) + m(0, 4))
-        return z, self.n
-
     def central_circle_view(self) -> "CentralCircleView":
         """The circle statistics about the data's centroid, computed from
         the float sums by the binomial shift, and a bound on the rounding
@@ -330,15 +301,6 @@ class MomentVector:
         rounding = (r2, r2, r2, r3, r3, r4)
         return CentralCircleView(n, (cx + self.offset[0], cy + self.offset[1]),
                                  central, rounding)
-
-    def centroid(self):
-        """Mean of the raw (uncentered) data points."""
-        if self.n == 0:
-            raise ValueError("empty accumulator has no centroid")
-        if self.max_total_degree < 1:
-            raise DegreeMismatch("centroid needs first moments")
-        return (float(self.entry(1, 0)) / self.n + self.offset[0],
-                float(self.entry(0, 1)) / self.n + self.offset[1])
 
     # -- serialization ------------------------------------------------------
 
@@ -432,6 +394,3 @@ def _number(name: str, value) -> float:
         raise ValueError(f"{name} is not finite: {value!r}")
     return x
 
-
-def merge(a: MomentVector, b: MomentVector) -> MomentVector:
-    return a.merge(b)

@@ -16,8 +16,7 @@ from gradfit.analyzer import (decide_reduction, find_common_zero,
 from gradfit.bench import run_bench
 from gradfit.datagen import SyntheticSpec, generate
 from gradfit.families import get_family
-from gradfit.fitters import (CircleParams, eval_Fa_circle,
-                             fit_circle_geometric, fit_circle_reduced,
+from gradfit.fitters import (fit_circle_geometric, fit_circle_reduced,
                              _CertObjective, _fa_val_grad_hess)
 from gradfit.moments import MomentVector
 from gradfit.poly import BivariatePoly, gradient_norm_squared
@@ -200,10 +199,10 @@ def test_criterion_4_moment_objective_equals_direct_sum(capsys):
         b = float(rng.uniform(-1, 1))
         R = float(rng.uniform(0.5, 2.0))
         centroid = (float(pts[:, 0].mean()), float(pts[:, 1].mean()))
-        mv = MomentVector.from_points(pts, 4, offset=centroid)
-        z, cnt = mv.circle_z_view()
-        assembled, _ = eval_Fa_circle(
-            z, cnt, CircleParams(a - centroid[0], b - centroid[1], R))
+        view = MomentVector.from_points(pts, 4,
+                                        offset=centroid).central_circle_view()
+        cx, cy = view.centroid
+        assembled, _, _ = _fa_val_grad_hess(view, a - cx, b - cy, R)
         res = (pts[:, 0] - a) ** 2 + (pts[:, 1] - b) ** 2 - R * R
         direct = float(np.sum(res * res)) / (R * R)
         worst = max(worst, abs(assembled - direct) / max(1.0, abs(direct)))
@@ -313,19 +312,19 @@ def test_criterion_8_analytic_gradients_match_differences(capsys):
 
     for _ in range(10):
         pts = rng.normal(size=(int(rng.integers(20, 200)), 2)) * 1.3
-        mv = MomentVector.from_points(pts, 4)
-        z, cnt = mv.circle_z_view()
+        view = MomentVector.from_points(pts, 4).central_circle_view()
+        shift = np.array([*view.centroid, 0.0])
         for _ in range(10):
             th = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                           rng.uniform(0.6, 2.0)])
-            _, g, _ = _fa_val_grad_hess(z, cnt, *th)
+                           rng.uniform(0.6, 2.0)]) - shift
+            _, g, _ = _fa_val_grad_hess(view, *th)
             for j in range(3):
                 h = 1e-6 * (1.0 + abs(th[j]))
                 up, dn = th.copy(), th.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (eval_Fa_circle(z, cnt, up)[0]
-                      - eval_Fa_circle(z, cnt, dn)[0]) / (2 * h)
+                fd = (_fa_val_grad_hess(view, *up)[0]
+                      - _fa_val_grad_hess(view, *dn)[0]) / (2 * h)
                 worst_red = max(worst_red,
                                 abs(g[j] - fd) / (1.0 + abs(fd)))
 

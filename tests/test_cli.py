@@ -159,7 +159,9 @@ def test_fit_unwritable_moment_file_is_invalid_spec(circle_csv, tmp_path,
     '{"format": "moment-vector/0", "max_total_degree": 4, "n": 3, '
     '"offset": [0, 0], "exact": false, "entries": []}\n',
     "[1, 2]\n",
-], ids=["not-json", "no-offset", "wrong-format", "not-a-record"])
+    "[" * 100_000 + "\n",
+], ids=["not-json", "no-offset", "wrong-format", "not-a-record",
+        "deeply-nested"])
 def test_fit_malformed_moment_file_is_parse_error(tmp_path, capsys, text):
     mfile = tmp_path / "m.json"
     mfile.write_text(text)
@@ -425,10 +427,20 @@ def test_generate_random_params_reproducible(capsys):
     ("generate",),                                     # no parameters at all
     ("generate", "--params", "a=0", "b=0", "R=1", "--random-params"),
     ("generate", "--params", "a=0", "b=0", "R=-1"),    # invalid radius
+    ("generate", "--params", "a=0", "b=0", "R=1", "Rr=5", "--json"),  # unknown
 ])
 def test_generate_invalid_requests(capsys, argv):
     rc, _, _ = run(capsys, *argv)
     assert rc == 5
+
+
+def test_generate_unwritable_output_is_invalid_spec(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.csv"
+    rc, out, err = run(capsys, "generate", "--params", "a=0", "b=0", "R=1",
+                       "--output", str(target))
+    assert rc == 5
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert out == ""
 
 
 # -- bench ------------------------------------------------------------------

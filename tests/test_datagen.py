@@ -112,6 +112,7 @@ def test_arc_restriction():
     dict(family="circle", theta={"a": 0, "b": 0}, n=10),
     dict(family="circle", theta=CIRCLE, n=10, arc=(1.0, 0.0)),
     dict(family="circle", theta=CIRCLE, n=10, arc=(0.0, math.inf)),
+    dict(family="circle", theta={**CIRCLE, "Rr": 5.0}, n=10),
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidSpec):

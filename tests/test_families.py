@@ -108,6 +108,26 @@ def test_family_not_quadratic_in_theta_is_refused():
                             FitConfig(init={"u": 0.1, "v": 1.0, "w": 0.0}))
 
 
+def test_unknown_parameter_names_are_refused():
+    for fam in FAMILIES.values():
+        theta = {**fam.sample_theta(RNG), "Rr": 5.0, "zz": 1.0}
+        for build in (fam.validate, fam.poly):
+            with pytest.raises(InvalidSpec,
+                               match=r"unknown parameters \['Rr', 'zz'\]"):
+                build(theta)
+
+
+def test_generic_fit_refuses_unknown_start_parameters():
+    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0}, exact=True)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 0)
+    pts = np.column_stack([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
+    with pytest.raises(InvalidSpec, match="unknown parameters"):
+        fit_reduced_generic(get_family("line"), cert,
+                            MomentVector.from_points(pts, 2),
+                            FitConfig(init={"u": 0.1, "v": 1.0, "w": 0.0,
+                                            "R": 1.0}))
+
+
 def test_scale_free_families_are_linear_in_theta():
     # P(s theta) = s P(theta): the line and the central conics, whose
     # coefficients are the parameters themselves

@@ -27,7 +27,6 @@ from gradfit.fitters import (
     ConicParams,
     FitConfig,
     FitResult,
-    eval_Fa_circle,
     fit_circle_geometric,
     fit_circle_reduced,
     fit_conic_reweight,
@@ -104,61 +103,62 @@ def test_fit_config_validates():
 
 
 def test_value_single_point_frozen():
-    # one data point (2, 0) against the unit circle at the origin:
-    # statistics (16, -32, 0, 16, 0, 0, 8, -8, 0), count 1, value 9
-    mv = MomentVector.from_points([(2.0, 0.0)], 4)
-    z, n = mv.circle_z_view()
-    assert tuple(float(v) for v in z) == (16.0, -32.0, 0.0, 16.0, 0.0, 0.0,
-                                          8.0, -8.0, 0.0)
-    value, grad = eval_Fa_circle(z, n, (0.0, 0.0, 1.0))
+    # one data point (2, 0) against the unit circle at the origin: the
+    # point is its own centroid, its central moments all vanish, and the
+    # origin is (-2, 0) about it; value 9
+    view = MomentVector.from_points([(2.0, 0.0)], 4).central_circle_view()
+    assert (view.n, view.centroid, view.central) == (1, (2.0, 0.0),
+                                                     (0.0,) * 6)
+    value, grad, _ = fitters._fa_val_grad_hess(view, -2.0, 0.0, 1.0)
     assert value == pytest.approx(9.0, abs=1e-12)
     # direct: (x^2 + y^2 - R^2)^2 / R^2 at (2, 0)
     assert value == pytest.approx((4.0 - 1.0) ** 2 / 1.0, abs=1e-12)
+    # dF/da = -4 (x - a) P / R^2, dF/db = 0, dF/dR = -4 P / R - 2 P^2 / R^3
+    assert grad.tolist() == pytest.approx([-24.0, 0.0, -30.0], abs=1e-12)
 
 
 def test_value_zero_on_exact_circle():
     # zero up to the cancellation noise of assembling ~1e2-scale statistics
     pts = circle_points(0.4, -1.1, 1.7, 24)
-    z, n = MomentVector.from_points(pts, 4).circle_z_view()
-    value, _ = eval_Fa_circle(z, n, (0.4, -1.1, 1.7))
+    view = MomentVector.from_points(pts, 4).central_circle_view()
+    cx, cy = view.centroid
+    value, _, _ = fitters._fa_val_grad_hess(view, 0.4 - cx, -1.1 - cy, 1.7)
     assert abs(value) < 1e-12
 
 
-def test_value_requires_positive_radius():
-    z, n = MomentVector.from_points([(1.0, 0.0)], 4).circle_z_view()
-    for bad in (0.0, -2.0):
-        with pytest.raises(InvalidRadius):
-            eval_Fa_circle(z, n, (0.0, 0.0, bad))
-
-
-def test_value_rejects_non_finite_centre():
-    z, n = MomentVector.from_points([(1.0, 0.0)], 4).circle_z_view()
+@pytest.mark.parametrize("bad", [0.0, -2.0])
+def test_reduced_start_requires_positive_radius(bad):
+    mv = centered_mv(circle_points(0.0, 0.0, 1.0, 12))
     with pytest.raises(InvalidRadius):
-        eval_Fa_circle(z, n, (math.nan, 0.0, 1.0))
+        fit_circle_reduced(mv, FitConfig(init=(0.0, 0.0, bad)))
 
 
-def test_value_rejects_short_view():
-    with pytest.raises(DegreeMismatch):
-        eval_Fa_circle((1.0, 2.0, 3.0), 1, (0.0, 0.0, 1.0))
+def test_reduced_start_rejects_non_finite_centre():
+    mv = centered_mv(circle_points(0.0, 0.0, 1.0, 12))
+    with pytest.raises(InvalidRadius):
+        fit_circle_reduced(mv, FitConfig(init=(math.nan, 0.0, 1.0)))
 
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(42)
     pts = rng.normal(size=(50, 2)) * 1.5
-    z, n = MomentVector.from_points(pts, 4).circle_z_view()
+    view = MomentVector.from_points(pts, 4).central_circle_view()
+
+    def value_grad(th):
+        return fitters._fa_val_grad_hess(view, *th)[:2]
+
     worst = 0.0
     for _ in range(30):
         th = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2),
                        rng.uniform(0.5, 2.5)])
-        _, grad = eval_Fa_circle(z, n, th)
+        _, grad = value_grad(th)
         fd = np.zeros(3)
         for j in range(3):
             h = 1e-6 * (1.0 + abs(th[j]))
             up, dn = th.copy(), th.copy()
             up[j] += h
             dn[j] -= h
-            fd[j] = (eval_Fa_circle(z, n, up)[0]
-                     - eval_Fa_circle(z, n, dn)[0]) / (2.0 * h)
+            fd[j] = (value_grad(up)[0] - value_grad(dn)[0]) / (2.0 * h)
         worst = max(worst, float(np.max(np.abs(grad - fd)
                                         / (1.0 + np.abs(fd)))))
     assert worst < 1e-6
@@ -254,20 +254,20 @@ def test_reduced_non_finite_start_is_refused():
 
 def test_reduced_hessian_matches_gradient_differences():
     rng = np.random.default_rng(8)
-    z, n = MomentVector.from_points(rng.normal(size=(80, 2)) * 1.5,
-                                    4).circle_z_view()
+    view = MomentVector.from_points(rng.normal(size=(80, 2)) * 1.5,
+                                    4).central_circle_view()
     for _ in range(10):
         th = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                        rng.uniform(0.5, 2.5)])
-        _, _, hess = fitters._fa_val_grad_hess(z, n, *th)
+        _, _, hess = fitters._fa_val_grad_hess(view, *th)
         H = hess()
         for j in range(3):
             h = 1e-6 * (1.0 + abs(th[j]))
             up, dn = th.copy(), th.copy()
             up[j] += h
             dn[j] -= h
-            fd = (fitters._fa_val_grad_hess(z, n, *up)[1]
-                  - fitters._fa_val_grad_hess(z, n, *dn)[1]) / (2.0 * h)
+            fd = (fitters._fa_val_grad_hess(view, *up)[1]
+                  - fitters._fa_val_grad_hess(view, *dn)[1]) / (2.0 * h)
             assert np.allclose(H[:, j], fd, rtol=1e-6,
                                atol=1e-6 * np.abs(H).max())
 
@@ -276,12 +276,12 @@ def test_reduced_hessian_matches_gradient_differences():
 def test_reduced_objective_in_floats_equals_numpy_scalars(R):
     # the fit evaluates in Python floats; where R^4 underflows they would
     # raise on division by zero, and the objective divides as numpy does
-    z, n = MomentVector.from_points(circle_points(0.2, -0.1, 1.0, 20),
-                                    4).circle_z_view()
+    view = MomentVector.from_points(circle_points(0.2, -0.1, 1.0, 20),
+                                    4).central_circle_view()
     with np.errstate(all="ignore"):
-        F, g, hess = fitters._fa_val_grad_hess(z, n, 0.25, -0.5, R)
+        F, g, hess = fitters._fa_val_grad_hess(view, 0.25, -0.5, R)
         F64, g64, hess64 = fitters._fa_val_grad_hess(
-            z, n, *np.array([0.25, -0.5, R]))
+            view, *np.array([0.25, -0.5, R]))
         H, H64 = hess(), hess64()
     assert np.array_equal([F], [F64], equal_nan=True)
     assert np.array_equal(g, g64, equal_nan=True)

@@ -1,4 +1,5 @@
-"""Moment accumulation: single-pass sums, merging, z-views, serialization."""
+"""Moment accumulation: single-pass sums, merging, the central circle view,
+serialization."""
 
 import math
 import re
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradfit.errors import DegreeMismatch, InvalidSpec, NonFiniteInput
+from gradfit.fitters import _fa_val_grad_hess
 from gradfit.moments import (_CHUNK, _SQUARE_MAX, MomentVector,
-                             _add_compensated, _square_at, merge)
+                             _add_compensated, _square_at)
 from gradfit.poly import BivariatePoly, monomial_index, monomials
 
 
@@ -67,7 +69,7 @@ def test_rejects_non_finite():
 def test_merge_empty_is_identity():
     rng = np.random.default_rng(1)
     mv = MomentVector(3).extend(rng.normal(size=20), rng.normal(size=20))
-    out = merge(mv, MomentVector(3))
+    out = mv.merge(MomentVector(3))
     for k in monomials(3):
         assert out.entry(*k) == pytest.approx(mv.entry(*k), rel=1e-15, abs=1e-15)
     assert out.n == mv.n
@@ -77,7 +79,7 @@ def test_merge_of_single_points_equals_two_point_accumulator():
     a = MomentVector(4).accumulate(0.3, -1.2)
     b = MomentVector(4).accumulate(2.5, 0.7)
     both = MomentVector(4).accumulate(0.3, -1.2).accumulate(2.5, 0.7)
-    m = merge(a, b)
+    m = a.merge(b)
     for k in monomials(4):
         assert m.entry(*k) == pytest.approx(both.entry(*k), rel=1e-14, abs=1e-14)
     assert m.n == 2
@@ -85,12 +87,12 @@ def test_merge_of_single_points_equals_two_point_accumulator():
 
 def test_merge_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        merge(MomentVector(2), MomentVector(3))
+        MomentVector(2).merge(MomentVector(3))
 
 
 def test_merge_offset_mismatch():
     with pytest.raises(ValueError):
-        merge(MomentVector(2, offset=(1.0, 0.0)), MomentVector(2))
+        MomentVector(2, offset=(1.0, 0.0)).merge(MomentVector(2))
 
 
 @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=12),
@@ -103,7 +105,7 @@ def test_merge_commutes_exactly_in_exact_mode(pts_a, pts_b):
         a.accumulate(x, y)
     for x, y in pts_b:
         b.accumulate(x, y)
-    ab, ba = merge(a, b), merge(b, a)
+    ab, ba = a.merge(b), b.merge(a)
     assert all(ab.entry(*k) == ba.entry(*k) for k in monomials(4))
     assert ab.n == ba.n
 
@@ -243,72 +245,33 @@ def test_exact_mode_is_order_independent():
     assert isinstance(a.entry(4, 0), Fraction)
 
 
-# -- z view -----------------------------------------------------------------
-
-def test_z_view_single_point_frozen_values():
-    (z1, z2, z3, z4, z5, z6, z7, z8, z9), n = (
-        MomentVector(4).accumulate(1.0, 0.0).circle_z_view()
-    )
-    assert (z1, z2, z3, z4, z5, z6, z7, z8, z9) == (1, -4, 0, 4, 0, 0, 2, -4, 0)
-    assert n == 1
-
-
-def test_z1_is_sum_of_squared_radii():
-    mv = MomentVector(4).accumulate(1.0, 0.0).accumulate(0.0, 2.0)
-    (z1, *_), _ = mv.circle_z_view()
-    assert z1 == 17.0
-
-
-def test_z_view_all_zero_dataset():
-    mv = MomentVector(4)
-    for _ in range(7):
-        mv.accumulate(0.0, 0.0)
-    zs, n = mv.circle_z_view()
-    assert all(z == 0.0 for z in zs)
-    assert n == 7
-
-
-def test_z_view_requires_degree_four():
-    with pytest.raises(DegreeMismatch):
-        MomentVector(3).circle_z_view()
-
+# -- the circle objective's moments ----------------------------------------
 
 def test_z_view_derivation_against_symbolic_expansion():
-    """Re-derive all nine z formulas by expanding (s - 2ax - 2by + c)^2."""
+    """Re-derive the coefficients of the reduced circle objective (the e*
+    of ``fitters._fa_val_grad_hess``) by expanding (s - 2ax - 2by + c)^2."""
     sympy = pytest.importorskip("sympy")
     x, y, a, b, c = sympy.symbols("x y a b c")
     s = x ** 2 + y ** 2
     bracket = sympy.expand((s - 2 * a * x - 2 * b * y + c) ** 2)
     poly = sympy.Poly(bracket, a, b, c)
-    # data-side factor attached to each (a,b,c) monomial of the expansion
+    # data-side factor attached to each (a,b,c) monomial of the expansion;
+    # summed over data centred at their centroid, the last two vanish
     want = {
-        (1, 0, 0): -4 * x * s,          # z2
-        (0, 1, 0): -4 * y * s,          # z3
-        (2, 0, 0): 4 * x ** 2,          # z4
-        (0, 2, 0): 4 * y ** 2,          # z5
-        (1, 1, 0): 8 * x * y,           # z6
-        (0, 0, 1): 2 * s,               # z7
-        (1, 0, 1): -4 * x,              # z8
-        (0, 1, 1): -4 * y,              # z9
-        (0, 0, 0): s ** 2,              # z1
+        (1, 0, 0): -4 * x * s,          # ea = -4 n Mxz
+        (0, 1, 0): -4 * y * s,          # eb = -4 n Myz
+        (2, 0, 0): 4 * x ** 2,          # eaa = 4 n Mxx
+        (0, 2, 0): 4 * y ** 2,          # ebb = 4 n Myy
+        (1, 1, 0): 8 * x * y,           # eab = 8 n Mxy
+        (0, 0, 1): 2 * s,               # ec = 2 n (Mxx + Myy)
+        (0, 0, 0): s ** 2,              # e0 = n Mzz
         (0, 0, 2): sympy.Integer(1),    # n
+        (1, 0, 1): -4 * x,              # 0
+        (0, 1, 1): -4 * y,              # 0
     }
     for mono, expr in want.items():
         assert sympy.expand(poly.coeff_monomial(
             a ** mono[0] * b ** mono[1] * c ** mono[2]) - expr) == 0
-
-
-def test_z_view_assembles_direct_objective():
-    rng = np.random.default_rng(9)
-    pts = rng.normal(scale=2.0, size=(60, 2))
-    mv = MomentVector(4).extend(pts[:, 0], pts[:, 1])
-    (z1, z2, z3, z4, z5, z6, z7, z8, z9), n = mv.circle_z_view()
-    for a, b, R in [(0.5, -1.0, 2.0), (0.0, 0.0, 1.0), (3.0, 2.0, 0.7)]:
-        c = a * a + b * b - R * R
-        via_z = (z1 + a * z2 + b * z3 + a * a * z4 + b * b * z5 + a * b * z6
-                 + c * z7 + a * c * z8 + b * c * z9 + c * c * n)
-        direct = sum(((x - a) ** 2 + (y - b) ** 2 - R * R) ** 2 for x, y in pts)
-        assert via_z == pytest.approx(direct, rel=1e-9)
 
 
 # -- centering --------------------------------------------------------------
@@ -325,21 +288,22 @@ def test_offset_shifts_the_accumulated_coordinates():
 
 
 def test_centroid_reports_raw_mean():
-    mv = MomentVector(2, offset=(10.0, -10.0))
+    mv = MomentVector(4, offset=(10.0, -10.0))
     mv.accumulate(1.0, 2.0).accumulate(3.0, 6.0)
-    assert mv.centroid() == pytest.approx((2.0, 4.0))
+    assert mv.central_circle_view().centroid == pytest.approx((2.0, 4.0))
 
 
 def test_centering_improves_fourth_moment_conditioning():
-    # far-from-origin cloud: centered z1 is ~1e10 times smaller
+    # far-from-origin cloud: the centered sum of (x^2 + y^2)^2 is ~1e10
+    # times smaller
     rng = np.random.default_rng(11)
     xs = 1e4 + rng.normal(size=300)
     ys = -2e4 + rng.normal(size=300)
     raw = MomentVector(4).extend(xs, ys)
     ctr = MomentVector(4, offset=(float(xs.mean()), float(ys.mean()))).extend(xs, ys)
-    (z1_raw, *_), _ = raw.circle_z_view()
-    (z1_ctr, *_), _ = ctr.circle_z_view()
-    assert z1_ctr < 1e-9 * z1_raw
+    sum_raw, sum_ctr = (mv.entry(4, 0) + 2 * mv.entry(2, 2) + mv.entry(0, 4)
+                        for mv in (raw, ctr))
+    assert sum_ctr < 1e-9 * sum_raw
 
 
 def _exact_central(xs, ys):
@@ -373,7 +337,7 @@ def test_central_circle_view_is_within_its_rounding(dist):
 
 def test_central_circle_view_of_a_centred_accumulator():
     # about the centroid the shift adds nothing: the rounding bounds fall
-    # below the moments' last digits and z equals the centred z-view
+    # below the moments' last digits, and the moments equal exact ones
     rng = np.random.default_rng(6)
     xs = 40.0 + rng.normal(size=300)
     ys = -25.0 + rng.normal(size=300)
@@ -381,11 +345,35 @@ def test_central_circle_view_of_a_centred_accumulator():
     view = mv.extend(xs, ys).central_circle_view()
     for m, err in zip(view.central, view.rounding):
         assert m + err == m
-    z, n = mv.circle_z_view()
-    assert n == view.n
-    scale = max(abs(v) for v in z)
-    for got, want in zip(view.z(), z):
-        assert got == pytest.approx(want, abs=1e-12 * scale)
+    want = _exact_central(xs, ys)
+    scale = max(abs(v) for v in want)
+    for got, exact in zip(view.central, want):
+        assert got == pytest.approx(exact, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("dist", [0.0, 30.0, 3e3])
+def test_objective_of_central_view_equals_direct_sum(dist):
+    # the reduced circle objective from the view of an accumulator at
+    # offset (0, 0) equals sum P^2 / R^2 over the points, up to what the
+    # view's rounding bounds allow: E is linear in the six central moments
+    rng = np.random.default_rng(9)
+    pts = np.array([dist, -dist]) + rng.normal(scale=2.0, size=(60, 2))
+    view = MomentVector(4).extend(pts[:, 0], pts[:, 1]).central_circle_view()
+    cx, cy = view.centroid
+    for a, b, R in [(0.5, -1.0, 2.0), (0.0, 0.0, 1.0), (3.0, 2.0, 0.7)]:
+        a, b = a + dist, b - dist
+        u, v = a - cx, b - cy
+        c = u * u + v * v - R * R
+        # |dE/dM| for M = (Mxx, Myy, Mxy, Mxz, Myz, Mzz), per point
+        weight = (abs(4 * u * u + 2 * c), abs(4 * v * v + 2 * c),
+                  abs(8 * u * v), abs(4 * u), abs(4 * v), 1.0)
+        bound = view.n * sum(w * err for w, err in zip(weight, view.rounding))
+        F, _, _ = _fa_val_grad_hess(view, u, v, R)
+        direct = sum(((Fraction(x) - Fraction(a)) ** 2
+                      + (Fraction(y) - Fraction(b)) ** 2 - Fraction(R) ** 2)
+                     ** 2 for x, y in pts) / Fraction(R) ** 2
+        assert abs(F - float(direct)) <= (
+            bound / (R * R) + 1e-13 * float(direct))
 
 
 def test_central_circle_view_requires_degree_four_and_data():
