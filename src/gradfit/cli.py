@@ -103,11 +103,13 @@ def _emit_json(obj) -> None:
 
 
 def _accumulate(points: np.ndarray, degree: int) -> MomentVector:
-    """Moments about the centroid."""
+    """Moments about the centroid. Points whose powers overflow the float
+    sums are NonFiniteInput, reported without numpy's overflow warnings."""
     if len(points) == 0:
         raise NoCircle("need at least 3 points, got 0")
-    centroid = (float(points[:, 0].mean()), float(points[:, 1].mean()))
-    return MomentVector.from_points(points, degree, offset=centroid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = (float(points[:, 0].mean()), float(points[:, 1].mean()))
+        return MomentVector.from_points(points, degree, offset=centroid)
 
 
 def _cannot(verb: str, path, exc: OSError) -> InvalidSpec:

@@ -28,7 +28,8 @@ class BoundExhausted(GradfitError):
 
 
 class NonFiniteInput(GradfitError):
-    """A data point with a NaN or infinite coordinate was rejected."""
+    """A data point with a NaN or infinite coordinate was rejected, or
+    finite data whose moments overflow float arithmetic."""
 
 
 class DegreeMismatch(GradfitError):

@@ -153,18 +153,24 @@ class FitConfig:
     gradient's largest entry is at most gradient_tol (1 + |F|) or an
     accepted step's is at most step_tol (1 + max |theta|), so the step test
     is relative to the parameters' size; ``fit_conic_reweight`` stops when
-    its unit-norm coefficient vector moves by at most step_tol."""
+    its unit-norm coefficient vector moves by at most step_tol. The start
+    ``init`` is a CircleParams, a dict of the family's parameters or a
+    sequence of them in the family's order, such as (a, b, R)."""
 
     max_iterations: int = 100
     gradient_tol: float = 1e-10
     step_tol: float = 1e-12
-    init: object = None  # start: CircleParams, (a, b, R) or parameter dict
+    init: object = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidSpec("max_iterations must be at least 1")
         if not (self.gradient_tol > 0 and self.step_tol > 0):  # NaN too
             raise InvalidSpec("tolerances must be positive")
+
+
+# the configuration of a fit called without one; frozen, so one serves all
+_DEFAULT_CONFIG = FitConfig()
 
 
 @dataclass(frozen=True)
@@ -259,6 +265,24 @@ def _circle_start(p) -> CircleParams:
         raise InvalidSpec(f"a circle needs a, b and R: {exc}") from None
 
 
+def _family_start(fam: CurveFamily, p) -> dict:
+    """A start for ``fam`` given as a dict of its parameters, a
+    CircleParams or a sequence in ``fam.param_names`` order, as floats.
+    InvalidSpec unless ``fam.validate`` accepts it."""
+    if isinstance(p, CircleParams):
+        p = p.to_dict()
+    elif not isinstance(p, dict):
+        p = tuple(p)
+        if len(p) != len(fam.param_names):
+            raise InvalidSpec(
+                f"{fam.name}: a start of {len(p)} values for the "
+                f"{len(fam.param_names)} parameters {fam.param_names}")
+        p = dict(zip(fam.param_names, p))
+    p = {k: float(v) for k, v in p.items()}
+    fam.validate(p)
+    return p
+
+
 def _circle_feasible(th) -> bool:
     return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
 
@@ -309,10 +333,11 @@ def _damped_newton(fun, theta0, cfg: FitConfig, feasible) -> _Run:
     search would reject it at random and stall short of the minimizer; such
     steps are accepted anyway when they halve the gradient norm, which is
     geometric progress toward stationarity."""
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.array(theta0, dtype=float)
     F, g, hess, noise = fun(theta)
-    gmax = float(abs(g).max())
-    if not (math.isfinite(F) and math.isfinite(gmax)):
+    gl = g.tolist()
+    gmax = max(map(abs, gl))
+    if not (math.isfinite(F) and all(map(math.isfinite, gl))):
         raise InvalidSpec(f"objective or gradient not finite at the start "
                           f"(objective {F})")
     evals = 1
@@ -488,7 +513,7 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     whatever the accumulator's offset, so its arithmetic cancels no more
     than that of a centred accumulator. NoCircle where ``pratt_init``
     raises, whatever the start."""
-    cfg = cfg if cfg is not None else FitConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     view, start = _moment_circle_start(mv)
     if cfg.init is not None:
         init = _circle_start(cfg.init)
@@ -500,9 +525,9 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
 
     run = _damped_newton(fun, [start[0] - cx, start[1] - cy, start[2]], cfg,
                          _circle_feasible)
-    a, b, R = run.theta
+    a, b, R = run.theta.tolist()
     return _result("circle", CircleParams(a + cx, b + cy, R), run, 1,
-                   init=dict(zip(("a", "b", "R"), start)))
+                   init={"a": start[0], "b": start[1], "R": start[2]})
 
 
 def _as_points(points) -> np.ndarray:
@@ -518,7 +543,7 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
     """Damped Gauss-Newton on the distance residuals r_i = d_i - R.
 
     One pass over all n points per objective/Jacobian evaluation."""
-    cfg = cfg if cfg is not None else FitConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 3:
@@ -599,7 +624,7 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
     back; the objective and its trace are in the caller's frame, the
     stationarity residual and ``smallest_eigenvalue`` in the normalized
     one, so that they do not depend on where the data lie."""
-    cfg = cfg if cfg is not None else FitConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 6:
@@ -906,7 +931,7 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
     Same damped Newton driver as the reduced circle fit; the data enter
     only through the accumulator. Circle moments that ``pratt_init``
     refuses raise NoCircle, as in the reduced fit, whatever the start."""
-    cfg = cfg if cfg is not None else FitConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     fam = get_family(family) if isinstance(family, str) else family
     if not (cert.identity_residual <= _CERT_ACCEPT):
         raise InvalidSpec(
@@ -930,9 +955,7 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
         raise InvalidSpec(f"family {fam.name!r} needs an explicit initializer "
                           "in FitConfig.init")
     else:
-        init = cfg.init.to_dict() if isinstance(cfg.init, CircleParams) \
-            else {k: float(v) for k, v in dict(cfg.init).items()}
-        fam.validate(init)
+        init = _family_start(fam, cfg.init)
         theta0 = [init[k] for k in fam.param_names]
 
         def params(th):

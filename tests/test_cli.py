@@ -121,6 +121,26 @@ def test_fit_nonfinite_exit(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_fit_overflowing_points_exit(tmp_path, capsys):
+    # finite coordinates whose fourth powers overflow the moment sums
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e100,0\n2e100,1\n0,3e100\n5e99,5e99\n")
+    rc, out, err = run(capsys, "fit", str(huge), "--json")
+    assert rc == 4
+    assert out == "" and err.startswith("error:") and "overflow" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_fit_overflowing_moment_file_exit(tmp_path, capsys):
+    # finite sums about the origin whose shift to the centroid overflows
+    r = 0.95e77
+    mfile = tmp_path / "m.json"
+    MomentVector.from_points([(r, 0.0), (-r, 0.0), (0.0, r)], 4).dump(mfile)
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 4
+    assert out == "" and err.startswith("error:") and "overflow" in err
+
+
 def test_fit_non_utf8_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(b"1,2\n\xff\xfe,3\n")

@@ -1075,6 +1075,30 @@ def test_generic_noncircle_needs_explicit_init():
         fit_reduced_generic("line", cert, mv)
 
 
+def test_generic_noncircle_takes_a_start_in_parameter_order():
+    fam = get_family("line")
+    P = fam.poly({"u": 0.1, "v": 1.0, "w": -0.5}, exact=True)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    rng = np.random.default_rng(20)
+    xs = np.linspace(-1.0, 1.0, 20)
+    pts = np.column_stack([xs, 0.5 - 0.1 * xs + rng.normal(0.0, 0.01, 20)])
+    mv = MomentVector.from_points(pts, 2)
+
+    def fit(init):
+        res = fit_reduced_generic(fam, cert, mv, FitConfig(init=init))
+        blob = res.to_dict()
+        del blob["iteration_seconds"]
+        return blob
+
+    by_name = fit({"u": 0.0, "v": 1.0, "w": -0.4})
+    assert by_name["converged"]
+    assert fit((0.0, 1.0, -0.4)) == by_name
+    assert fit(np.array([0.0, 1.0, -0.4])) == by_name
+    for wrong in [(0.0, 1.0), (0.0, 1.0, -0.4, 2.0)]:
+        with pytest.raises(InvalidSpec, match="start of"):
+            fit(wrong)
+
+
 def test_generic_noncircle_rejects_centered_accumulator():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")
@@ -1088,6 +1112,20 @@ def test_generic_noncircle_rejects_centered_accumulator():
 
 
 # -- result plumbing ---------------------------------------------------------
+
+
+def test_fits_without_a_config_use_one_frozen_default():
+    default = fitters._DEFAULT_CONFIG
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default.max_iterations = 1
+    assert default == FitConfig()
+    mv = centered_mv(arc_points(2.0, -1.0, 3.0, 1.0, 200, 0.01, seed=5))
+    for fit, args in [(fit_circle_reduced, (mv,)),
+                      (fit_reduced_generic, ("circle", circle_cert(), mv))]:
+        implicit, explicit = fit(*args).to_dict(), \
+            fit(*args, FitConfig()).to_dict()
+        del implicit["iteration_seconds"], explicit["iteration_seconds"]
+        assert implicit == explicit
 
 
 def test_fit_result_serializes_to_plain_types():

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradfit import moments
 from gradfit.errors import DegreeMismatch, InvalidSpec, NonFiniteInput
 from gradfit.fitters import _fa_val_grad_hess
-from gradfit.moments import (_CHUNK, _SQUARE_MAX, MomentVector,
-                             _add_compensated, _square_at)
+from gradfit.moments import (_CHUNK, _GATHER_MAX, MomentVector,
+                             _add_compensated, _layout)
 from gradfit.poly import BivariatePoly, monomial_index, monomials
 
 
@@ -122,11 +123,12 @@ def test_float_permutation_stability():
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def _per_key_reference(xs, ys, D, offset, chunk):
+def _per_key_reference(xs, ys, D, offset, chunk, start=None):
     """Sums and compensations as extend computed them before the power
-    block: one np.sum per key and chunk of ``chunk`` points"""
+    block: one np.sum per key and chunk of ``chunk`` points, each chunk
+    added with compensation, from zero or from the sums ``start``"""
     keys = [(p, q) for p in range(D + 1) for q in range(D + 1 - p)]
-    s = np.zeros(len(keys))
+    s = np.zeros(len(keys)) if start is None else np.array(start, dtype=float)
     c = np.zeros(len(keys))
     for lo in range(0, xs.size, chunk):
         u = xs[lo:lo + chunk] - offset[0]
@@ -163,8 +165,8 @@ _KERNEL_CASES = (
     + [pytest.param(entry, D, n, id=f"{entry}-D{D}-{n}")
        for D in range(8)
        for entry, sizes in [
-           ("extend", [1, _SQUARE_MAX, _SQUARE_MAX + 1, _CHUNK + 1]),
-           ("from_points", [1, _SQUARE_MAX, _SQUARE_MAX + 1, _CHUNK + 1]),
+           ("extend", [1, _GATHER_MAX, _GATHER_MAX + 1, _CHUNK + 1]),
+           ("from_points", [1, _GATHER_MAX, _GATHER_MAX + 1, _CHUNK + 1]),
            ("accumulate", [1, 50])]
        for n in sizes])
 
@@ -181,6 +183,83 @@ def test_extend_sums_equal_per_key_reference(entry, D, n):
     assert mv.n == n
     assert mv._sum.tobytes() == s.tobytes()
     assert mv._comp.tobytes() == c.tobytes()
+
+
+# the first chunk into an empty accumulator is copied, later ones are added
+# with compensation: two batches of m points against the reference's chunks
+# of m, through each way of starting
+@pytest.mark.parametrize("first", ["from_points", "extend"])
+@pytest.mark.parametrize("m", [50, _GATHER_MAX + 1])
+def test_second_batch_is_compensated_like_the_reference(first, m):
+    rng = np.random.default_rng(m)
+    xs = rng.normal(30.0, 2.0, 2 * m)
+    ys = rng.normal(-10.0, 0.5, 2 * m)
+    offset = (29.5, -10.25)
+    mv = _absorbed(first, 4, offset, xs[:m], ys[:m]).extend(xs[m:], ys[m:])
+    s, c = _per_key_reference(xs, ys, 4, offset, m)
+    assert mv.n == 2 * m
+    assert c.any()  # the reference compensates the second batch
+    assert mv._sum.tobytes() == s.tobytes()
+    assert mv._comp.tobytes() == c.tobytes()
+
+
+def test_points_into_loaded_sums_are_compensated():
+    # a record of zero points may still hold sums: they are not copied over
+    rng = np.random.default_rng(12)
+    loaded = rng.normal(0.0, 1e3, 15)
+    blob = MomentVector(4).to_dict()
+    blob["entries"] = [[p, q, float(v)]
+                       for (p, q, _), v in zip(blob["entries"], loaded)]
+    mv = MomentVector.from_dict(blob)
+    assert mv.n == 0
+    xs, ys = rng.normal(size=(2, 275))
+    mv.extend(xs, ys)
+    s, c = _per_key_reference(xs, ys, 4, (0.0, 0.0), _CHUNK, start=loaded)
+    assert c.any()
+    assert mv._sum.tobytes() == s.tobytes()
+    assert mv._comp.tobytes() == c.tobytes()
+
+
+def test_first_chunk_is_copied_without_compensated_addition(monkeypatch):
+    calls = []
+
+    def counting(s, c, vals):
+        calls.append(len(vals))
+        _add_compensated(s, c, vals)
+
+    monkeypatch.setattr(moments, "_add_compensated", counting)
+    rng = np.random.default_rng(275)
+    pts = rng.normal(size=(275, 2))
+    mv = MomentVector.from_points(pts, 4, offset=(0.1, -0.2))
+    assert calls == []
+    mv.extend(pts[:, 1], pts[:, 0])
+    assert calls == [15]
+
+
+def test_overflowing_powers_are_non_finite_input():
+    # finite points whose fourth powers overflow; numpy warns, then the
+    # accumulator refuses them and keeps what it held
+    pts = [(1e100, 0.0), (2e100, 1.0), (0.0, 3e100), (5e99, 5e99)]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            MomentVector.from_points(pts, 4)
+    mv = MomentVector(4).extend([1.0, 2.0], [0.5, -1.0])
+    before = mv.to_dict()
+    xs = np.concatenate([np.ones(_CHUNK), [1e100]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            mv.extend(xs, np.zeros(_CHUNK + 1))
+    assert mv.to_dict() == before
+
+
+def test_central_view_overflow_is_non_finite_input():
+    # every sum about the origin is finite, but the bound on the shift's
+    # rounding, (sigma + rho)^4, is not
+    r = 0.95e77
+    mv = MomentVector.from_points([(r, 0.0), (-r, 0.0), (0.0, r)], 4)
+    assert all(math.isfinite(v) for _, _, v in mv.to_dict()["entries"])
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        mv.central_circle_view()
 
 
 @pytest.mark.parametrize("shape", [(2, 500), (5, 3), (7,), (2, 2, 2), (3,)])
@@ -208,8 +287,10 @@ def test_layout_cannot_be_changed_through_a_caller():
         used._index[(3, 1)] = 0
     with pytest.raises(TypeError):
         used._keys[0] = (3, 1)
-    with pytest.raises(ValueError):
-        _square_at(3)[0] = 1
+    for shared in (_layout(3).p, _layout(3).q, _layout(3).empty,
+                   MomentVector(3)._sum):
+        with pytest.raises(ValueError):
+            shared[0] = 1
     used._sum[:] = 7.0
     fresh = MomentVector(3)
     want = [(p, q) for p in range(4) for q in range(4 - p)]
