@@ -254,31 +254,47 @@ def _fa_val_grad_hess(view, a, b, R):
     return F, grad, hess
 
 
-def _circle_start(p) -> CircleParams:
-    """A circle given as CircleParams, a dict with keys a, b, R, or an
-    (a, b, R) sequence. InvalidRadius unless finite with R > 0."""
-    if isinstance(p, CircleParams):
-        return p
-    try:
-        return CircleParams(**p) if isinstance(p, dict) else CircleParams(*p)
-    except TypeError as exc:
-        raise InvalidSpec(f"a circle needs a, b and R: {exc}") from None
-
-
-def _family_start(fam: CurveFamily, p) -> dict:
-    """A start for ``fam`` given as a dict of its parameters, a
-    CircleParams or a sequence in ``fam.param_names`` order, as floats.
-    InvalidSpec unless ``fam.validate`` accepts it."""
+def _read_start(names, p) -> dict:
+    """A start given as CircleParams, a dict of the parameters ``names`` or
+    a sequence of them in that order, as a dict of floats in that order.
+    InvalidSpec for other parameters or another number of them."""
     if isinstance(p, CircleParams):
         p = p.to_dict()
     elif not isinstance(p, dict):
-        p = tuple(p)
-        if len(p) != len(fam.param_names):
-            raise InvalidSpec(
-                f"{fam.name}: a start of {len(p)} values for the "
-                f"{len(fam.param_names)} parameters {fam.param_names}")
-        p = dict(zip(fam.param_names, p))
-    p = {k: float(v) for k, v in p.items()}
+        try:
+            p = tuple(p)
+        except TypeError:
+            raise InvalidSpec(f"a start must be a dict or a sequence of "
+                              f"{names}, got {p!r}") from None
+        if len(p) != len(names):
+            raise InvalidSpec(f"a start of {len(p)} values for the "
+                              f"{len(names)} parameters {names}")
+        p = dict(zip(names, p))
+    unknown = sorted(p.keys() - set(names))
+    if unknown:
+        raise InvalidSpec(f"a start of unknown parameters {unknown}")
+    missing = [k for k in names if k not in p]
+    if missing:
+        raise InvalidSpec(f"a start with missing parameters {missing}")
+    try:
+        return {k: float(p[k]) for k in names}
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"a start's parameters must be numbers: "
+                          f"{exc}") from None
+
+
+def _circle_start(p) -> CircleParams:
+    """A circle start as ``_read_start`` reads it. InvalidRadius unless
+    finite with R > 0."""
+    if isinstance(p, CircleParams):
+        return p
+    return CircleParams(**_read_start(("a", "b", "R"), p))
+
+
+def _family_start(fam: CurveFamily, p) -> dict:
+    """A start for ``fam`` as ``_read_start`` reads it. InvalidSpec unless
+    ``fam.validate`` accepts it."""
+    p = _read_start(fam.param_names, p)
     fam.validate(p)
     return p
 

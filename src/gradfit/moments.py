@@ -33,12 +33,11 @@ _CHUNK = 1 << 16
 # chunks of at most this many points gather each key's powers u^p and v^q
 # into two (K, k) blocks and multiply those in one call; longer chunks form
 # the products one row block per power of u, which copies nothing. At D = 4
-# (power block and sums, in-process medians) the gather is faster up to at
-# least 700 points, 17.8 vs 25.0 us at 275, where the former product of all
-# (D+1)^2 pairs took 21.2; the row blocks are faster from 2000 points on,
-# where the copies fault in fresh pages (114 vs 283 us); all give the same
-# bits
-_GATHER_MAX = 384
+# (from_points, interleaved in-process medians on 2 cores) the gather takes
+# 0.8-0.9 of the row blocks' time from 384 to 1230 points (32 vs 39 us at
+# 384, 59 vs 75 at 1024), then 2.8 times theirs from 1260 on (183 vs 65
+# us); 1024 leaves a margin below that step. All give the same bits
+_GATHER_MAX = 1024
 
 FORMAT_TAG = "moment-vector/1"
 
@@ -52,15 +51,13 @@ _CENTRAL_ROUNDING = 32.0
 
 class _Layout(NamedTuple):
     """What every accumulator of degree D shares, so all of it read-only:
-    its moment keys ``monomials(D)`` and their ``index``, the powers ``p``
-    and ``q`` of u and v in each key, and the all-zero sums and
-    compensations of an empty accumulator."""
+    its moment keys ``monomials(D)`` and their ``index``, and the powers
+    ``p`` and ``q`` of u and v in each key."""
 
     keys: tuple
     index: object
     p: np.ndarray
     q: np.ndarray
-    empty: np.ndarray
 
 
 @functools.cache
@@ -68,10 +65,8 @@ def _layout(D: int) -> _Layout:
     keys = monomials(D)
     p = np.array([p for p, _ in keys], dtype=np.intp)
     q = np.array([q for _, q in keys], dtype=np.intp)
-    empty = np.zeros(len(keys))
-    for a in (p, q, empty):
-        a.flags.writeable = False
-    return _Layout(keys, monomial_index(D), p, q, empty)
+    p.flags.writeable = q.flags.writeable = False
+    return _Layout(keys, monomial_index(D), p, q)
 
 
 class CentralCircleView(NamedTuple):
@@ -123,9 +118,21 @@ class MomentVector:
             self._frac = [Fraction(0)] * len(self._keys)
             self._sum = self._comp = None
         else:
-            # until the first points arrive, the shared read-only zeros
             self._frac = None
-            self._sum = self._comp = layout.empty
+            self._sum = np.zeros(len(self._keys))
+            self._comp = np.zeros(len(self._keys))
+
+    def __getstate__(self):
+        # the layout is shared by degree: a copy or an unpickled accumulator
+        # looks it up again instead of carrying its own
+        return {k: getattr(self, k) for k in self.__slots__
+                if k not in ("_keys", "_index")}
+
+    def __setstate__(self, state):
+        for k, v in state.items():
+            setattr(self, k, v)
+        layout = _layout(self.max_total_degree)
+        self._keys, self._index = layout.keys, layout.index
 
     # -- ingestion ----------------------------------------------------------
 
@@ -168,11 +175,13 @@ class MomentVector:
         row summed pairwise on its own, exactly as ``np.sum`` of that
         product would be.
 
-        The chunks' sums are added with compensation, except the first
-        chunk into an empty accumulator: 0 + s is exact and leaves every
-        compensation 0, so those sums are copied. NonFiniteInput, with the
-        accumulator unchanged, if a coordinate is not finite or the points'
-        powers overflow a sum (numpy warns of the overflow first)."""
+        The chunks' sums are added with compensation, except a chunk into
+        an accumulator whose sums and compensations are all zero (an empty
+        one, but not one loaded with n = 0 and some sums): 0 + s is exact
+        and leaves every compensation 0, so those sums are copied.
+        NonFiniteInput, with the accumulator unchanged, if a coordinate is
+        not finite or the points' powers overflow a sum (numpy warns of the
+        overflow first)."""
         if not np.isfinite(xy).all():
             raise NonFiniteInput("non-finite coordinate in bulk input")
         if self.exact:
@@ -213,10 +222,10 @@ class MomentVector:
                                      "float moment sums")
             chunks.append(sums)
         for sums in chunks:
-            if self._sum is layout.empty:
-                self._sum, self._comp = layout.empty + sums, np.zeros(K)
-            else:
+            if np.count_nonzero(self._sum) or np.count_nonzero(self._comp):
                 _add_compensated(self._sum, self._comp, sums)
+            else:
+                self._sum += sums
         self.n += n
         return self
 
@@ -367,9 +376,6 @@ class MomentVector:
                  offset=tuple(_number("offset", v) for v in offset),
                  exact=_field(d, "exact", bool))
         mv.n = _field(d, "n", int)
-        if not mv.exact:  # its own arrays: an empty one's are read-only
-            K = len(mv._keys)
-            mv._sum, mv._comp = np.zeros(K), np.zeros(K)
         seen = set()
         for p, q, val in d["entries"]:
             key = (p, q)

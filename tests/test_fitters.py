@@ -1099,6 +1099,29 @@ def test_generic_noncircle_takes_a_start_in_parameter_order():
             fit(wrong)
 
 
+def test_circle_starts_are_read_like_family_starts():
+    mv = centered_mv(arc_points(2.0, -1.0, 3.0, 1.0, 200, 0.01, seed=6))
+
+    def fit(init):
+        blob = fit_circle_reduced(mv, FitConfig(init=init)).to_dict()
+        del blob["iteration_seconds"]
+        return blob
+
+    by_name = fit({"a": 2.5, "b": -1.0, "R": 2.0})
+    assert fit((2.5, -1.0, 2.0)) == by_name
+    assert fit(CircleParams(2.5, -1.0, 2.0)) == by_name
+    for bad, match in [({"a": 2.5, "b": -1.0}, "missing parameters"),
+                       ({"a": 2.5, "b": -1.0, "R": 2.0, "c": 0.0},
+                        "unknown parameters"),
+                       ((2.5, -1.0), "start of"),
+                       (2.5, "sequence"),
+                       (("x", -1.0, 2.0), "numbers")]:
+        with pytest.raises(InvalidSpec, match=match):
+            fit(bad)
+    with pytest.raises(InvalidRadius):
+        fit({"a": 2.5, "b": -1.0, "R": -2.0})
+
+
 def test_generic_noncircle_rejects_centered_accumulator():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")

@@ -1,7 +1,9 @@
 """Moment accumulation: single-pass sums, merging, the central circle view,
 serialization."""
 
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -156,7 +158,8 @@ def _absorbed(entry, D, offset, xs, ys):
 
 
 # on one chunk, on full chunks and on a partial last chunk; on both sides of
-# the chunk length where the products change form; at every degree up to 7
+# the chunk length where the products change form, and of 384, where they
+# changed form before; at every degree up to 7
 # (at D = 0 the power block is the row of ones alone); through each entry
 # point, accumulate being a chunk of one point
 _KERNEL_CASES = (
@@ -165,8 +168,10 @@ _KERNEL_CASES = (
     + [pytest.param(entry, D, n, id=f"{entry}-D{D}-{n}")
        for D in range(8)
        for entry, sizes in [
-           ("extend", [1, _GATHER_MAX, _GATHER_MAX + 1, _CHUNK + 1]),
-           ("from_points", [1, _GATHER_MAX, _GATHER_MAX + 1, _CHUNK + 1]),
+           ("extend", [1, 384, 385, _GATHER_MAX, _GATHER_MAX + 1,
+                       _CHUNK + 1]),
+           ("from_points", [1, 384, 385, _GATHER_MAX, _GATHER_MAX + 1,
+                            _CHUNK + 1]),
            ("accumulate", [1, 50])]
        for n in sizes])
 
@@ -236,6 +241,33 @@ def test_first_chunk_is_copied_without_compensated_addition(monkeypatch):
     assert calls == [15]
 
 
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda mv: pickle.loads(pickle.dumps(mv))])
+@pytest.mark.parametrize("exact", [False, True])
+def test_accumulators_copy_and_pickle(clone, exact):
+    # as a worker's accumulator is sent back to be merged
+    mv = MomentVector(3, offset=(0.5, -1.0), exact=exact)
+    mv.extend([1.0, 2.0, 0.25], [3.0, -1.0, 0.5])
+    twin = clone(mv)
+    assert twin.to_dict() == mv.to_dict()
+    assert twin._keys is monomials(3) and twin._index is monomial_index(3)
+    assert twin.merge(mv).to_dict() == mv.merge(mv).to_dict()
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda mv: pickle.loads(pickle.dumps(mv))])
+def test_copied_empty_accumulator_absorbs_like_a_fresh_one(clone):
+    # a copy of an empty accumulator has sums and compensations of its own
+    rng = np.random.default_rng(4)
+    xs, ys = rng.normal(5.0, 1.0, size=(2, 275))
+    fresh = MomentVector(4, offset=(4.5, 0.0)).extend(xs, ys)
+    copied = clone(MomentVector(4, offset=(4.5, 0.0))).extend(xs, ys)
+    assert copied._sum is not copied._comp
+    assert copied._sum.tobytes() == fresh._sum.tobytes()
+    assert copied._comp.tobytes() == fresh._comp.tobytes()
+    assert copied.to_dict() == fresh.to_dict()
+
+
 def test_overflowing_powers_are_non_finite_input():
     # finite points whose fourth powers overflow; numpy warns, then the
     # accumulator refuses them and keeps what it held
@@ -287,8 +319,7 @@ def test_layout_cannot_be_changed_through_a_caller():
         used._index[(3, 1)] = 0
     with pytest.raises(TypeError):
         used._keys[0] = (3, 1)
-    for shared in (_layout(3).p, _layout(3).q, _layout(3).empty,
-                   MomentVector(3)._sum):
+    for shared in (_layout(3).p, _layout(3).q):
         with pytest.raises(ValueError):
             shared[0] = 1
     used._sum[:] = 7.0
