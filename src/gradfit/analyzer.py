@@ -560,7 +560,8 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
     Feasibility is monotone in the degree bound, so the floating path first
     decides at max_degree with a single least-squares solve, then walks up
     from zero to locate the minimal degree. Exact (rational) inputs use
-    fraction-free elimination and return the exact minimum-norm solution.
+    Gauss-Jordan elimination over the rationals and return the exact
+    minimum-norm solution.
     """
     _check_degree_bound(max_degree)
     if P.is_zero() or Q.is_zero():
@@ -595,12 +596,6 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
         if res <= CERT_FLOAT_TOL:
             return ReductionCertificate(U, W, res, d)
     return None
-
-
-def verify_certificate(P: BivariatePoly, Q: BivariatePoly,
-                       cert: ReductionCertificate) -> float:
-    """Recomputed max-coefficient residual of P*U + Q*W - 1."""
-    return _identity_residual(P, Q, cert.U, cert.W)
 
 
 # ---------------------------------------------------------------------------

@@ -569,8 +569,12 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
     if cfg.init is not None:
         init = _circle_start(cfg.init)
     else:
-        centroid = (float(x.mean()), float(y.mean()))
-        init = pratt_init(MomentVector.from_points(pts, 4, offset=centroid))
+        # points whose powers overflow are NonFiniteInput, without numpy's
+        # overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroid = (float(x.mean()), float(y.mean()))
+            mv = MomentVector.from_points(pts, 4, offset=centroid)
+        init = pratt_init(mv)
     ones = np.ones(n)
 
     def fun(th):
@@ -914,10 +918,6 @@ class _CertObjective:
                     + 2.0 * (dp @ wT @ dp.T + C2 @ (wT @ p)))
 
         return F, grad, hess, noise
-
-    def value_grad(self, vec):
-        F, grad, _, _ = self._evaluate(np.asarray(vec, dtype=float))
-        return F, grad
 
     def evaluate(self, vec):
         """``_damped_newton``'s objective: (F, gradient, Hessian callable,

@@ -84,12 +84,16 @@ class CentralCircleView(NamedTuple):
     rounding: tuple
 
 
-def _add_compensated(s: np.ndarray, c: np.ndarray, vals: np.ndarray) -> None:
-    """Add ``vals`` into the running sums ``s`` in place, carrying the
-    rounding error of each addition into the compensations ``c`` (Neumaier)."""
+def _add_compensated(s: np.ndarray, c: np.ndarray, vals: np.ndarray):
+    """The running sums ``s`` plus ``vals`` and the compensations ``c`` plus
+    the rounding error of each addition (Neumaier), as new arrays; ``s`` and
+    ``c`` are left as they are. NonFiniteInput if a sum or a compensation
+    overflows (numpy warns of it first)."""
     t = s + vals
-    c += np.where(np.abs(s) >= np.abs(vals), (s - t) + vals, (vals - t) + s)
-    s[:] = t
+    c = c + np.where(np.abs(s) >= np.abs(vals), (s - t) + vals, (vals - t) + s)
+    if not (np.isfinite(t).all() and np.isfinite(c).all()):
+        raise NonFiniteInput("the moment sums overflow")
+    return t, c
 
 
 class MomentVector:
@@ -180,8 +184,8 @@ class MomentVector:
         one, but not one loaded with n = 0 and some sums): 0 + s is exact
         and leaves every compensation 0, so those sums are copied.
         NonFiniteInput, with the accumulator unchanged, if a coordinate is
-        not finite or the points' powers overflow a sum (numpy warns of the
-        overflow first)."""
+        not finite or the points' powers overflow a sum, or adding them
+        overflows the accumulator's (numpy warns of the overflow first)."""
         if not np.isfinite(xy).all():
             raise NonFiniteInput("non-finite coordinate in bulk input")
         if self.exact:
@@ -221,11 +225,14 @@ class MomentVector:
                 raise NonFiniteInput("the points' powers overflow the "
                                      "float moment sums")
             chunks.append(sums)
+        # every addition makes new arrays, assigned once all chunks are in
+        s, c = self._sum, self._comp
         for sums in chunks:
-            if np.count_nonzero(self._sum) or np.count_nonzero(self._comp):
-                _add_compensated(self._sum, self._comp, sums)
+            if np.count_nonzero(s) or np.count_nonzero(c):
+                s, c = _add_compensated(s, c, sums)
             else:
-                self._sum += sums
+                s = s + sums
+        self._sum, self._comp = s, c
         self.n += n
         return self
 
@@ -261,9 +268,8 @@ class MomentVector:
             return out
         a_sum, a_comp = self._float_parts()
         b_sum, b_comp = other._float_parts()
-        out._sum, out._comp = a_sum.copy(), a_comp.copy()
-        _add_compensated(out._sum, out._comp, b_sum)
-        _add_compensated(out._sum, out._comp, b_comp)
+        s, c = _add_compensated(a_sum, a_comp, b_sum)
+        out._sum, out._comp = _add_compensated(s, c, b_comp)
         return out
 
     def _float_parts(self):
@@ -282,21 +288,6 @@ class MomentVector:
         if self.exact:
             return self._frac[i]
         return self._sum[i] + self._comp[i]
-
-    def contract(self, poly) -> float:
-        """Sum of poly over the (centered) data: sum_i poly(u_i, v_i) via moments."""
-        acc = Fraction(0) if self.exact and poly.exact else 0.0
-        for (p, q), coeff in poly.terms.items():
-            if p + q > self.max_total_degree:
-                raise DegreeMismatch(
-                    f"term x^{p} y^{q} exceeds accumulated degree {self.max_total_degree}"
-                )
-            val = self.entry(p, q)
-            if isinstance(acc, Fraction):
-                acc += Fraction(coeff) * val
-            else:
-                acc += float(coeff) * float(val)
-        return acc
 
     def central_circle_view(self) -> "CentralCircleView":
         """The circle statistics about the data's centroid, computed from

@@ -6,14 +6,14 @@ polynomial:
 
 * exact mode: ``fractions.Fraction`` entries. Floats fed into an exact
   polynomial are converted exactly (every float is a dyadic rational), so
-  elimination and certificate computations are free of rounding.
+  certificate computations are free of rounding.
 * floating mode: real ``float`` entries in double precision.
 
 Mixing modes in arithmetic promotes to floating. All values are immutable
 after construction and every operation is a pure function, so instances can
 be shared freely across threads. Numerical code takes the coefficients as
-dense complex matrices (``coefficient_matrices``); the floating resultant
-(``dense_resultant``) works on those.
+dense complex matrices (``coefficient_matrices``). Elimination is floating
+only: ``dense_resultant`` computes the resultant from those matrices.
 """
 
 from __future__ import annotations
@@ -110,13 +110,6 @@ class BivariatePoly:
         if not self.terms:
             return NEG_INF
         return max(p + q for p, q in self.terms)
-
-    def deg_in(self, var: str):
-        """Degree in one variable; -inf for the zero polynomial."""
-        idx = _var_index(var)
-        if not self.terms:
-            return NEG_INF
-        return max(k[idx] for k in self.terms)
 
     def coeff(self, p: int, q: int):
         zero = Fraction(0) if self.exact else 0.0
@@ -382,22 +375,6 @@ def format_poly(P: BivariatePoly) -> str:
     return " ".join(out)
 
 
-def univariate_coeffs(P: BivariatePoly, var: str) -> list:
-    """Dense ascending coefficient list of a polynomial involving one variable only."""
-    idx = _var_index(var)
-    other = 1 - idx
-    if P.terms and any(k[other] for k in P.terms):
-        raise ValueError(f"polynomial is not univariate in {var}")
-    d = P.deg_in(var)
-    if d == NEG_INF:
-        return []
-    zero = Fraction(0) if P.exact else 0.0
-    out = [zero] * (int(d) + 1)
-    for k, c in P.terms.items():
-        out[k[idx]] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # monomial basis
 # ---------------------------------------------------------------------------
@@ -417,101 +394,9 @@ def monomial_index(d: int) -> Mapping[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant
+# floating Sylvester resultant: dense coefficient matrices, determinants at
+# roots of unity, FFT interpolation
 # ---------------------------------------------------------------------------
-
-# univariate polynomials over Fraction: ascending tuples, trailing zeros trimmed
-
-
-def _up_trim(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _up_sub(a, b):
-    n = max(len(a), len(b))
-    return _up_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _up_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _up_trim(out)
-
-
-def _up_divexact(a, b):
-    """Exact division of univariate polynomials over the rationals."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return ()
-    rem = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = rem[k + len(b) - 1] / lead
-        out[k] = coef
-        if coef != 0:
-            for j, bj in enumerate(b):
-                rem[k + j] -= coef * bj
-    if any(r != 0 for r in rem):
-        raise ArithmeticError("inexact polynomial division in fraction-free elimination")
-    return _up_trim(out)
-
-
-def _bareiss_det(M: list[list[tuple]]) -> tuple:
-    """Fraction-free Bareiss determinant of a matrix of univariate polynomials."""
-    n = len(M)
-    if n == 0:
-        return (Fraction(1),)
-    sign = 1
-    prev = (Fraction(1),)
-    for k in range(n - 1):
-        if not M[k][k]:
-            for r in range(k + 1, n):
-                if M[r][k]:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return ()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _up_sub(_up_mul(M[i][j], M[k][k]), _up_mul(M[i][k], M[k][j]))
-                M[i][j] = _up_divexact(num, prev)
-            M[i][k] = ()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    if sign < 0:
-        det = tuple(-c for c in det)
-    return det
-
-
-def _clear_denominators(P: BivariatePoly) -> tuple[BivariatePoly, Fraction]:
-    """Scale an exact polynomial to integer coefficients; returns (scaled, factor)."""
-    lam = Fraction(1)
-    for c in P.terms.values():
-        lam = Fraction(math.lcm(lam.numerator, Fraction(c).denominator))
-    return BivariatePoly({k: c * lam for k, c in P.terms.items()}, exact=True), lam
-
-
-def _coeff_rows(P: BivariatePoly, elim: str, keep: str) -> list[BivariatePoly]:
-    """Coefficients of the eliminated variable, highest power first, each a
-    polynomial in the kept variable."""
-    e = _var_index(elim)
-    k = _var_index(keep)
-    d = int(P.deg_in(elim))
-    rows = [dict() for _ in range(d + 1)]
-    for key, c in P.terms.items():
-        rows[d - key[e]][(key[k], 0) if keep == "x" else (0, key[k])] = c
-    return [BivariatePoly(r, exact=P.exact) for r in rows]
 
 
 def coefficient_matrices(polys, size: int) -> np.ndarray:
@@ -592,56 +477,3 @@ def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     mag = abs(coeffs)
     coeffs[mag <= 1e-10 * mag.max()] = 0.0
     return coeffs
-
-
-def sylvester_resultant(P: BivariatePoly, Q: BivariatePoly, eliminate: str = "y") -> BivariatePoly:
-    """Resultant of P and Q with respect to one variable.
-
-    Returns the determinant of their Sylvester matrix, viewed as polynomials in
-    the eliminated variable over polynomials in the other. Exact inputs take a
-    fraction-free Bareiss elimination; floating inputs go through
-    ``dense_resultant``, which evaluates the determinant on roots of unity
-    and interpolates by FFT.
-    """
-    keep = "x" if eliminate == "y" else "y"
-    _var_index(eliminate)
-    if not (P.exact and Q.exact):
-        P = structural_trim(P.to_float())
-        Q = structural_trim(Q.to_float())
-        size = 1 + int(max(0, P.degree(), Q.degree()))
-        F = coefficient_matrices((P, Q), size)
-        if eliminate == "x":
-            F = F.transpose(0, 2, 1)
-        coeffs = dense_resultant(*F)
-        return BivariatePoly({(i, 0) if keep == "x" else (0, i): c
-                              for i, c in enumerate(coeffs)}, exact=False)
-    m = P.deg_in(eliminate)
-    n = Q.deg_in(eliminate)
-    m = -1 if m == NEG_INF else int(m)
-    n = -1 if n == NEG_INF else int(n)
-    if _zero_resultant(m, n):
-        return BivariatePoly.zero(exact=True)
-    if m <= 0:
-        return P ** n  # P constant in the eliminated variable
-    if n <= 0:
-        return Q ** m
-
-    P, lp = _clear_denominators(P)
-    Q, lq = _clear_denominators(Q)
-    scale_back = Fraction(1) / (lp ** n * lq ** m)
-    prow = _coeff_rows(P, eliminate, keep)
-    qrow = _coeff_rows(Q, eliminate, keep)
-    size = m + n
-    M = [[() for _ in range(size)] for _ in range(size)]
-    for r in range(n):
-        for j, c in enumerate(prow):
-            M[r][r + j] = tuple(univariate_coeffs(c, keep))
-    for r in range(m):
-        for j, c in enumerate(qrow):
-            M[n + r][r + j] = tuple(univariate_coeffs(c, keep))
-    det = _bareiss_det(M)
-    terms = {}
-    for i, c in enumerate(det):
-        if c != 0:
-            terms[(i, 0) if keep == "x" else (0, i)] = c * scale_back
-    return BivariatePoly(terms, exact=True)

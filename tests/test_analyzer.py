@@ -9,14 +9,12 @@ import pytest
 
 from gradfit.analyzer import (
     CommonZeroWitness,
-    ReductionCertificate,
     analyze_family,
     certificate_system,
     decide_reduction,
     default_degree_bound,
     find_common_zero,
     solve_nullstellensatz,
-    verify_certificate,
     _solve_exact_at,
 )
 from gradfit.errors import BoundExhausted, DegenerateInput, InvalidSpec
@@ -265,17 +263,7 @@ def test_float_certificate_residual_bound():
     cert = solve_nullstellensatz(P, Q, 9)
     assert cert is not None and cert.degree == 0
     assert cert.identity_residual <= 1e-10
-    assert verify_certificate(P, Q, cert) <= 1e-10
-
-
-def test_verify_certificate_detects_perturbation():
-    P = circle_poly(0, 0, 1)
-    Q = gradient_norm_squared(P)
-    cert = solve_nullstellensatz(P, Q, 9)
-    assert verify_certificate(P, Q, cert) == 0.0
-    broken = ReductionCertificate(cert.U, cert.W + 1, 0.0, cert.degree)
-    # P*U + Q*(W+1) - 1 = Q, whose largest coefficient is 4
-    assert verify_certificate(P, Q, broken) == 4.0
+    assert (P * cert.U + Q * cert.W - 1).max_coeff_mag() <= 1e-10
 
 
 # -- combined decision ------------------------------------------------------

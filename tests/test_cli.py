@@ -572,6 +572,17 @@ def run_module(*argv, stdout=subprocess.PIPE):
                           timeout=120)
 
 
+def test_module_geometric_overflow_exits_without_warnings(tmp_path):
+    # the geometric fit accumulates its own start's moments: numpy's
+    # overflow warnings must not reach stderr before the typed error
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e100,0\n2e100,1\n0,3e100\n5e99,5e99\n")
+    proc = run_module("fit", "--algo", "geometric", str(huge))
+    assert proc.returncode == 4
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+    assert "overflow" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", [(), ("fit",), ("analyze",),
                                      ("generate",), ("bench",)],
                          ids=["gradfit", "fit", "analyze", "generate", "bench"])

@@ -736,7 +736,7 @@ def test_generic_assembled_equals_direct_sum():
     for _ in range(10):
         th = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                        rng.uniform(0.5, 2.0)])
-        F, _ = obj.value_grad(th)
+        F, _ = obj._evaluate(th)[:2]
         a, b, R = th
         P = (pts[:, 0] - a) ** 2 + (pts[:, 1] - b) ** 2 - R * R
         direct = float(np.sum(P * P / (4.0 * R * R)))
@@ -754,14 +754,14 @@ def test_generic_gradient_matches_central_differences():
     for _ in range(15):
         th = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                        rng.uniform(0.6, 2.0)])
-        _, g = obj.value_grad(th)
+        _, g = obj._evaluate(th)[:2]
         fd = np.zeros(3)
         for j in range(3):
             h = 1e-6 * (1.0 + abs(th[j]))
             up, dn = th.copy(), th.copy()
             up[j] += h
             dn[j] -= h
-            fd[j] = (obj.value_grad(up)[0] - obj.value_grad(dn)[0]) / (2 * h)
+            fd[j] = (obj._evaluate(up)[0] - obj._evaluate(dn)[0]) / (2 * h)
         worst = max(worst, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
     assert worst < 1e-6
 
@@ -857,10 +857,11 @@ def exact_dtheta(family, th, name, h=Fraction(1, 1024)):
     return BivariatePoly((diff * (1 / (2 * h))).terms, exact=False)
 
 
-def reference_value_grad(family, degree, mv, vec):
+def reference_value_grad(family, degree, mv, vec, contract):
     """F and its gradient the direct way: W from certificate_system and
     pinv, then W P^2 and its theta-derivatives (exact central differences
-    of P) as polynomials contracted with the moments."""
+    of P) as polynomials contracted with the moments (the ``contract``
+    fixture)."""
     th = dict(zip(family.param_names, map(float, vec)))
     P = family.poly(th)
     px, py = P.partial("x"), P.partial("y")
@@ -883,8 +884,8 @@ def reference_value_grad(family, degree, mv, vec):
         dA[:len(low)] = low  # rows run by degree; the rest are zero
         # derivative of the minimum-norm solution of a consistent system
         ds = -Ap @ (dA @ s) + (np.eye(2 * k) - Ap @ A) @ (dA.T @ (Ap.T @ s))
-        grad.append(mv.contract(weight(ds) * P * P + 2.0 * (W * P * dP)))
-    return mv.contract(W * P * P), np.array(grad)
+        grad.append(contract(mv, weight(ds) * P * P + 2.0 * (W * P * dP)))
+    return contract(mv, W * P * P), np.array(grad)
 
 
 def reference_hessian(obj, vec):
@@ -898,7 +899,7 @@ def reference_hessian(obj, vec):
         up, dn = vec.copy(), vec.copy()
         up[j] += h
         dn[j] -= h
-        H[:, j] = (obj.value_grad(up)[1] - obj.value_grad(dn)[1]) / (2.0 * h)
+        H[:, j] = (obj._evaluate(up)[1] - obj._evaluate(dn)[1]) / (2.0 * h)
     if obj.scale_free:
         t = vec / np.linalg.norm(vec)
         proj = np.eye(k) - np.outer(t, t)
@@ -917,7 +918,8 @@ def random_theta(family, rng):
 
 @pytest.mark.parametrize("family", ["circle", "line"])
 @pytest.mark.parametrize("d", [0, 1, 2])
-def test_compiled_objective_matches_polynomial_reference(family, d):
+def test_compiled_objective_matches_polynomial_reference(family, d,
+                                                         contract):
     fam = get_family(family)
     rng = np.random.default_rng(40 + d)
     need = d + (4 if family == "circle" else 2)
@@ -928,8 +930,8 @@ def test_compiled_objective_matches_polynomial_reference(family, d):
         obj = _CertObjective(fam, d, mv)
         for _ in range(4):
             th = random_theta(family, rng)
-            F, g = obj.value_grad(th)
-            F_ref, g_ref = reference_value_grad(fam, d, mv, th)
+            F, g = obj._evaluate(th)[:2]
+            F_ref, g_ref = reference_value_grad(fam, d, mv, th, contract)
             assert F == pytest.approx(F_ref, rel=1e-12)
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
@@ -975,7 +977,7 @@ def test_exact_hessian_matches_gradient_differences(family, d):
             deficient = np.linalg.matrix_rank(A) < A.shape[1]
             assert deficient == (d >= (1 if family == "line" else 2))
             F, g, hess, _ = obj.evaluate(th)
-            F_ref, g_ref = obj.value_grad(th)
+            F_ref, g_ref = obj._evaluate(th)[:2]
             if obj.scale_free:  # the driver's gradient is projected
                 t = th / np.linalg.norm(th)
                 g_ref = (np.eye(len(t)) - np.outer(t, t)) @ g_ref

@@ -140,8 +140,8 @@ def _per_key_reference(xs, ys, D, offset, chunk, start=None):
         for _ in range(D):
             up.append(up[-1] * u)
             vq.append(vq[-1] * v)
-        _add_compensated(s, c, np.array([np.sum(up[p] * vq[q])
-                                         for p, q in keys]))
+        s, c = _add_compensated(s, c, np.array([np.sum(up[p] * vq[q])
+                                                for p, q in keys]))
     return s, c
 
 
@@ -230,7 +230,7 @@ def test_first_chunk_is_copied_without_compensated_addition(monkeypatch):
 
     def counting(s, c, vals):
         calls.append(len(vals))
-        _add_compensated(s, c, vals)
+        return _add_compensated(s, c, vals)
 
     monkeypatch.setattr(moments, "_add_compensated", counting)
     rng = np.random.default_rng(275)
@@ -281,6 +281,26 @@ def test_overflowing_powers_are_non_finite_input():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(NonFiniteInput, match="overflow"):
             mv.extend(xs, np.zeros(_CHUNK + 1))
+    assert mv.to_dict() == before
+
+
+def test_overflowing_compensated_sum_is_non_finite_input():
+    # each point's sums are finite, Σx^4 of two is not: the compensated
+    # addition refuses it and the accumulator keeps what it held
+    mv = MomentVector(4).extend([1.1e77], [0.0])
+    before = mv.to_dict()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            mv.extend([1.1e77], [0.0])
+    assert mv.to_dict() == before
+
+
+def test_overflowing_merge_is_non_finite_input():
+    mv = MomentVector(4).extend([1.1e77], [0.0])
+    before = mv.to_dict()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            mv.merge(mv)
     assert mv.to_dict() == before
 
 
@@ -497,19 +517,19 @@ def test_central_circle_view_requires_degree_four_and_data():
 
 # -- contraction ------------------------------------------------------------
 
-def test_contract_evaluates_polynomial_sums():
+def test_contract_evaluates_polynomial_sums(contract):
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 2))
     mv = MomentVector(3).extend(pts[:, 0], pts[:, 1])
     P = BivariatePoly({(2, 1): 1.5, (1, 0): -2.0, (0, 0): 0.25}, exact=False)
     direct = sum(P.eval(x, y) for x, y in pts)
-    assert mv.contract(P) == pytest.approx(direct, rel=1e-12)
+    assert contract(mv, P) == pytest.approx(direct, rel=1e-12)
 
 
-def test_contract_degree_guard():
+def test_contract_degree_guard(contract):
     mv = MomentVector(2).accumulate(1.0, 1.0)
     with pytest.raises(DegreeMismatch):
-        mv.contract(BivariatePoly({(3, 0): 1.0}, exact=False))
+        contract(mv, BivariatePoly({(3, 0): 1.0}, exact=False))
 
 
 # -- serialization ----------------------------------------------------------
