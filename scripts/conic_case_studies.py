@@ -46,6 +46,10 @@ def study_blocked(name, rng, samples):
         shown = " ".join(f"{k}={theta[k]:.3f}" for k in fam.param_names)
         w = decision.witness
         print(f"  {shown}")
+        if w is None:
+            print(f"    admissible={decision.admissible}  decided by the "
+                  "ideal test; no witness found")
+            continue
         print(f"    admissible={decision.admissible}  "
               f"witness x={w.x:.6g} y={w.y:.6g}")
         if name in ("ellipse", "hyperbola"):

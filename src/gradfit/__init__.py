@@ -14,7 +14,7 @@ The package has three layers:
 """
 
 from .analyzer import (FamilyReport, ReductionCertificate, ReductionDecision,
-                       analyze_family, decide_reduction, default_degree_bound)
+                       analyze_family, decide_reduction)
 from .datagen import SyntheticSpec, generate, ingest, write_points
 from .errors import GradfitError
 from .families import FAMILIES, CurveFamily, get_family
@@ -43,7 +43,6 @@ __all__ = [
     "SyntheticSpec",
     "analyze_family",
     "decide_reduction",
-    "default_degree_bound",
     "fit_circle_geometric",
     "fit_circle_reduced",
     "fit_conic_reweight",

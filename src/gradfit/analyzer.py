@@ -5,7 +5,8 @@ mutually exclusive situations holds:
 
 * P and Q share a common zero in C^2 — then no polynomial weight W can agree
   with 1/Q on the whole curve, and the family admits no reduced objective; a
-  refined :class:`CommonZeroWitness` is produced as evidence;
+  refined :class:`CommonZeroWitness` is produced as evidence when the
+  numerical search finds one;
 * P*U + Q*W = 1 has polynomial solutions — then W is a valid weight
   polynomial, the reduced objective exists, and a verified
   :class:`ReductionCertificate` is produced.
@@ -14,7 +15,11 @@ Witness search compiles P, Q and their partials once into dense coefficient
 matrices and runs on them: Sylvester resultants (every FFT node's matrix in
 one stacked determinant), root-finding, lifting, and a damped 2-D Newton
 polish that evaluates all six at a point in one product. Certificate search
-poses the identity as a linear system in the coefficients of U and W.
+poses the identity as a linear system in the coefficients of U and W, solved
+over the rationals. When the search finds no witness and the system has no
+solution at degree 0, a Groebner basis of <P, Q> decides exactly which
+situation holds, so every verdict is decided on the exact values of the
+coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BoundExhausted,
     DegenerateElimination,
     DegenerateInput,
     InvalidSpec,
@@ -43,13 +47,10 @@ from .poly import (
     gradient_norm_squared,
     monomial_index,
     monomials,
-    structural_trim,
     sylvester_dets,
 )
 
 WITNESS_TOL = 1e-8          # relative residual accepted for a common zero
-CERT_FLOAT_TOL = 1e-10      # identity residual accepted for a float certificate
-RANK_CUTOFF = 1e-10         # singular values below cutoff*largest are zero
 _SAMPLE_TRIES = 8           # random slices tried when the resultant vanishes
 # a float resultant at most this times its Sylvester bound may be rounding
 # noise; it is, if its interpolant misses the determinants between its nodes
@@ -78,7 +79,8 @@ class CommonZeroWitness:
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Polynomials U, W with P*U + Q*W = 1, plus the verified residual."""
+    """Polynomials U, W with P*U + Q*W = 1, exactly. ``identity_residual``
+    is the residual of that identity, always 0.0."""
 
     U: BivariatePoly
     W: BivariatePoly
@@ -97,13 +99,6 @@ class ReductionCertificate:
 # ---------------------------------------------------------------------------
 # small numerical helpers
 # ---------------------------------------------------------------------------
-
-
-def _unit_normalize(P: BivariatePoly) -> BivariatePoly:
-    scale = P.max_coeff_mag()
-    if scale == 0.0 or scale == 1.0:
-        return P
-    return P * (1.0 / scale)
 
 
 def _int_degree(P: BivariatePoly) -> int:
@@ -466,17 +461,6 @@ def coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
     return vec
 
 
-def _solve_float_at(P, Q, d):
-    A, b, cols = certificate_system(P, Q, d)
-    k = len(cols)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=RANK_CUTOFF)
-    if np.linalg.norm(A @ sol - b) > 1e-8:
-        return None
-    U = BivariatePoly({m: sol[j] for j, m in enumerate(cols)}, exact=False)
-    W = BivariatePoly({m: sol[k + j] for j, m in enumerate(cols)}, exact=False)
-    return U, W
-
-
 def _rref(M: list[list[Fraction]]):
     """Reduced row echelon form in place; returns pivot column list."""
     rows, cols = len(M), len(M[0]) if M else 0
@@ -541,61 +525,86 @@ def _solve_exact_at(P, Q, d):
     return U, W
 
 
-def _identity_residual(P, Q, U, W) -> float:
-    E = P * U + Q * W - 1
-    if E.exact:
-        return 0.0 if E.is_zero() else E.max_coeff_mag()
-    return E.max_coeff_mag()
+def _grevlex(m) -> tuple:
+    """Sort key of x^p y^q in graded reverse-lex order with x > y."""
+    return (m[0] + m[1], m[0])
 
 
-def _check_degree_bound(max_degree) -> None:
-    if max_degree is not None and max_degree < 0:
-        raise InvalidSpec(f"max_degree must be >= 0, got {max_degree}")
+def _remainder(f: dict, G: list) -> dict:
+    """f reduced by G, a list of (leading monomial, monic polynomial) with
+    polynomials as dicts of Fractions, in graded reverse-lex order."""
+    f, rem = dict(f), {}
+    while f:
+        m = max(f, key=_grevlex)
+        lm, g = next(((lm, g) for lm, g in G
+                      if lm[0] <= m[0] and lm[1] <= m[1]), (None, None))
+        if g is None:
+            rem[m] = f.pop(m)
+            continue
+        c, sp, sq = f[m], m[0] - lm[0], m[1] - lm[1]
+        for (p, q), v in g.items():
+            k = (p + sp, q + sq)
+            f[k] = f.get(k, 0) - c * v
+            if not f[k]:
+                del f[k]
+    return rem
 
 
-def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
-    """Minimal-degree polynomials U, W with P*U + Q*W = 1, if any exist with
-    total degree <= max_degree; None when the identity is infeasible that far.
+def _in_unit_ideal(P: BivariatePoly, Q: BivariatePoly) -> bool:
+    """Whether 1 lies in the ideal <P, Q> of exact P and Q, that is (weak
+    Nullstellensatz) whether they have no common zero in C^2: Buchberger's
+    algorithm in graded reverse-lex order, skipping pairs with coprime
+    leading monomials and stopping as soon as a constant appears."""
+    G, pairs, todo = [], [], [Q.terms, P.terms]
+    while todo or pairs:
+        if todo:
+            f = todo.pop()
+        else:  # the S-polynomial of the pair of least lcm
+            pairs.sort(key=lambda t: _grevlex(t[0]), reverse=True)
+            lcm, i, j = pairs.pop()
+            f = {}
+            for (lm, g), sign in ((G[i], 1), (G[j], -1)):
+                for (p, q), v in g.items():
+                    k = (p + lcm[0] - lm[0], q + lcm[1] - lm[1])
+                    f[k] = f.get(k, 0) + sign * v
+        r = _remainder({k: v for k, v in f.items() if v}, G)
+        if not r:
+            continue
+        lm = max(r, key=_grevlex)
+        if lm == (0, 0):
+            return True
+        pairs += [((max(lm[0], lg[0]), max(lm[1], lg[1])), i, len(G))
+                  for i, (lg, _) in enumerate(G)
+                  if min(lm[0], lg[0]) or min(lm[1], lg[1])]
+        G.append((lm, {m: v / r[lm] for m, v in r.items()}))
+    return False
 
-    Feasibility is monotone in the degree bound, so the floating path first
-    decides at max_degree with a single least-squares solve, then walks up
-    from zero to locate the minimal degree. Exact (rational) inputs use
-    Gauss-Jordan elimination over the rationals and return the exact
-    minimum-norm solution.
+
+def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
+    """Minimal-degree polynomials U, W with P*U + Q*W = 1, or None when P
+    and Q have a common zero in C^2 and no such polynomials exist.
+
+    P and Q are decided on the exact values of their coefficients. The
+    degree-0 system is solved first, as every admissible registry family's
+    certificate has that degree; then membership of 1 in <P, Q> is tested,
+    and only a member walks up the degrees, which ends because a
+    certificate exists. Each degree is solved by Gauss-Jordan elimination
+    over the rationals, giving the exact minimum-norm solution.
     """
-    _check_degree_bound(max_degree)
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("P and Q must be nonzero")
-    exact = P.exact and Q.exact
-
-    if exact:
-        for d in range(max_degree + 1):
-            got = _solve_exact_at(P, Q, d)
-            if got is not None:
-                U, W = got
-                res = _identity_residual(P, Q, U, W)
-                if res != 0.0:
-                    raise NumericalFailure("exact certificate failed verification")
-                return ReductionCertificate(U, W, 0.0, d)
+    P, Q = P.to_exact(), Q.to_exact()
+    got = _solve_exact_at(P, Q, 0)
+    if got is None and not _in_unit_ideal(P, Q):
         return None
-
-    sP = P.max_coeff_mag()
-    sQ = Q.max_coeff_mag()
-    Pn = _unit_normalize(structural_trim(P.to_float()))
-    Qn = _unit_normalize(structural_trim(Q.to_float()))
-    if _solve_float_at(Pn, Qn, max_degree) is None:
-        return None
-    for d in range(max_degree + 1):
-        got = _solve_float_at(Pn, Qn, d)
-        if got is None:
-            continue
-        U, W = got
-        U = U * (1.0 / sP)
-        W = W * (1.0 / sQ)
-        res = _identity_residual(P.to_float(), Q.to_float(), U, W)
-        if res <= CERT_FLOAT_TOL:
-            return ReductionCertificate(U, W, res, d)
-    return None
+    d = 0
+    while got is None:
+        d += 1
+        got = _solve_exact_at(P, Q, d)
+    U, W = got
+    if not (P * U + Q * W - 1).is_zero():
+        raise NumericalFailure("exact certificate failed verification")
+    return ReductionCertificate(U, W, 0.0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +614,13 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly, max_degree: int):
 
 @dataclass(frozen=True)
 class ReductionDecision:
-    """Outcome for one (P, Q) pair."""
+    """Outcome for one (P, Q) pair. ``max_degree`` is the certificate's
+    degree when the verdict is admissible, None otherwise."""
 
     admissible: bool
     witness: CommonZeroWitness | None
     certificate: ReductionCertificate | None
-    max_degree: int
+    max_degree: int | None
 
     def to_dict(self) -> dict:
         return {
@@ -621,32 +631,26 @@ class ReductionDecision:
         }
 
 
-def default_degree_bound(P: BivariatePoly, Q: BivariatePoly) -> int:
-    return max(3, _int_degree(P)) * max(3, _int_degree(Q))
+def decide_reduction(P: BivariatePoly,
+                     Q: BivariatePoly | None = None) -> ReductionDecision:
+    """Full verdict for one polynomial, decided on the exact values of its
+    coefficients: witness search, then certificate.
 
-
-def decide_reduction(P: BivariatePoly, Q: BivariatePoly | None = None,
-                     max_degree: int | None = None) -> ReductionDecision:
-    """Full verdict for one polynomial: witness search, then certificate.
-
-    Q defaults to the squared gradient of P. Raises BoundExhausted when
-    neither a witness nor a certificate materializes — an inconclusive state
-    distinct from both definite answers.
+    Q defaults to the squared gradient of P. A pair with a common zero that
+    the witness search misses is still not admissible, with no witness.
     """
-    _check_degree_bound(max_degree)
-    if Q is None:
-        Q = gradient_norm_squared(P)
-    if max_degree is None:
-        max_degree = default_degree_bound(P, Q)
-    witness = find_common_zero(P, Q)
+    P = P.to_exact()
+    Q = gradient_norm_squared(P) if Q is None else Q.to_exact()
+    try:
+        witness = find_common_zero(P, Q)
+    except NumericalFailure:
+        witness = None
     if witness is not None:
-        return ReductionDecision(False, witness, None, max_degree)
-    cert = solve_nullstellensatz(P, Q, max_degree)
+        return ReductionDecision(False, witness, None, None)
+    cert = solve_nullstellensatz(P, Q)
     if cert is None:
-        raise BoundExhausted(
-            f"no witness and no certificate through degree {max_degree}"
-        )
-    return ReductionDecision(True, None, cert, max_degree)
+        return ReductionDecision(False, None, None, None)
+    return ReductionDecision(True, None, cert, cert.degree)
 
 
 def circle_certificate() -> ReductionCertificate:
@@ -664,7 +668,7 @@ def circle_certificate() -> ReductionCertificate:
 class SampleReport:
     index: int
     theta: dict
-    verdict: str                      # admissible | not_admissible | inconclusive | error
+    verdict: str                      # admissible | not_admissible | error
     witness: CommonZeroWitness | None = None
     certificate: ReductionCertificate | None = None
     error: str | None = None
@@ -696,14 +700,11 @@ class FamilyReport:
         }
 
 
-def _analyze_one(family: CurveFamily, idx: int, theta: dict,
-                 max_degree: int | None) -> SampleReport:
+def _analyze_one(family: CurveFamily, idx: int, theta: dict) -> SampleReport:
     try:
         P = family.poly(theta, exact=True)
         Q = gradient_norm_squared(P)
-        decision = decide_reduction(P, Q, max_degree)
-    except BoundExhausted:
-        return SampleReport(idx, theta, "inconclusive")
+        decision = decide_reduction(P, Q)
     except Exception as exc:
         return SampleReport(idx, theta, "error", error=f"{type(exc).__name__}: {exc}")
     if decision.admissible:
@@ -712,25 +713,23 @@ def _analyze_one(family: CurveFamily, idx: int, theta: dict,
     return SampleReport(idx, theta, "not_admissible", witness=decision.witness)
 
 
-def analyze_family(family, samples: int, rng=None,
-                   max_degree: int | None = None) -> FamilyReport:
+def analyze_family(family, samples: int, rng=None) -> FamilyReport:
     """Per-sample admissibility verdicts over random parameters of a family,
-    each decided on the exact polynomial of its parameters.
+    each decided exactly on the polynomial of its parameters.
 
     Errors in individual samples are recorded, never abort the batch. The
-    report carries a consistency flag: every nondegenerate sample of one
-    family must land on the same verdict.
+    report carries a consistency flag: every sample that did not error must
+    land on the same verdict. The family's verdict is that one, "mixed" if
+    they differ, or "inconclusive" if every sample errored.
     """
     if isinstance(family, str):
         family = get_family(family)
     if samples < 1:
         raise InvalidSpec(f"samples must be at least 1, got {samples}")
-    _check_degree_bound(max_degree)
     if rng is None:
         rng = np.random.default_rng(0)
     thetas = [family.sample_theta(rng) for _ in range(samples)]
-    reports = [_analyze_one(family, i, t, max_degree)
-               for i, t in enumerate(thetas)]
+    reports = [_analyze_one(family, i, t) for i, t in enumerate(thetas)]
     decided = {r.verdict for r in reports if r.verdict in ("admissible", "not_admissible")}
     consistent = len(decided) <= 1
     if not decided:

@@ -27,7 +27,8 @@ code  meaning
 7     fit finished without converging
 8     GradientVanishesAtSample
 9     NumericalFailure
-10    BoundExhausted            (analysis inconclusive)
+10    ``analyze --family`` report whose samples disagree ("mixed") or
+      all errored ("inconclusive")
 11    ImaginaryRadius
 12    DegreeMismatch
 13    CenterHitsDataPoint
@@ -52,7 +53,7 @@ import numpy as np
 from .analyzer import analyze_family, decide_reduction
 from .bench import run_bench
 from .datagen import SyntheticSpec, generate, ingest, write_points
-from .errors import (BoundExhausted, CenterHitsDataPoint, DegenerateData,
+from .errors import (CenterHitsDataPoint, DegenerateData,
                      DegenerateElimination, DegenerateInput, DegreeMismatch,
                      GradfitError, GradientVanishesAtSample, ImaginaryRadius,
                      InvalidRadius, InvalidSpec, NoCircle, NonFiniteInput,
@@ -73,7 +74,6 @@ _EXIT_CODES = {
     DegenerateData: 6,
     GradientVanishesAtSample: 8,
     NumericalFailure: 9,
-    BoundExhausted: 10,
     ImaginaryRadius: 11,
     DegreeMismatch: 12,
     CenterHitsDataPoint: 13,
@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
         raise InvalidSpec("give a polynomial or --family, not both or neither")
     if args.poly is not None:
         P = parse_poly(args.poly, exact=True)
-        decision = decide_reduction(P, max_degree=args.max_degree)
+        decision = decide_reduction(P)
         if args.json:
             _emit_json(decision.to_dict())
         else:
@@ -216,8 +216,7 @@ def cmd_analyze(args) -> int:
         return 0
     fam = get_family(args.family)
     rng = np.random.default_rng(args.seed)
-    report = analyze_family(fam, args.samples, rng=rng,
-                            max_degree=args.max_degree)
+    report = analyze_family(fam, args.samples, rng=rng)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "a decimal is read as the exact value of its double")
     p_an.add_argument("--family", choices=sorted(FAMILIES))
     p_an.add_argument("--samples", type=int, default=5)
-    p_an.add_argument("--max-degree", type=int, default=None)
     p_an.add_argument("--seed", type=int)
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)

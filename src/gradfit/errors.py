@@ -22,11 +22,6 @@ class NumericalFailure(GradfitError):
     """Root refinement could not reach the witness tolerance."""
 
 
-class BoundExhausted(GradfitError):
-    """Certificate search hit its degree bound and no witness exists either;
-    the verdict is inconclusive rather than negative."""
-
-
 class NonFiniteInput(GradfitError):
     """A data point with a NaN or infinite coordinate was rejected, or
     finite data whose moments overflow float arithmetic."""

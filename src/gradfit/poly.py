@@ -263,20 +263,6 @@ def gradient_norm_squared(P: BivariatePoly) -> BivariatePoly:
     return px * px + py * py
 
 
-def structural_trim(P: BivariatePoly, rel_tol: float = COEFF_EQ_TOL) -> BivariatePoly:
-    """Drop floating terms below ``rel_tol`` times the largest coefficient.
-
-    Elimination code calls this so that roundoff residue cannot inflate the
-    degree structure. Exact polynomials are returned unchanged.
-    """
-    if P.exact or not P.terms:
-        return P
-    cut = rel_tol * P.max_coeff_mag()
-    return BivariatePoly(
-        {k: c for k, c in P.terms.items() if abs(c) > cut}, exact=False
-    )
-
-
 # ---------------------------------------------------------------------------
 # text form: `1 x^2 + 1 y^2 - 1`, coefficients decimal or rational num/den
 # ---------------------------------------------------------------------------

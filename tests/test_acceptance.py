@@ -142,16 +142,16 @@ def _no_common_zero_pair(rng, kind):
         a, b = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         P = _circle_poly_float(a, b, float(rng.uniform(0.5, 2.0)))
         return P, gradient_norm_squared(P)
-    # P vanishes only on the line x = -d, where Q equals a nonzero constant
+    # P vanishes only on the line x = -d, where Q equals a nonzero constant;
+    # built exactly, as rounded float products have a common zero far out
     k = int(rng.integers(1, 4))
-    d = float(rng.uniform(-1, 1))
-    lin = BivariatePoly({(1, 0): 1.0, (0, 0): d}, exact=False)
-    P = BivariatePoly.constant(float(rng.uniform(0.5, 2.0)), exact=False)
+    d = Fraction(rng.uniform(-1, 1))
+    lin = BivariatePoly({(1, 0): 1, (0, 0): d})
+    P = BivariatePoly.constant(Fraction(rng.uniform(0.5, 2.0)))
     for _ in range(k):
         P = P * lin
-    Q = (lin * BivariatePoly({(0, 1): 1.0}, exact=False)
-         + BivariatePoly.constant(1.0, exact=False))
-    return P, Q * float(rng.uniform(0.5, 2.0))
+    Q = lin * BivariatePoly({(0, 1): 1}) + 1
+    return P, Q * Fraction(rng.uniform(0.5, 2.0))
 
 
 def test_criterion_3_witness_and_certificate_are_exclusive(capsys):
@@ -165,7 +165,7 @@ def test_criterion_3_witness_and_certificate_are_exclusive(capsys):
         if P.degree() <= 0 or Q.degree() <= 0:
             continue
         w = find_common_zero(P, Q)
-        cert = solve_nullstellensatz(P, Q, 9)
+        cert = solve_nullstellensatz(P, Q)
         if (w is None) == (cert is None):
             problems.append(f"random pair {checked}: w={w is not None} "
                             f"cert={cert is not None}")
@@ -174,7 +174,7 @@ def test_criterion_3_witness_and_certificate_are_exclusive(capsys):
     for i in range(30):
         P, Q = _no_common_zero_pair(rng, i % 3)
         w = find_common_zero(P, Q)
-        cert = solve_nullstellensatz(P, Q, 9)
+        cert = solve_nullstellensatz(P, Q)
         if w is not None or cert is None:
             problems.append(f"constructed pair {i}: w={w is not None} "
                             f"cert={cert is not None}")

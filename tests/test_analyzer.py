@@ -12,12 +12,11 @@ from gradfit.analyzer import (
     analyze_family,
     certificate_system,
     decide_reduction,
-    default_degree_bound,
     find_common_zero,
     solve_nullstellensatz,
     _solve_exact_at,
 )
-from gradfit.errors import BoundExhausted, DegenerateInput, InvalidSpec
+from gradfit.errors import DegenerateInput
 from gradfit.families import CurveFamily, get_family
 from gradfit.poly import (
     BivariatePoly,
@@ -108,7 +107,7 @@ def test_float_shared_factor_with_inexact_coefficients_gives_witness():
     w = find_common_zero(P, Q)
     assert w is not None
     assert abs(w.y - 0.7 * w.x) <= 1e-8 * max(1.0, abs(w.x))
-    decision = decide_reduction(P, Q, 4)
+    decision = decide_reduction(P, Q)
     assert not decision.admissible and decision.witness is not None
 
 
@@ -126,10 +125,12 @@ def test_small_circle_resultant_is_not_taken_for_noise(a, R):
 
 def test_parabola_sweep_has_no_wrong_verdict():
     # guards the lift that once missed the double root of the parabola's
-    # x-eliminated resultant (BoundExhausted for about one c in a thousand)
+    # x-eliminated resultant for about one c in a thousand: the ideal test
+    # would still say "not admissible", but without a witness
     for c in np.random.default_rng(7).uniform(0.5, 2.0, 1000):
         P = get_family("parabola").poly({"c": float(c)}, exact=True)
-        assert not decide_reduction(P).admissible
+        decision = decide_reduction(P)
+        assert not decision.admissible and decision.witness is not None
 
 
 def test_witness_residuals_meet_tolerance():
@@ -166,7 +167,7 @@ def test_vanishing_leading_coefficient_not_mistaken_for_zero():
     P = (X * Y ** 2 + X + 3).to_float()
     Q = P * Y + 2.0
     assert find_common_zero(P, Q) is None
-    cert = solve_nullstellensatz(P, Q, 9)
+    cert = solve_nullstellensatz(P, Q)
     assert cert is not None
 
 
@@ -226,7 +227,7 @@ def test_exact_solve_above_minimal_degree_is_minimum_norm(d):
 def test_circle_certificate_exact_at_degree_zero():
     P = circle_poly(Fraction(1), Fraction(-2), Fraction(3, 2))
     Q = gradient_norm_squared(P)
-    cert = solve_nullstellensatz(P, Q, 9)
+    cert = solve_nullstellensatz(P, Q)
     assert cert is not None and cert.degree == 0
     R2 = Fraction(3, 2) ** 2
     assert cert.U == BivariatePoly.constant(-1 / R2)
@@ -237,11 +238,11 @@ def test_circle_certificate_exact_at_degree_zero():
 def test_ellipse_certificate_infeasible_at_all_degrees():
     P = BivariatePoly({(2, 0): 1, (0, 2): 2, (0, 0): 1})
     Q = gradient_norm_squared(P)
-    assert solve_nullstellensatz(P, Q, 9) is None
+    assert solve_nullstellensatz(P, Q) is None
 
 
 def test_unit_ideal_certificate():
-    cert = solve_nullstellensatz(BivariatePoly.constant(1), X ** 2 + Y ** 2, 9)
+    cert = solve_nullstellensatz(BivariatePoly.constant(1), X ** 2 + Y ** 2)
     assert cert is not None and cert.degree == 0
     assert cert.U == BivariatePoly.constant(1)
     assert cert.W == BivariatePoly.constant(0)
@@ -251,7 +252,7 @@ def test_minimal_degree_is_reported():
     # x^2 and (x+1)^2: coprime, but no degree-0 combination reaches 1
     P = X ** 2
     Q = (X + 1) ** 2
-    cert = solve_nullstellensatz(P, Q, 9)
+    cert = solve_nullstellensatz(P, Q)
     assert cert is not None
     assert cert.degree == 1
     assert cert.identity_residual == 0.0
@@ -260,7 +261,7 @@ def test_minimal_degree_is_reported():
 def test_float_certificate_residual_bound():
     P = circle_poly(0.25, -0.75, 1.25).to_float()
     Q = gradient_norm_squared(P)
-    cert = solve_nullstellensatz(P, Q, 9)
+    cert = solve_nullstellensatz(P, Q)
     assert cert is not None and cert.degree == 0
     assert cert.identity_residual <= 1e-10
     assert (P * cert.U + Q * cert.W - 1).max_coeff_mag() <= 1e-10
@@ -279,15 +280,23 @@ def test_decide_ellipse_not_admissible():
     assert not d.admissible and d.witness is not None
 
 
-def test_decide_raises_bound_exhausted_when_inconclusive():
-    with pytest.raises(BoundExhausted):
-        decide_reduction(X ** 2, (X + 1) ** 2, max_degree=0)
+def test_decide_walks_to_the_certificate_without_a_bound():
+    d = decide_reduction(X ** 2, (X + 1) ** 2)
+    assert d.admissible and d.certificate.degree == d.max_degree == 1
 
 
-def test_default_degree_bound_is_bezout_flavored():
-    P = circle_poly(0, 0, 1)
-    assert default_degree_bound(P, gradient_norm_squared(P)) == 9
-    assert default_degree_bound(X ** 4 + Y, X ** 5 - Y) == 20
+def test_small_float_circle_is_admissible_at_degree_zero():
+    d = decide_reduction(parse_poly("x^2 + y^2 - 1e-8", exact=False))
+    assert d.admissible and d.certificate.degree == 0
+    assert d.certificate.identity_residual == 0.0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_flat_parabola_is_not_admissible(exact):
+    # P and Q share (+-i/(2c), -1/(4c)) for c = 2e-6, which the witness
+    # search misses: its resultant cut drops the 16c^2 term
+    d = decide_reduction(Y - parse_poly("0.000002 x^2", exact=exact))
+    assert not d.admissible and d.certificate is None and d.max_degree is None
 
 
 def test_exclusivity_on_random_pairs():
@@ -299,7 +308,7 @@ def test_exclusivity_on_random_pairs():
         if P.degree() <= 0 or Q.is_zero():
             continue
         w = find_common_zero(P, Q)
-        cert = solve_nullstellensatz(P, Q, 9)
+        cert = solve_nullstellensatz(P, Q)
         assert (w is None) != (cert is None), f"exclusivity broken for {P}, {Q}"
         checked += 1
 
@@ -358,18 +367,6 @@ def test_analyze_line_family_is_admissible():
     for s in rep.samples:
         u, v = Fraction(s.theta["u"]), Fraction(s.theta["v"])
         assert s.certificate.W == BivariatePoly.constant(1 / (u * u + v * v))
-
-
-def test_negative_degree_bound_is_invalid_spec():
-    # refused before any work: the family report used to record it as a
-    # per-sample error, and the two solvers raised a bare ValueError
-    P = circle_poly(0, 0, 1)
-    Q = gradient_norm_squared(P)
-    for call in (lambda: decide_reduction(P, max_degree=-1),
-                 lambda: solve_nullstellensatz(P, Q, -1),
-                 lambda: analyze_family("circle", 2, max_degree=-1)):
-        with pytest.raises(InvalidSpec, match="max_degree"):
-            call()
 
 
 def test_analyze_family_records_errors_without_aborting():

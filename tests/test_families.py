@@ -101,7 +101,7 @@ def test_family_not_quadratic_in_theta_is_refused():
         {(1, 0): th["u"], (0, 1): th["v"] ** 3, (0, 0): th["w"]},
         exact=exact))
     P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 0)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     pts = np.column_stack([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
     with pytest.raises(InvalidSpec, match="not quadratic"):
         fit_reduced_generic(cubic, cert, MomentVector.from_points(pts, 2),
@@ -119,7 +119,7 @@ def test_unknown_parameter_names_are_refused():
 
 def test_generic_fit_refuses_unknown_start_parameters():
     P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 0)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     pts = np.column_stack([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
     with pytest.raises(InvalidSpec, match="unknown parameters"):
         fit_reduced_generic(get_family("line"), cert,

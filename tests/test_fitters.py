@@ -53,11 +53,11 @@ def centered_mv(pts, degree=4):
                              float(np.mean(pts[:, 1]))))
 
 
-def circle_cert(max_degree=4, degree=None):
+def circle_cert(degree=None):
     """The unit circle's certificate; ``degree`` relabels its degree, which
     is all the generic fit reads of it besides the residual."""
     P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), max_degree)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     if degree is None:
         return cert
     return dataclasses.replace(cert, degree=degree)
@@ -780,7 +780,7 @@ def test_generic_line_family_scale_invariant_fit():
     pts = np.column_stack([base[0] - v * t, base[1] + u * t])
     fam = get_family("line")
     P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     res = fit_reduced_generic(
         "line", cert, MomentVector.from_points(pts, 2),
         FitConfig(init={"u": 0.5, "v": 0.85, "w": -0.6}))
@@ -809,7 +809,7 @@ def test_generic_line_fit_keeps_its_scale():
             m, c = np.polyfit(pts[:, 1], pts[:, 0], 1)
             start = {"u": -1.0, "v": m, "w": c}
         P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
-        cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+        cert = solve_nullstellensatz(P, gradient_norm_squared(P))
         res = fit_reduced_generic("line", cert,
                                   MomentVector.from_points(pts, 2),
                                   FitConfig(init=start))
@@ -1003,7 +1003,7 @@ def line_cloud(seed, n=2000, sigma=0.01):
         m, c = np.polyfit(pts[:, 1], pts[:, 0], 1)
         start = {"u": -1.0, "v": m, "w": c}
     P = get_family("line").poly({"u": u, "v": v, "w": w}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     return pts, cert, start
 
 
@@ -1071,7 +1071,7 @@ def test_generic_noncircle_needs_explicit_init():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")
     P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)], 2)
     with pytest.raises(InvalidSpec):
         fit_reduced_generic("line", cert, mv)
@@ -1080,7 +1080,7 @@ def test_generic_noncircle_needs_explicit_init():
 def test_generic_noncircle_takes_a_start_in_parameter_order():
     fam = get_family("line")
     P = fam.poly({"u": 0.1, "v": 1.0, "w": -0.5}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     rng = np.random.default_rng(20)
     xs = np.linspace(-1.0, 1.0, 20)
     pts = np.column_stack([xs, 0.5 - 0.1 * xs + rng.normal(0.0, 0.01, 20)])
@@ -1128,7 +1128,7 @@ def test_generic_noncircle_rejects_centered_accumulator():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")
     P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
-    cert = solve_nullstellensatz(P, gradient_norm_squared(P), 4)
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)],
                                   2, offset=(0.5, 0.0))
     with pytest.raises(InvalidSpec):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from gradfit.errors import DegenerateElimination, NonFiniteValue, ParseError
 from gradfit.poly import (
+    COEFF_EQ_TOL,
     BivariatePoly,
     coefficient_matrices,
     dense_resultant,
     format_poly,
     gradient_norm_squared,
     parse_poly,
-    structural_trim,
 )
 
 X = BivariatePoly.variable("x")
@@ -202,7 +202,12 @@ def float_resultant(P, Q, elim):
     and Q in ``elim`` as the analyzer computes it: the inputs trimmed, laid
     out by ``coefficient_matrices`` and eliminated by ``dense_resultant``;
     trailing zeros dropped."""
-    P, Q = structural_trim(P.to_float()), structural_trim(Q.to_float())
+    def trim(R):  # terms at most COEFF_EQ_TOL of the largest dropped
+        cut = COEFF_EQ_TOL * R.max_coeff_mag()
+        return BivariatePoly({k: c for k, c in R.to_float().terms.items()
+                              if abs(c) > cut}, exact=False)
+
+    P, Q = trim(P), trim(Q)
     F = coefficient_matrices((P, Q), 1 + int(max(0, P.degree(), Q.degree())))
     if elim == "x":
         F = F.transpose(0, 2, 1)

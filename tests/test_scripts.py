@@ -21,13 +21,25 @@ def load(name, directory=SCRIPTS):
 @pytest.mark.parametrize("name, argv, expected", [
     ("monte_carlo_accuracy", ["--trials", "3"], "rmse(R) geo"),
     ("conic_case_studies", ["--samples", "1"], "== parabola: not reducible =="),
+    ("verdict_sweep", ["--draws", "10"], "total: 0 wrong, 0 inconclusive"),
 ], ids=[  # fixed, so a case keeps its id when another is added or removed
     "monte_carlo_accuracy-argv1-rmse(R) geo",
     "conic_case_studies-argv2-== parabola: not reducible ==",
+    "verdict_sweep-argv3-total: 0 wrong, 0 inconclusive",
 ])
 def test_script_runs(capsys, name, argv, expected):
     assert load(name).main(argv) == 0
     assert expected in capsys.readouterr().out
+
+
+def test_case_studies_report_a_verdict_without_witness(capsys, monkeypatch):
+    # with the numerical search blind, the ideal test alone decides
+    import gradfit.analyzer
+    monkeypatch.setattr(gradfit.analyzer, "find_common_zero",
+                        lambda P, Q: None)
+    assert load("conic_case_studies").main(["--samples", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("admissible=False  decided by the ideal test") == 3
 
 
 def test_traced_functions_exist_where_the_tracer_looks():
