@@ -1,17 +1,17 @@
 """Verdict sweep: float conics over wide coefficient ranges, decided exactly.
 
 Each cell draws float polynomials whose verdict is known in closed form and
-counts the analyzer's wrong verdicts and the inputs it could not decide (any
-error raised). A float input is decided on the exact values of its doubles.
-The cells:
+counts the analyzer's wrong verdicts, the inputs it could not decide (any
+error raised) and the inadmissible verdicts that came without a witness. A
+float input is decided on the exact values of its doubles. The cells:
 
 * ellipses    a x^2 + b y^2 - k, a, b, k log-uniform in [1e-4, 1e4];
 * hyperbolas  a x^2 - b y^2 - k, drawn the same way;
 * circles     radius R log-uniform in [1e-5, 1e3], centre in [-10, 10]^2;
 * parabolas   y - c x^2, |c| log-uniform in [1e-7, 1e3], either sign.
 
-Only circles are admissible. The count of inadmissible verdicts that came
-without a witness (the ideal test decided them) is reported too.
+Only circles are admissible. Every count is a failure: the script exits 1
+unless all three are 0 in every cell.
 
 Usage:
     python scripts/verdict_sweep.py [--draws 200]
@@ -81,17 +81,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--draws", type=int, default=200)
     args = ap.parse_args(argv)
-    total_wrong = total_inconclusive = 0
+    totals = [0, 0, 0]
     for name, (draw, seed, admissible) in CELLS.items():
-        wrong, inconclusive, bare, each = sweep(draw, seed, admissible,
-                                                args.draws)
-        total_wrong += wrong
-        total_inconclusive += inconclusive
+        *counts, each = sweep(draw, seed, admissible, args.draws)
+        totals = [t + c for t, c in zip(totals, counts)]
+        wrong, inconclusive, bare = counts
         print(f"{name:10s} {args.draws} draws: {wrong} wrong, "
               f"{inconclusive} inconclusive, {bare} without witness, "
               f"{1e3 * each:.2f} ms each")
-    print(f"total: {total_wrong} wrong, {total_inconclusive} inconclusive")
-    return 1 if total_wrong or total_inconclusive else 0
+    wrong, inconclusive, bare = totals
+    print(f"total: {wrong} wrong, {inconclusive} inconclusive, "
+          f"{bare} without witness")
+    return 1 if any(totals) else 0
 
 
 if __name__ == "__main__":

@@ -5,21 +5,23 @@ mutually exclusive situations holds:
 
 * P and Q share a common zero in C^2 — then no polynomial weight W can agree
   with 1/Q on the whole curve, and the family admits no reduced objective; a
-  refined :class:`CommonZeroWitness` is produced as evidence when the
-  numerical search finds one;
+  refined :class:`CommonZeroWitness` is produced as evidence;
 * P*U + Q*W = 1 has polynomial solutions — then W is a valid weight
   polynomial, the reduced objective exists, and a verified
   :class:`ReductionCertificate` is produced.
 
-Witness search compiles P, Q and their partials once into dense coefficient
-matrices and runs on them: Sylvester resultants (every FFT node's matrix in
-one stacked determinant), root-finding, lifting, and a damped 2-D Newton
-polish that evaluates all six at a point in one product. Certificate search
-poses the identity as a linear system in the coefficients of U and W, solved
-over the rationals. When the search finds no witness and the system has no
-solution at degree 0, a Groebner basis of <P, Q> decides exactly which
-situation holds, so every verdict is decided on the exact values of the
-coefficients.
+Both are decided on the exact values of the coefficients. A Groebner basis
+of <P, Q> is {1} exactly when there is no common zero (weak
+Nullstellensatz). Otherwise the witness comes off the same basis by
+Stetter's eigenvector method: x and y act on the quotient ring by matrices
+of exact normal forms, rounded to doubles, whose shared eigenvectors hold
+the values of the normal monomials at the common zeros; a curve of common
+zeros is first cut by a random line. A damped 2-D Newton iteration on P, Q
+and their partials, compiled once into a stack of dense coefficient
+matrices, polishes each point to the witness tolerance. Certificate search
+poses the identity as a linear system in the coefficients of U and W,
+solved over the rationals at degree 0 first, and at higher degrees only
+for a pair whose basis is {1}.
 """
 
 from __future__ import annotations
@@ -30,33 +32,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateElimination,
-    DegenerateInput,
-    InvalidSpec,
-    NumericalFailure,
-)
+from .errors import DegenerateInput, InvalidSpec, NumericalFailure
 from .families import CurveFamily, get_family
 from .poly import (
-    COEFF_EQ_TOL,
     NEG_INF,
     BivariatePoly,
-    coefficient_matrices,
-    dense_resultant,
     format_poly,
     gradient_norm_squared,
     monomial_index,
     monomials,
-    sylvester_dets,
 )
 
 WITNESS_TOL = 1e-8          # relative residual accepted for a common zero
-_SAMPLE_TRIES = 8           # random slices tried when the resultant vanishes
-# a float resultant at most this times its Sylvester bound may be rounding
-# noise; it is, if its interpolant misses the determinants between its nodes
-# by more than this fraction of its size there
-_RESULTANT_ZERO = 16 * np.finfo(float).eps
-_RESULTANT_MISS = 1e-2
+_MIX = 0.7548776662466927   # r of T_x + r T_y (``_zeros``): irrational-
+                            # looking, so distinct zeros get distinct x + r y
 
 
 @dataclass(frozen=True)
@@ -106,73 +95,25 @@ def _int_degree(P: BivariatePoly) -> int:
     return 0 if d == NEG_INF else int(d)
 
 
-def _compile(polys):
-    """``coefficient_matrices`` of the polynomials, each with its terms at
-    most 1e-12 of its largest dropped and that largest scaled to 1, their
-    total degrees and largest coefficient magnitudes."""
-    F = coefficient_matrices(polys, 1 + max(_int_degree(P) for P in polys))
-    mag = abs(F)
-    scale = mag.max(axis=(1, 2))
-    F[mag <= COEFF_EQ_TOL * scale[:, None, None]] = 0.0
-    scale[scale == 0.0] = 1.0
-    F *= (1.0 / scale)[:, None, None]
-    scale = abs(F).max(axis=(1, 2))
-    degree = [max((p + q).tolist(), default=0)
-              for p, q in (np.nonzero(C) for C in F)]
-    return F, degree, np.maximum(scale, 1e-300).tolist()
-
-
 def _values(F: np.ndarray, x: complex, y: complex) -> np.ndarray:
     """Every polynomial of the stack at (x, y), in one product."""
     p = np.arange(F.shape[-1])
     return (F @ y ** p) @ x ** p
 
 
-def _rel_residual(value: complex, degree: int, scale: float, x: complex,
-                  y: complex) -> float:
-    """|P(x, y)| relative to P's largest coefficient and the point's size."""
-    return float(abs(value)) / (scale * max(1.0, abs(x), abs(y)) ** degree)
+def _rel_residual(value: complex, degree: int, x: complex, y: complex) -> float:
+    """|P(x, y)| of P scaled to largest coefficient 1, relative to the
+    point's size."""
+    return float(abs(value)) / max(1.0, abs(x), abs(y)) ** degree
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of an ascending complex coefficient array: companion-matrix
-    eigenvalues. They are not Newton-polished: at a multiple root the
-    derivative vanishes too, and polishing moves an accurate eigenvalue
-    away from the true root. The companion matrix is ``np.roots``' own,
-    built without its checks; the zero roots come last, as there."""
-    c = np.asarray(coeffs, dtype=complex)
-    alive = np.flatnonzero(c)
-    if c.size <= 1 or alive.size == 0:
-        return np.empty(0, dtype=complex)
-    low, high = alive[0], alive[-1]
-    roots = np.empty(0, dtype=complex)
-    if high > low:
-        A = np.eye(high - low, k=-1, dtype=complex)
-        A[0, :] = -c[low:high][::-1] / c[high]
-        roots = np.linalg.eigvals(A)
-    return np.concatenate((roots, np.zeros(low, dtype=complex)))
-
-
-def _slice_coeffs(C: np.ndarray, degree: int, val: complex,
-                  elim: str) -> np.ndarray | None:
-    """Coefficients of the polynomial with dense matrix C (and total degree
-    ``degree``) with the kept variable frozen at ``val``; the eliminated
-    variable is the remaining unknown. None if the whole slice vanishes
-    (the polynomial contains the line)."""
-    pw = val ** np.arange(C.shape[0])
-    out = pw @ C if elim == "y" else C @ pw
-    mag = abs(out)
-    if np.all(mag <= 1e-10 * max(1.0, abs(val)) ** degree):
-        return None
-    # drop the high coefficients at most 1e-9 of the largest
-    return out[:np.flatnonzero(mag > 1e-9 * mag.max())[-1] + 1]
-
-
-def _newton_refine(search: "_Search", x, y, iters: int = 60):
+def _newton_refine(pair: "_Pair", x, y, iters: int = 60):
     """Damped Newton on the 2x2 system (P, Q) = 0. Returns (x, y, resP, resQ)."""
-    vals = _values(search.F, x, y)
-    best = max(search.residuals(vals, x, y))
+    vals = _values(pair.F, x, y)
+    best = max(pair.residuals(vals, x, y))
     for _ in range(iters):
+        if best <= 1e-14:
+            break
         f1, f2, j11, j21, j12, j22 = vals
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-30:
@@ -182,195 +123,187 @@ def _newton_refine(search: "_Search", x, y, iters: int = 60):
         step = 1.0
         for _ in range(12):
             nx, ny = x - step * dx, y - step * dy
-            nvals = _values(search.F, nx, ny)
-            r = max(search.residuals(nvals, nx, ny))
+            nvals = _values(pair.F, nx, ny)
+            r = max(pair.residuals(nvals, nx, ny))
             if r < best:
                 x, y, vals, best = nx, ny, nvals, r
                 break
             step *= 0.5
         else:
             break  # no damped step improved
-        if best <= 1e-14:
-            break
     x, y = complex(x), complex(y)
-    return (x, y) + search.residuals(vals, x, y)
+    return (x, y) + pair.residuals(vals, x, y)
 
 
-# ---------------------------------------------------------------------------
-# common-zero search
-# ---------------------------------------------------------------------------
-
-
-_MATCH_TOL = 1e-3  # relative gap for pairing roots of the two slices
-
-
-def _lift_candidates(pu, qu) -> tuple[list[complex], bool]:
-    """Candidate values of the lift unknown from two slice polynomials.
-
-    Lifting intersects the root sets: a common zero needs a root of both
-    slices at (numerically) the same place. Returns (candidates, ruled_out):
-    ruled_out is True when the slice pair provably has no common root — one
-    side is a nonzero constant (the classic vanishing-leading-coefficient
-    artifact of resultants) or the root sets are disjoint.
-    """
-    if pu is None and qu is None:
-        return [0.0 + 0.0j], False  # both vanish identically on the slice
-    if pu is None or qu is None:
-        alive = qu if pu is None else pu
-        if alive.size <= 1:
-            return [], True
-        # the other polynomial vanishes on the whole slice, so every root of
-        # the surviving one is already a candidate common zero
-        return list(_poly_roots(alive)), False
-    if pu.size <= 1 or qu.size <= 1:
-        return [], True
-    proots = _poly_roots(pu)
-    qroots = _poly_roots(qu)
-    cands = []
-    for rp in proots:
-        gaps = np.abs(qroots - rp)
-        j = int(np.argmin(gaps))
-        if gaps[j] <= _MATCH_TOL * max(1.0, abs(rp)):
-            cands.append((rp + qroots[j]) / 2.0)
-    return cands, not cands
-
-
-def _on_spectrum(val: complex, spectrum) -> bool:
-    """Whether val sits on a coordinate spectrum ``(R, roots)`` (None admits
-    all): near a computed root of the resultant R, or a root of R up to 1e-3
-    of its terms' sizes at val, which keeps far-out multiple roots whose
-    computed copies split by the square root of R's rounding. A finite common
-    zero's coordinates are roots of the resultants; candidates that drift
-    toward infinity along an asymptote, where scale-relative residuals lose
-    meaning, fail both tests."""
-    if spectrum is None:
-        return True
-    R, roots = spectrum
-    if roots.size and np.min(abs(roots - val)) <= 1e-3 * max(1.0, abs(val)):
-        return True
-    p = np.arange(R.size)
-    terms = R * val ** (p - p[-1] if abs(val) > 1.0 else p)  # no overflow
-    return bool(abs(terms.sum()) <= 1e-3 * abs(terms).sum())
-
-
-def _is_noise(PQ, R) -> bool:
-    """Whether R, the float resultant of the pair PQ interpolated from
-    Sylvester determinants at the R.size-th roots of unity, is rounding
-    noise: a true resultant's interpolant matches fresh determinants halfway
-    between those nodes to its accuracy, noise's misses them by its size."""
-    t = np.exp(2j * np.pi * (np.arange(R.size) + 0.5) / R.size)
-    value = np.polynomial.polynomial.polyval(t, R)
-    miss = abs(sylvester_dets(*PQ, t) - value).max()
-    return bool(miss > _RESULTANT_MISS * abs(value).max())
-
-
-class _Search:
-    """One find_common_zero run, compiled once: ``F`` stacks the dense
-    coefficient matrices of the unit-normalized, trimmed P and Q and of Px,
-    Qx, Py, Qy, so one ``_values`` product evaluates all six at a point."""
+class _Pair:
+    """P and Q compiled once for the Newton polish: ``F`` stacks the dense
+    coefficient matrices (entry [p, q] of x^p y^q) of P and Q, each scaled
+    to largest coefficient 1, and of their partials Px, Qx, Py, Qy, so one
+    ``_values`` product evaluates all six at a point."""
 
     def __init__(self, P, Q):
-        PQ, self.degree, self.scale = _compile((P, Q))
-        k = np.arange(PQ.shape[-1])  # rolled: row/column 0 times k = 0
-        self.F = np.concatenate([PQ, np.roll(k[:, None] * PQ, -1, axis=1),
-                                 np.roll(k * PQ, -1, axis=2)])
-        self.spectrum = {"x": None, "y": None}  # (R, roots) per coordinate
+        self.degree = (_int_degree(P), _int_degree(Q))
+        n = 1 + max(self.degree)
+        F = self.F = np.zeros((6, n, n), dtype=complex)
+        for k, R in enumerate((P, Q)):
+            terms = {m: float(c) for m, c in R.terms.items()}
+            scale = max(map(abs, terms.values()), default=1.0)
+            for (p, q), c in terms.items():
+                c /= scale
+                F[k, p, q] = c
+                if p:
+                    F[2 + k, p - 1, q] = p * c
+                if q:
+                    F[4 + k, p, q - 1] = q * c
 
     def residuals(self, vals, x, y) -> tuple[float, float]:
         """The relative residuals of P and Q from ``_values(F, x, y)``."""
-        return tuple(_rel_residual(v, d, s, x, y)
-                     for v, d, s in zip(vals[:2], self.degree, self.scale))
+        return tuple(_rel_residual(v, d, x, y)
+                     for v, d in zip(vals[:2], self.degree))
 
-    def try_slice(self, val: complex, elim: str):
-        """Lift one slice. Returns (witness|None, fully_resolved)."""
-        pu, qu = (_slice_coeffs(self.F[i], self.degree[i], val, elim)
-                  for i in (0, 1))
-        cands, ruled_out = _lift_candidates(pu, qu)
-        if ruled_out:
-            return None, True
-        resolved = True
-        for cand in cands:
-            if elim == "y":
-                x, y, rp, rq = _newton_refine(self, val, cand)
-            else:
-                x, y, rp, rq = _newton_refine(self, cand, val)
-            if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
-                if _on_spectrum(x, self.spectrum["x"]) and \
-                        _on_spectrum(y, self.spectrum["y"]):
-                    return CommonZeroWitness(x, y, rp, rq), True
-                continue  # diverged toward infinity: provably not affine
-            resolved = False
-        return None, resolved
+
+# ---------------------------------------------------------------------------
+# Groebner bases and common zeros
+# ---------------------------------------------------------------------------
+
+
+def _grevlex(m) -> tuple:
+    """Sort key of x^p y^q in graded reverse-lex order with x > y."""
+    return (m[0] + m[1], m[0])
+
+
+def _remainder(f: dict, G: list) -> dict:
+    """f reduced by G, a list of (leading monomial, monic polynomial) with
+    polynomials as dicts of Fractions, in graded reverse-lex order."""
+    f, rem = dict(f), {}
+    while f:
+        m = max(f, key=_grevlex)
+        lm, g = next(((lm, g) for lm, g in G
+                      if lm[0] <= m[0] and lm[1] <= m[1]), (None, None))
+        if g is None:
+            rem[m] = f.pop(m)
+            continue
+        c, sp, sq = f[m], m[0] - lm[0], m[1] - lm[1]
+        for (p, q), v in g.items():
+            k = (p + sp, q + sq)
+            f[k] = f.get(k, 0) - c * v
+            if not f[k]:
+                del f[k]
+    return rem
+
+
+def _basis(*polys) -> list | None:
+    """A Groebner basis of the ideal of exact polynomials (dicts of
+    Fractions) in graded reverse-lex order, as (leading monomial, monic
+    polynomial) pairs, or None if 1 lies in the ideal: Buchberger's
+    algorithm, skipping pairs with coprime leading monomials and stopping as
+    soon as a constant appears."""
+    G, pairs, todo = [], [], list(polys[::-1])
+    while todo or pairs:
+        if todo:
+            f = todo.pop()
+        else:  # the S-polynomial of the pair of least lcm
+            pairs.sort(key=lambda t: _grevlex(t[0]), reverse=True)
+            lcm, i, j = pairs.pop()
+            f = {}
+            for (lm, g), sign in ((G[i], 1), (G[j], -1)):
+                for (p, q), v in g.items():
+                    k = (p + lcm[0] - lm[0], q + lcm[1] - lm[1])
+                    f[k] = f.get(k, 0) + sign * v
+        r = _remainder({k: v for k, v in f.items() if v}, G)
+        if not r:
+            continue
+        lm = max(r, key=_grevlex)
+        if lm == (0, 0):
+            return None
+        pairs += [((max(lm[0], lg[0]), max(lm[1], lg[1])), i, len(G))
+                  for i, (lg, _) in enumerate(G)
+                  if min(lm[0], lg[0]) or min(lm[1], lg[1])]
+        G.append((lm, {m: v / r[lm] for m, v in r.items()}))
+    return G
+
+
+def _zeros(G: list):
+    """The common zeros of a Groebner basis G, as a (2, k) array of their x
+    and y, or None when there are infinitely many. Stetter's eigenvector
+    method: the k monomials that no leading monomial divides, 1 first, span
+    the quotient ring; x and y act on it by the matrices T_x and T_y whose
+    rows are the exact normal forms of x and y times each of them, rounded
+    here; and each eigenvector of T_x + r T_y holds those monomials' values
+    at one zero, so its products with the rows of 1, the normal forms of x
+    and y, give x and y there."""
+    lms = [lm for lm, _ in G]
+    a = min((p for p, q in lms if q == 0), default=None)
+    b = min((q for p, q in lms if p == 0), default=None)
+    if a is None or b is None:
+        return None
+    normal = [(p, q) for p in range(a) for q in range(b)
+              if not any(l[0] <= p and l[1] <= q for l in lms)]
+    forms = {m: {m: 1} for m in normal}
+
+    def normal_form(m):
+        # m - (m / lm) g leaves the tail of g times m / lm, of lower monomials
+        if m not in forms:
+            lm, g = next(h for h in G if h[0][0] <= m[0] and h[0][1] <= m[1])
+            form = forms[m] = {}
+            for (p, q), c in g.items():
+                if (p, q) != lm:
+                    t = (p + m[0] - lm[0], q + m[1] - lm[1])
+                    for n, v in normal_form(t).items():
+                        form[n] = form.get(n, 0) - c * v
+        return forms[m]
+
+    index = {m: i for i, m in enumerate(normal)}
+    T = np.zeros((2, len(normal), len(normal)))
+    for i, (p, q) in enumerate(normal):
+        for v, m in enumerate(((p + 1, q), (p, q + 1))):
+            for n, c in normal_form(m).items():
+                T[v, i, index[n]] = c
+    _, V = np.linalg.eig(T[0] + _MIX * T[1])
+    return T[:, 0] @ V / V[0]
+
+
+def _sliced_zeros(P: BivariatePoly, Q: BivariatePoly):
+    """Common zeros of P and Q on a seeded random line x = t, else y = t:
+    a curve of common zeros meets one of them in finitely many points."""
+    rng = np.random.default_rng(1729)
+    for line in ((1, 0), (0, 1)):
+        t = Fraction(int(rng.integers(-2 ** 20, 2 ** 20)), 2 ** 19)
+        G = _basis(P.terms, Q.terms, {line: Fraction(1), (0, 0): -t})
+        zeros = None if G is None else _zeros(G)
+        if zeros is not None:
+            return zeros
+    return np.empty((2, 0))
 
 
 def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
     """A common zero of P and Q in C^2, or None if there is none.
 
-    Runs on P and Q compiled once into dense coefficient matrices
-    (``_Search``). Eliminates each variable with a Sylvester resultant
-    (``poly.dense_resultant``: all FFT nodes in one stacked determinant). A
-    nonzero constant resultant settles the matter immediately. Otherwise
-    resultant roots are the only admissible coordinates: each is lifted by
-    intersecting slice root sets and polished with a damped two-dimensional
-    Newton iteration, and a candidate is accepted only when both residuals
-    meet the witness tolerance and both coordinates lie on the admissible
-    spectra (this kills the classical artifacts — vanishing leading
-    coefficients and escapes to infinity along asymptotes). An identically
-    zero resultant (shared factor) is handled by lifting random slices. An
-    unresolvable search raises NumericalFailure rather than guessing.
+    Decided on the exact values of the coefficients: the Groebner basis of
+    <P, Q> is {1} exactly when there is no common zero (weak
+    Nullstellensatz). Otherwise the zeros are read off the basis
+    (``_zeros``), from a random line through a curve of them when there are
+    infinitely many, each is polished by a damped two-dimensional Newton
+    iteration, and the first whose relative residuals both meet
+    ``WITNESS_TOL`` is returned. NumericalFailure if none does: never a
+    guess.
     """
     if _int_degree(P) == 0:
         raise DegenerateInput("P is constant; nothing to intersect")
-    search = _Search(P, Q)
-    resultants = {}
-    for elim in ("y", "x"):
-        PQ = search.F[:2] if elim == "y" else search.F[:2].transpose(0, 2, 1)
-        try:
-            R = resultants[elim] = dense_resultant(*PQ)
-        except DegenerateElimination:
-            resultants[elim] = None  # degenerate direction
-            continue
-        # every coefficient of R is at most (sum |P|)^n (sum |Q|)^m, with m
-        # and n the degrees in the eliminated variable. R at rounding level
-        # of that bound is a shared factor's rounding noise or a true but
-        # small resultant (a small circle's); only noise is zeroed
-        m, n = (np.nonzero(C)[1].max(initial=-1) for C in PQ)
-        sizes = abs(PQ).sum(axis=(1, 2))
-        if 0.0 < abs(R).max() <= _RESULTANT_ZERO * sizes[0] ** n \
-                * sizes[1] ** m and _is_noise(PQ, R):
-            R[:] = 0.0
-        R[abs(R) <= COEFF_EQ_TOL * abs(R).max()] = 0.0
-        if R[0] != 0 and not R[1:].any():
-            return None  # a nonzero constant resultant proves emptiness
-        # the kept coordinate's admissible spectrum; none if R is zero
-        search.spectrum["x" if elim == "y" else "y"] = \
-            (R, _poly_roots(R)) if R.any() else None
-
-    rng = np.random.default_rng(1729)
-    any_definitive = False
-    for elim in ("y", "x"):
-        R = resultants[elim]
-        if R is None:
-            continue
-        if not R.any():
-            # shared factor: infinitely many common points; sample slices
-            for _ in range(_SAMPLE_TRIES):
-                val = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                witness, _ = search.try_slice(val, elim)
-                if witness is not None:
-                    return witness
-            continue
-        all_resolved = True
-        for r in search.spectrum["x" if elim == "y" else "y"][1]:
-            witness, resolved = search.try_slice(complex(r), elim)
-            if witness is not None:
-                return witness
-            all_resolved = all_resolved and resolved
-        any_definitive = any_definitive or all_resolved
-    if any_definitive:
+    P, Q = P.to_exact(), Q.to_exact()
+    G = _basis(P.terms, Q.terms)
+    if G is None:
         return None
+    zeros = _zeros(G)
+    if zeros is None:
+        zeros = _sliced_zeros(P, Q)
+    pair = _Pair(P, Q)
+    for x, y in zip(*zeros):
+        x, y, rp, rq = _newton_refine(pair, x, y)
+        if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
+            return CommonZeroWitness(x, y, rp, rq)
     raise NumericalFailure(
-        "common-zero search could not certify either outcome "
+        "no common zero of the basis met the witness tolerance "
         f"(degrees {_int_degree(P)}, {_int_degree(Q)})"
     )
 
@@ -525,61 +458,6 @@ def _solve_exact_at(P, Q, d):
     return U, W
 
 
-def _grevlex(m) -> tuple:
-    """Sort key of x^p y^q in graded reverse-lex order with x > y."""
-    return (m[0] + m[1], m[0])
-
-
-def _remainder(f: dict, G: list) -> dict:
-    """f reduced by G, a list of (leading monomial, monic polynomial) with
-    polynomials as dicts of Fractions, in graded reverse-lex order."""
-    f, rem = dict(f), {}
-    while f:
-        m = max(f, key=_grevlex)
-        lm, g = next(((lm, g) for lm, g in G
-                      if lm[0] <= m[0] and lm[1] <= m[1]), (None, None))
-        if g is None:
-            rem[m] = f.pop(m)
-            continue
-        c, sp, sq = f[m], m[0] - lm[0], m[1] - lm[1]
-        for (p, q), v in g.items():
-            k = (p + sp, q + sq)
-            f[k] = f.get(k, 0) - c * v
-            if not f[k]:
-                del f[k]
-    return rem
-
-
-def _in_unit_ideal(P: BivariatePoly, Q: BivariatePoly) -> bool:
-    """Whether 1 lies in the ideal <P, Q> of exact P and Q, that is (weak
-    Nullstellensatz) whether they have no common zero in C^2: Buchberger's
-    algorithm in graded reverse-lex order, skipping pairs with coprime
-    leading monomials and stopping as soon as a constant appears."""
-    G, pairs, todo = [], [], [Q.terms, P.terms]
-    while todo or pairs:
-        if todo:
-            f = todo.pop()
-        else:  # the S-polynomial of the pair of least lcm
-            pairs.sort(key=lambda t: _grevlex(t[0]), reverse=True)
-            lcm, i, j = pairs.pop()
-            f = {}
-            for (lm, g), sign in ((G[i], 1), (G[j], -1)):
-                for (p, q), v in g.items():
-                    k = (p + lcm[0] - lm[0], q + lcm[1] - lm[1])
-                    f[k] = f.get(k, 0) + sign * v
-        r = _remainder({k: v for k, v in f.items() if v}, G)
-        if not r:
-            continue
-        lm = max(r, key=_grevlex)
-        if lm == (0, 0):
-            return True
-        pairs += [((max(lm[0], lg[0]), max(lm[1], lg[1])), i, len(G))
-                  for i, (lg, _) in enumerate(G)
-                  if min(lm[0], lg[0]) or min(lm[1], lg[1])]
-        G.append((lm, {m: v / r[lm] for m, v in r.items()}))
-    return False
-
-
 def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
     """Minimal-degree polynomials U, W with P*U + Q*W = 1, or None when P
     and Q have a common zero in C^2 and no such polynomials exist.
@@ -595,7 +473,7 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
         raise DegenerateInput("P and Q must be nonzero")
     P, Q = P.to_exact(), Q.to_exact()
     got = _solve_exact_at(P, Q, 0)
-    if got is None and not _in_unit_ideal(P, Q):
+    if got is None and _basis(P.terms, Q.terms) is not None:
         return None
     d = 0
     while got is None:
@@ -636,8 +514,9 @@ def decide_reduction(P: BivariatePoly,
     """Full verdict for one polynomial, decided on the exact values of its
     coefficients: witness search, then certificate.
 
-    Q defaults to the squared gradient of P. A pair with a common zero that
-    the witness search misses is still not admissible, with no witness.
+    Q defaults to the squared gradient of P. A pair with a common zero none
+    of whose computed points polishes to ``WITNESS_TOL`` is still not
+    admissible, with no witness.
     """
     P = P.to_exact()
     Q = gradient_norm_squared(P) if Q is None else Q.to_exact()

@@ -32,7 +32,7 @@ code  meaning
 11    ImaginaryRadius
 12    DegreeMismatch
 13    CenterHitsDataPoint
-14    DegenerateInput / DegenerateElimination
+14    DegenerateInput
 141   standard output closed before everything was written
       (broken pipe, as in ``gradfit generate ... | head``)
 ====  =======================================================
@@ -53,11 +53,11 @@ import numpy as np
 from .analyzer import analyze_family, decide_reduction
 from .bench import run_bench
 from .datagen import SyntheticSpec, generate, ingest, write_points
-from .errors import (CenterHitsDataPoint, DegenerateData,
-                     DegenerateElimination, DegenerateInput, DegreeMismatch,
-                     GradfitError, GradientVanishesAtSample, ImaginaryRadius,
-                     InvalidRadius, InvalidSpec, NoCircle, NonFiniteInput,
-                     NonFiniteValue, NumericalFailure, ParseError)
+from .errors import (CenterHitsDataPoint, DegenerateData, DegenerateInput,
+                     DegreeMismatch, GradfitError, GradientVanishesAtSample,
+                     ImaginaryRadius, InvalidRadius, InvalidSpec, NoCircle,
+                     NonFiniteInput, NonFiniteValue, NumericalFailure,
+                     ParseError)
 from .families import FAMILIES, get_family
 from .fitters import (FitConfig, fit_circle_geometric, fit_circle_reduced,
                       fit_conic_reweight)
@@ -78,7 +78,6 @@ _EXIT_CODES = {
     DegreeMismatch: 12,
     CenterHitsDataPoint: 13,
     DegenerateInput: 14,
-    DegenerateElimination: 14,
     GradfitError: 1,
 }
 

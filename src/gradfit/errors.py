@@ -10,10 +10,6 @@ class GradfitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateElimination(GradfitError):
-    """Both polynomials have degree 0 in the variable to eliminate."""
-
-
 class DegenerateInput(GradfitError):
     """An input polynomial is constant where a curve was required."""
 

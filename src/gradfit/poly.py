@@ -11,9 +11,7 @@ polynomial:
 
 Mixing modes in arithmetic promotes to floating. All values are immutable
 after construction and every operation is a pure function, so instances can
-be shared freely across threads. Numerical code takes the coefficients as
-dense complex matrices (``coefficient_matrices``). Elimination is floating
-only: ``dense_resultant`` computes the resultant from those matrices.
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .errors import DegenerateElimination, NonFiniteValue, ParseError
+from .errors import NonFiniteValue, ParseError
 
 # Relative tolerance for floating coefficient equality, after normalizing by
 # the largest coefficient magnitude.
@@ -377,89 +373,3 @@ def monomials(d: int) -> tuple[tuple[int, int], ...]:
 def monomial_index(d: int) -> Mapping[tuple[int, int], int]:
     """(p, q) -> its position in ``monomials(d)``; shared, so read-only."""
     return MappingProxyType({k: i for i, k in enumerate(monomials(d))})
-
-
-# ---------------------------------------------------------------------------
-# floating Sylvester resultant: dense coefficient matrices, determinants at
-# roots of unity, FFT interpolation
-# ---------------------------------------------------------------------------
-
-
-def coefficient_matrices(polys, size: int) -> np.ndarray:
-    """Stack of dense complex ``size`` x ``size`` matrices, entry [k, p, q]
-    the coefficient of x^p y^q in the k-th polynomial (size > degree)."""
-    F = np.zeros((len(polys), size, size), dtype=complex)
-    for k, P in enumerate(polys):
-        for (p, q), c in P.terms.items():
-            F[k, p, q] = complex(c)
-    return F
-
-
-def _zero_resultant(m: int, n: int) -> bool:
-    """Whether the resultant of inputs of degrees m, n (-1: zero) in the
-    eliminated variable is 0; DegenerateElimination if neither has it."""
-    if m <= 0 and n <= 0 and m == n:
-        raise DegenerateElimination(
-            "both inputs are zero" if m < 0 else
-            "both inputs have degree 0 in the eliminated variable; fall back "
-            "to univariate gcd")
-    return min(m, n) < 0
-
-
-def _degrees(C: np.ndarray) -> tuple[int, int]:
-    """Highest row and column holding a nonzero entry, -1 for none."""
-    rows, cols = np.nonzero(C)
-    return (int(rows.max()), int(cols.max())) if rows.size else (-1, -1)
-
-
-def sylvester_dets(A: np.ndarray, B: np.ndarray,
-                   t: np.ndarray) -> np.ndarray:
-    """det S(t) at each point of t, S the Sylvester matrix in s of A and B
-    (dense coefficient matrices, A[i, j] of t^i s^j, neither zero): one
-    Horner pass evaluates the rows of A and B at all points, slice
-    assignment lays out the stack of Sylvester matrices, and one stacked
-    determinant evaluates them."""
-    return _sylvester_dets(A, B, t, _degrees(A), _degrees(B))
-
-
-def _sylvester_dets(A, B, t, degrees_a, degrees_b) -> np.ndarray:
-    """``sylvester_dets`` given the ``_degrees`` of A and B."""
-    (dpk, m), (dqk, n) = degrees_a, degrees_b
-    # highest power of s first, as in the Sylvester matrix's rows
-    rows = np.concatenate([A[:, m::-1], B[:, n::-1]], axis=1)
-    top = max(dpk, dqk)
-    vals = rows[top]
-    for row in rows[:top][::-1]:
-        vals = vals * t[:, None] + row
-    S = np.zeros((len(t), m + n, m + n), dtype=complex)
-    for r in range(n):
-        S[:, r, r:r + m + 1] = vals[..., :m + 1]
-    for r in range(m):
-        S[:, n + r, r:r + n + 1] = vals[..., m + 1:]
-    return np.linalg.det(S)
-
-
-def dense_resultant(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Resultant of two real floating polynomials in their second variable
-    s, from dense coefficient matrices (A[i, j] of t^i s^j): its ascending
-    real coefficients in t. An input constant in s gives its row to the
-    power of the other's degree in s, untrimmed. Otherwise det S(t), of
-    degree at most n deg_t A + m deg_t B (m, n the degrees in s), is
-    sampled at one more root of unity (``sylvester_dets``, all nodes in
-    one stack) and interpolated by FFT, and the coefficients at most 1e-10
-    of the largest are set to zero."""
-    degrees_a, degrees_b = _degrees(A), _degrees(B)
-    (dpk, m), (dqk, n) = degrees_a, degrees_b
-    if _zero_resultant(m, n):
-        return np.zeros(1)
-    if min(m, n) == 0:
-        return np.polynomial.polynomial.polypow(
-            A[:, 0] if m == 0 else B[:, 0], max(m, n)).real
-    count = n * dpk + m * dqk + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    # the resultant of real polynomials is real
-    coeffs = (np.fft.fft(_sylvester_dets(A, B, nodes, degrees_a,
-                                         degrees_b)) / count).real
-    mag = abs(coeffs)
-    coeffs[mag <= 1e-10 * mag.max()] = 0.0
-    return coeffs

@@ -11,17 +11,24 @@ from gradfit.poly import BivariatePoly
 
 @pytest.fixture
 def similar():
-    """``image(P, angle, scale, tx, ty, mirror)``: P composed with the
+    """``image(P, angle, scale, tx, ty, mirror)``: exact P composed with the
     similarity map that mirrors across the x-axis (if ``mirror``), rotates
-    by ``angle``, scales by ``scale`` and translates by (tx, ty), in that
-    order. Its zero set is the inverse map's image of P's."""
+    by about ``angle``, scales by ``scale`` and translates by (tx, ty), in
+    that order. Its zero set is the inverse map's image of P's. The map is
+    exact: its rotation is the Pythagorean one whose half-angle tangent is
+    the double nearest tan(angle / 2), and scale and shift are the exact
+    values of their doubles, so a circle's image is a circle."""
     def image(P, angle, scale, tx, ty, mirror):
-        x = BivariatePoly.variable("x", P.exact)
-        y = BivariatePoly.variable("y", P.exact) * (-1 if mirror else 1)
-        c, s = scale * math.cos(angle), scale * math.sin(angle)
-        u, v = c * x - s * y + tx, s * x + c * y + ty
-        return sum((coef * u ** p * v ** q for (p, q), coef in P.terms.items()),
-                   BivariatePoly.zero(P.exact))
+        x = BivariatePoly.variable("x")
+        y = BivariatePoly.variable("y") * (-1 if mirror else 1)
+        t = Fraction(math.tan(angle / 2))
+        c, s = ((1 - t * t) / (1 + t * t) * Fraction(scale),
+                2 * t / (1 + t * t) * Fraction(scale))
+        u = c * x - s * y + Fraction(tx)
+        v = s * x + c * y + Fraction(ty)
+        return sum((coef * u ** p * v ** q
+                    for (p, q), coef in P.to_exact().terms.items()),
+                   BivariatePoly.zero())
     return image
 
 

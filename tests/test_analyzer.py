@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from gradfit.analyzer import (
+    WITNESS_TOL,
     CommonZeroWitness,
+    _basis,
+    _Pair,
+    _values,
+    _zeros,
     analyze_family,
     certificate_system,
     decide_reduction,
@@ -72,8 +77,8 @@ def test_parabola_witness_is_i_over_2c():
 
 
 def test_parabola_double_root_witness_is_found():
-    # the x-eliminated resultant is (y + 1/(4c))^2: the witness lies on its
-    # double root, which root finding must not move off the true value
+    # for these c, root finding on the x-eliminated resultant
+    # (y + 1/(4c))^2 moves its double root y = -1/(4c) off the true value
     for c in (0.6055845711802689, 0.6925030583875271):
         P = get_family("parabola").poly({"c": c}, exact=True)
         decision = decide_reduction(P)
@@ -82,10 +87,8 @@ def test_parabola_double_root_witness_is_found():
 
 
 def test_flat_parabola_witness_is_found():
-    # c = 4e-6: the normalized |grad P|^2 is 1 + 6.4e-11 x^2, so the
-    # y-resultant keeps that tiny x^2 term (the witness's x = +-i/(2c)), and
-    # the x-resultant's double root y = -1/(4c) splits by about 1e-3 of its
-    # size in rounding, so only its value, not its computed roots, admits y
+    # c = 4e-6: the normalized |grad P|^2 is 1 + 6.4e-11 x^2, and that tiny
+    # x^2 term is what puts the witness at x = +-i/(2c)
     c = 4e-6
     P = get_family("parabola").poly({"c": c}, exact=True)
     for Pk in (P, P.to_float()):
@@ -97,10 +100,9 @@ def test_flat_parabola_witness_is_found():
 
 
 def test_float_shared_factor_with_inexact_coefficients_gives_witness():
-    # both resultants of P = (y - 0.7x)(x + 2) and Q = (y - 0.7x)(y + 1)
-    # vanish identically; in floats they are rounding noise of about 1e-17
-    # of their Sylvester bound, which a trim relative to their own largest
-    # coefficient keeps, so the shared-factor slices never ran
+    # P = (y - 0.7x)(x + 2) and Q = (y - 0.7x)(y + 1) share the line
+    # y = 0.7x exactly (0.7 as its double), so their ideal is not
+    # zero-dimensional and the witness comes from a random line through it
     x, y = parse_poly("x", exact=False), parse_poly("y", exact=False)
     line = y - 0.7 * x
     P, Q = line * (x + 2.0), line * (y + 1.0)
@@ -113,10 +115,9 @@ def test_float_shared_factor_with_inexact_coefficients_gives_witness():
 
 @pytest.mark.parametrize("a, R", [(0.0, 1e-4), (1.0, 1e-3)])
 def test_small_circle_resultant_is_not_taken_for_noise(a, R):
-    # the resultants of a circle of radius R and its |grad P|^2 are
-    # constants of order R^4, here 6e-18 and 2e-15 of their Sylvester
-    # bound, as small as a shared factor's rounding noise; they are computed
-    # accurately, so they must still prove that there is no common zero
+    # a circle of radius R and its |grad P|^2 have no common zero however
+    # small R is, though their resultants are constants of order R^4, as
+    # small as rounding noise
     P = get_family("circle").poly({"a": a, "b": 0.0, "R": R}, exact=True)
     for Pk in (P, P.to_float()):
         assert find_common_zero(Pk, gradient_norm_squared(Pk)) is None
@@ -124,9 +125,8 @@ def test_small_circle_resultant_is_not_taken_for_noise(a, R):
 
 
 def test_parabola_sweep_has_no_wrong_verdict():
-    # guards the lift that once missed the double root of the parabola's
-    # x-eliminated resultant for about one c in a thousand: the ideal test
-    # would still say "not admissible", but without a witness
+    # a lift from the parabola's x-eliminated resultant misses its double
+    # root for about one c in a thousand; every verdict needs its witness
     for c in np.random.default_rng(7).uniform(0.5, 2.0, 1000):
         P = get_family("parabola").poly({"c": float(c)}, exact=True)
         decision = decide_reduction(P)
@@ -153,7 +153,7 @@ def test_constant_p_rejected():
 
 
 def test_shared_factor_yields_witness():
-    # common factor (y - x): resultant vanishes identically
+    # common factor (y - x): a line of common zeros, sliced by x = t
     P = (Y - X) * (X + 2)
     Q = (Y - X) * (Y + 1)
     w = find_common_zero(P.to_float(), Q.to_float())
@@ -172,13 +172,49 @@ def test_vanishing_leading_coefficient_not_mistaken_for_zero():
 
 
 def test_both_univariate_same_variable():
-    # everything constant in y: handled through the x-elimination
+    # everything constant in y: the common zeros are the line x = 1, which
+    # the slice x = t misses and y = t meets
     P = (X ** 2 - 1).to_float()
     Q = (X - 1).to_float() * 2.0
     w = find_common_zero(P, Q)
     assert w is not None
     assert abs(w.x - 1.0) < 1e-8
     assert find_common_zero((X ** 2 - 1).to_float(), (X - 3).to_float()) is None
+
+
+def test_very_flat_parabola_gets_its_witness():
+    # c = 1e-7: |grad P|^2 = 1 + 4e-14 x^2 keeps its x^2 term, which alone
+    # puts the common zero at (+-i/(2c), -1/(4c))
+    c = 1e-7
+    P = Y - BivariatePoly({(2, 0): c}, exact=False)
+    w = find_common_zero(P, gradient_norm_squared(P))
+    assert w is not None
+    assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
+    assert min(abs(w.x - s * 0.5j / c) for s in (1, -1)) <= 1e-8 * 0.5 / c
+    assert abs(w.y + 0.25 / c) <= 1e-8 * 0.25 / c
+
+
+@pytest.mark.parametrize("name", ["ellipse", "hyperbola", "parabola"])
+def test_every_inadmissible_family_sample_gets_a_witness(name):
+    family, rng = get_family(name), np.random.default_rng(1)
+    for _ in range(50):
+        P = family.poly(family.sample_theta(rng), exact=True)
+        w = find_common_zero(P, gradient_norm_squared(P))
+        assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
+
+
+def test_cubic_pair_zeros_all_come_off_the_basis():
+    # two random cubics meet in 9 points: the quotient ring has dimension
+    # 9, against a central conic's 4, and every eigenvector gives one zero
+    rng = np.random.default_rng(0)
+    P, Q = random_poly(rng, nterms=10), random_poly(rng, nterms=10)
+    zeros = _zeros(_basis(P.to_exact().terms, Q.to_exact().terms))
+    assert zeros.shape == (2, 9)
+    pair = _Pair(P, Q)
+    for x, y in zeros.T:
+        assert max(pair.residuals(_values(pair.F, x, y), x, y)) <= WITNESS_TOL
+    w = find_common_zero(P, Q)
+    assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
 
 
 # -- certificates -----------------------------------------------------------
@@ -293,10 +329,10 @@ def test_small_float_circle_is_admissible_at_degree_zero():
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_flat_parabola_is_not_admissible(exact):
-    # P and Q share (+-i/(2c), -1/(4c)) for c = 2e-6, which the witness
-    # search misses: its resultant cut drops the 16c^2 term
+    # P and Q share (+-i/(2c), -1/(4c)) for c = 2e-6
     d = decide_reduction(Y - parse_poly("0.000002 x^2", exact=exact))
     assert not d.admissible and d.certificate is None and d.max_degree is None
+    assert abs(d.witness.y + 1 / 8e-6) <= 1e-8 / 8e-6
 
 
 def test_exclusivity_on_random_pairs():

@@ -8,13 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradfit import cli, errors
+from gradfit import analyzer, cli, errors
 from gradfit.cli import EXIT_NOT_CONVERGED, exit_code_for, main
 from gradfit.datagen import ingest
 from gradfit.moments import MomentVector
 from gradfit.errors import (CenterHitsDataPoint, DegenerateData,
-                            DegenerateElimination, DegenerateInput,
-                            DegreeMismatch, GradfitError,
+                            DegenerateInput, DegreeMismatch, GradfitError,
                             GradientVanishesAtSample, ImaginaryRadius,
                             InvalidRadius, InvalidSpec, NoCircle,
                             NonFiniteInput, NonFiniteValue, NumericalFailure,
@@ -352,14 +351,27 @@ def test_analyze_circle_poly_certificate_values(capsys):
     assert blob["certificate"]["identity_residual"] == 0.0
 
 
-def test_analyze_inadmissible_without_witness(capsys):
-    # the witness search misses the common zero (+-i/(2c), -1/(4c)) of this
-    # flat parabola and its squared gradient; the ideal test still decides
-    rc, out, _ = run(capsys, "analyze", "1 y - 0.000002 x^2", "--json")
+def test_analyze_inadmissible_without_witness(capsys, monkeypatch):
+    # the flat parabola y = c x^2 shares (+-i/(2c), -1/(4c)) with its
+    # squared gradient; the basis gives that witness
+    text, c = "1 y - 0.000002 x^2", 0.000002
+    rc, out, _ = run(capsys, "analyze", text, "--json")
+    blob = json.loads(out)
+    assert rc == 0 and blob["admissible"] is False
+    assert blob["certificate"] is None
+    (xr, xi), (yr, yi) = blob["witness"]["x"], blob["witness"]["y"]
+    assert abs(xr) + abs(abs(xi) - 0.5 / c) <= 1e-8 * 0.5 / c
+    assert abs(yr + 0.25 / c) + abs(yi) <= 1e-8 * 0.25 / c
+    # a witness that cannot be polished leaves the ideal test to decide
+    def fail(P, Q):
+        raise NumericalFailure("no witness")
+
+    monkeypatch.setattr(analyzer, "find_common_zero", fail)
+    rc, out, _ = run(capsys, "analyze", text, "--json")
     blob = json.loads(out)
     assert rc == 0 and blob["admissible"] is False
     assert blob["witness"] is None and blob["certificate"] is None
-    rc, out, _ = run(capsys, "analyze", "1 y - 0.000002 x^2")
+    rc, out, _ = run(capsys, "analyze", text)
     assert rc == 0 and out == "NOT ADMISSIBLE\n"
 
 
@@ -517,7 +529,8 @@ def test_bench_rejects_tiny_n(capsys):
     (DegreeMismatch("x"), 12),
     (CenterHitsDataPoint("x"), 13),
     (DegenerateInput("x"), 14),
-    (DegenerateElimination("x"), 14),
+    # a subclass finds its base's code; in this slot, the others keep ids
+    (type("ConstantCurve", (DegenerateInput,), {})("x"), 14),
     (GradfitError("x"), 1),
 ])
 def test_exit_code_table(exc, code):

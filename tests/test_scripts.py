@@ -42,6 +42,20 @@ def test_case_studies_report_a_verdict_without_witness(capsys, monkeypatch):
     assert out.count("admissible=False  decided by the ideal test") == 3
 
 
+def test_verdict_sweep_fails_on_a_verdict_without_witness(capsys,
+                                                          monkeypatch):
+    import gradfit.analyzer
+    from gradfit.errors import NumericalFailure
+
+    def fail(P, Q):
+        raise NumericalFailure("no witness")
+
+    monkeypatch.setattr(gradfit.analyzer, "find_common_zero", fail)
+    assert load("verdict_sweep").main(["--draws", "1"]) == 1
+    assert "0 wrong, 0 inconclusive, 3 without witness" in \
+        capsys.readouterr().out
+
+
 def test_traced_functions_exist_where_the_tracer_looks():
     # perfbench/spans.py wraps these by (owner, attribute); a rename must
     # fail here, not first in a traced benchmark run
