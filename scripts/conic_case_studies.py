@@ -18,7 +18,14 @@ import numpy as np
 
 from gradfit.analyzer import decide_reduction
 from gradfit.families import get_family
-from gradfit.poly import format_poly
+
+
+def rounded(P):
+    """P's terms, each coefficient rounded to 6 significant digits."""
+    terms = [f"{float(c):+.6g}" + "".join(f" {v}^{e}" for v, e in zip("xy", k)
+                                          if e)
+             for k, c in sorted(P.terms.items(), reverse=True)]
+    return " ".join(terms).lstrip("+") or "0"
 
 
 def study_admissible(name, rng, samples):
@@ -26,14 +33,13 @@ def study_admissible(name, rng, samples):
     print(f"== {name}: reducible ==")
     for _ in range(samples):
         theta = fam.sample_theta(rng)
-        decision = decide_reduction(fam.poly(theta, exact=True))
+        decision = decide_reduction(fam.poly(theta))
         shown = " ".join(f"{k}={theta[k]:.3f}" for k in fam.param_names)
         cert = decision.certificate
         print(f"  {shown}")
         print(f"    admissible={decision.admissible}  "
               f"residual={cert.identity_residual}")
-        print(f"    W = {format_poly(cert.W.to_float())}"
-              f"   U = {format_poly(cert.U.to_float())}")
+        print(f"    W = {rounded(cert.W)}   U = {rounded(cert.U)}")
     print()
 
 
@@ -42,7 +48,7 @@ def study_blocked(name, rng, samples):
     print(f"== {name}: not reducible ==")
     for _ in range(samples):
         theta = fam.sample_theta(rng)
-        decision = decide_reduction(fam.poly(theta, exact=True))
+        decision = decide_reduction(fam.poly(theta))
         shown = " ".join(f"{k}={theta[k]:.3f}" for k in fam.param_names)
         w = decision.witness
         print(f"  {shown}")

@@ -66,7 +66,7 @@ def sweep(draw, seed, admissible, draws):
     wrong = inconclusive = bare = 0
     t0 = time.perf_counter()
     for _ in range(draws):
-        P = BivariatePoly(draw(rng), exact=False)
+        P = BivariatePoly(draw(rng))
         try:
             decision = decide_reduction(P)
         except GradfitError:

@@ -2,7 +2,7 @@
 
 The package has three layers:
 
-* ``poly`` / ``moments`` — bivariate polynomials (exact or floating) and
+* ``poly`` / ``moments`` — bivariate polynomials over the rationals and
   one-pass sufficient-statistic accumulators over point sets;
 * ``analyzer`` — decides whether a curve family's gradient weight admits a
   data-independent reduction, via common-zero witnesses and polynomial

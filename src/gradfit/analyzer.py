@@ -290,7 +290,6 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
     """
     if _int_degree(P) == 0:
         raise DegenerateInput("P is constant; nothing to intersect")
-    P, Q = P.to_exact(), Q.to_exact()
     G = _basis(P.terms, Q.terms)
     if G is None:
         return None
@@ -369,26 +368,21 @@ def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
     total degree <= d. The rows are the monomials of total degree
     <= d + max(deg P, deg Q), ordered by total degree, so x^0 y^0 is row 0
     and the system of a lower-degree pair is the leading rows of a
-    higher-degree one's. A and b hold Fractions (dtype object) when P and Q
-    are both exact, float64 otherwise. Returns (A, b, cols).
+    higher-degree one's. A and b hold Fractions (dtype object). Returns
+    (A, b, cols).
     """
-    exact = P.exact and Q.exact
     dp, dq = _int_degree(P), _int_degree(Q)
     layout = certificate_layout(dp, dq, d)
-    A = layout.fill(coefficients(P, dp, exact), coefficients(Q, dq, exact))
-    one = Fraction(1) if exact else 1.0
-    b = np.full(len(A), 0 * one, dtype=A.dtype)
-    b[0] = one
+    A = layout.fill(coefficients(P, dp), coefficients(Q, dq))
+    b = np.full(len(A), Fraction(0), dtype=object)
+    b[0] = Fraction(1)
     return A, b, layout.cols
 
 
-def coefficients(P: BivariatePoly, degree: int, exact: bool) -> np.ndarray:
-    """P's coefficient vector on ``monomials(degree)``."""
+def coefficients(P: BivariatePoly, degree: int) -> np.ndarray:
+    """P's coefficient vector on ``monomials(degree)``, of Fractions."""
     index = monomial_index(degree)
-    if exact:
-        vec = np.full(len(index), Fraction(0), dtype=object)
-    else:
-        vec = np.zeros(len(index))
+    vec = np.full(len(index), Fraction(0), dtype=object)
     for mn, c in P.terms.items():
         vec[index[mn]] = c
     return vec
@@ -453,8 +447,8 @@ def _solve_exact_at(P, Q, d):
             if coef[i] != 0:
                 for t in range(ncols):
                     x0[t] += coef[i] * basis[i][t]
-    U = BivariatePoly({mno: x0[j] for j, mno in enumerate(cols)}, exact=True)
-    W = BivariatePoly({mno: x0[k + j] for j, mno in enumerate(cols)}, exact=True)
+    U = BivariatePoly({mno: x0[j] for j, mno in enumerate(cols)})
+    W = BivariatePoly({mno: x0[k + j] for j, mno in enumerate(cols)})
     return U, W
 
 
@@ -471,7 +465,6 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
     """
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("P and Q must be nonzero")
-    P, Q = P.to_exact(), Q.to_exact()
     got = _solve_exact_at(P, Q, 0)
     if got is None and _basis(P.terms, Q.terms) is not None:
         return None
@@ -518,12 +511,13 @@ def decide_reduction(P: BivariatePoly,
     of whose computed points polishes to ``WITNESS_TOL`` is still not
     admissible, with no witness.
     """
-    P = P.to_exact()
-    Q = gradient_norm_squared(P) if Q is None else Q.to_exact()
+    if Q is None:
+        Q = gradient_norm_squared(P)
     try:
         witness = find_common_zero(P, Q)
     except NumericalFailure:
-        witness = None
+        # raised only once the basis of <P, Q> came out other than {1}
+        return ReductionDecision(False, None, None, None)
     if witness is not None:
         return ReductionDecision(False, witness, None, None)
     cert = solve_nullstellensatz(P, Q)
@@ -536,7 +530,7 @@ def circle_certificate() -> ReductionCertificate:
     """The unit circle's certificate. Every circle's minimal certificate has
     the same degree, and the generic fit re-solves W at each iterate and
     reads only that degree, so this one serves any circle fit."""
-    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
+    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0})
     decision = decide_reduction(P)
     if not decision.admissible or decision.certificate is None:
         raise NumericalFailure("no certificate for the unit circle")
@@ -581,7 +575,7 @@ class FamilyReport:
 
 def _analyze_one(family: CurveFamily, idx: int, theta: dict) -> SampleReport:
     try:
-        P = family.poly(theta, exact=True)
+        P = family.poly(theta)
         Q = gradient_norm_squared(P)
         decision = decide_reduction(P, Q)
     except Exception as exc:

@@ -206,7 +206,7 @@ def cmd_analyze(args) -> int:
     if (args.poly is None) == (args.family is None):
         raise InvalidSpec("give a polynomial or --family, not both or neither")
     if args.poly is not None:
-        P = parse_poly(args.poly, exact=True)
+        P = parse_poly(args.poly)
         decision = decide_reduction(P)
         if args.json:
             _emit_json(decision.to_dict())

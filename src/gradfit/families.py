@@ -39,11 +39,15 @@ class CurveFamily:
     point_at: Callable = field(repr=False)  # (theta, t array) -> (x, y)
     check_theta: Callable = field(repr=False, default=lambda theta: None)
 
-    def poly(self, theta: dict, exact: bool = False) -> BivariatePoly:
-        """P(x, y; theta). In exact mode float parameters convert exactly
-        (dyadic rationals), so downstream elimination is rigorous."""
+    def poly(self, theta: dict, exact: bool = True) -> BivariatePoly:
+        """P(x, y; theta), with float parameters converted exactly (dyadic
+        rationals), so downstream elimination is rigorous. ``exact`` admits
+        only True, the one coefficient domain."""
+        if exact is not True:
+            raise InvalidSpec(f"{self.name}: polynomials are exact only, "
+                              f"got exact={exact!r}")
         self.validate(theta)
-        return self.build_poly(theta, exact)
+        return self.build_poly(theta)
 
     def validate(self, theta: dict) -> None:
         missing = [k for k in self.param_names if k not in theta]
@@ -62,15 +66,13 @@ class CurveFamily:
 
 # -- circle -----------------------------------------------------------------
 
-def _circle_poly(theta, exact):
-    # convert before combining: in exact mode the constant term must be the
-    # exact a^2 + b^2 - R^2 of the (dyadic) parameters, not a float rounding
-    conv = Fraction if exact else float
-    a, b, R = (conv(theta[k]) for k in ("a", "b", "R"))
+def _circle_poly(theta):
+    # convert before combining: the constant term must be the exact
+    # a^2 + b^2 - R^2 of the (dyadic) parameters, not a float rounding
+    a, b, R = (Fraction(theta[k]) for k in ("a", "b", "R"))
     return BivariatePoly(
         {(2, 0): 1, (0, 2): 1, (1, 0): -2 * a, (0, 1): -2 * b,
          (0, 0): a * a + b * b - R * R},
-        exact=exact,
     )
 
 
@@ -94,9 +96,9 @@ def _circle_check(theta):
 
 # -- canonical central conics ----------------------------------------------
 
-def _conic_poly(theta, exact):
+def _conic_poly(theta):
     a, b, c = theta["a"], theta["b"], theta["c"]
-    return BivariatePoly({(2, 0): a, (0, 2): b, (0, 0): c}, exact=exact)
+    return BivariatePoly({(2, 0): a, (0, 2): b, (0, 0): c})
 
 
 def _ellipse_sample(rng):
@@ -147,9 +149,9 @@ def _hyperbola_check(theta):
 
 # -- parabola ---------------------------------------------------------------
 
-def _parabola_poly(theta, exact):
+def _parabola_poly(theta):
     c = theta["c"]
-    return BivariatePoly({(0, 1): 1, (2, 0): -c}, exact=exact)
+    return BivariatePoly({(0, 1): 1, (2, 0): -c})
 
 
 def _parabola_sample(rng):
@@ -168,9 +170,9 @@ def _parabola_check(theta):
 
 # -- line -------------------------------------------------------------------
 
-def _line_poly(theta, exact):
+def _line_poly(theta):
     u, v, w = theta["u"], theta["v"], theta["w"]
-    return BivariatePoly({(1, 0): u, (0, 1): v, (0, 0): w}, exact=exact)
+    return BivariatePoly({(1, 0): u, (0, 1): v, (0, 0): w})
 
 
 def _line_sample(rng):

@@ -757,11 +757,11 @@ def _family_map(family: CurveFamily) -> _FamilyMap:
     sample = np.array([Fraction(sample[n]) for n in names], dtype=object)
     keys = [(), *((i,) for i in range(k)),
             *((i, j) for i in range(k) for j in range(i, k))]
-    polys = [family.build_poly({n: key.count(j) for j, n in enumerate(names)},
-                               True) for key in keys]
-    polys.append(family.build_poly(dict(zip(names, sample)), True))
+    polys = [family.build_poly({n: key.count(j) for j, n in enumerate(names)})
+             for key in keys]
+    polys.append(family.build_poly(dict(zip(names, sample))))
     degree = int(max(P.degree() for P in polys))
-    *vecs, at_sample = (coefficients(P, degree, True) for P in polys)
+    *vecs, at_sample = (coefficients(P, degree) for P in polys)
     v = dict(zip(keys, vecs))
     c0 = v[()]
     C2 = np.array([[v[min(i, j), max(i, j)] - v[(i,)] - v[(j,)] + c0

@@ -11,7 +11,7 @@ from gradfit.poly import BivariatePoly
 
 @pytest.fixture
 def similar():
-    """``image(P, angle, scale, tx, ty, mirror)``: exact P composed with the
+    """``image(P, angle, scale, tx, ty, mirror)``: P composed with the
     similarity map that mirrors across the x-axis (if ``mirror``), rotates
     by about ``angle``, scales by ``scale`` and translates by (tx, ty), in
     that order. Its zero set is the inverse map's image of P's. The map is
@@ -27,7 +27,7 @@ def similar():
         u = c * x - s * y + Fraction(tx)
         v = s * x + c * y + Fraction(ty)
         return sum((coef * u ** p * v ** q
-                    for (p, q), coef in P.to_exact().terms.items()),
+                    for (p, q), coef in P.terms.items()),
                    BivariatePoly.zero())
     return image
 
@@ -39,7 +39,7 @@ def contract():
     objective the compiled one is checked against. DegreeMismatch for a
     term beyond the accumulated degree."""
     def contract(mv, poly):
-        acc = Fraction(0) if mv.exact and poly.exact else 0.0
+        acc = Fraction(0) if mv.exact else 0.0
         for (p, q), coeff in poly.terms.items():
             if p + q > mv.max_total_degree:
                 raise DegreeMismatch(
@@ -47,7 +47,7 @@ def contract():
                     f"{mv.max_total_degree}")
             val = mv.entry(p, q)
             if isinstance(acc, Fraction):
-                acc += Fraction(coeff) * val
+                acc += coeff * val
             else:
                 acc += float(coeff) * float(val)
         return acc

@@ -34,14 +34,13 @@ def _report(capsys, num, label, ok, t0, detail=""):
 def _random_poly(rng, max_deg=3, nterms=6):
     keys = [(p, q) for p in range(max_deg + 1) for q in range(max_deg + 1 - p)]
     idx = rng.choice(len(keys), size=min(nterms, len(keys)), replace=False)
-    return BivariatePoly(
-        {keys[i]: float(rng.uniform(-2, 2)) for i in idx}, exact=False)
+    return BivariatePoly({keys[i]: float(rng.uniform(-2, 2)) for i in idx})
 
 
 def _circle_poly_float(a, b, R):
     return BivariatePoly(
         {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0 * a, (0, 1): -2.0 * b,
-         (0, 0): a * a + b * b - R * R}, exact=False)
+         (0, 0): a * a + b * b - R * R})
 
 
 # -- criterion 1 ------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_criterion_1_circle_certificates_are_exact(capsys):
     for i in range(10):
         theta = {"a": float(rng.uniform(-2, 2)), "b": float(rng.uniform(-2, 2)),
                  "R": float(rng.uniform(0.5, 2.0))}
-        decision = decide_reduction(get_family("circle").poly(theta, exact=True))
+        decision = decide_reduction(get_family("circle").poly(theta))
         R2 = Fraction(theta["R"]) ** 2
         if not decision.admissible or decision.certificate is None:
             problems.append(f"sample {i}: not admissible")
@@ -86,7 +85,7 @@ def test_criterion_2_conic_witnesses_match_closed_forms(capsys):
         nonlocal worst
         fam = get_family(kind)
         th = fam.sample_theta(rng)
-        d = decide_reduction(fam.poly(th, exact=True))
+        d = decide_reduction(fam.poly(th))
         if d.admissible or d.witness is None:
             problems.append(f"{kind} {idx}: expected witness")
             return
@@ -101,7 +100,7 @@ def test_criterion_2_conic_witnesses_match_closed_forms(capsys):
         nonlocal worst
         fam = get_family("parabola")
         th = fam.sample_theta(rng)
-        d = decide_reduction(fam.poly(th, exact=True))
+        d = decide_reduction(fam.poly(th))
         if d.admissible or d.witness is None:
             problems.append(f"parabola {idx}: expected witness")
             return
@@ -136,8 +135,7 @@ def _no_common_zero_pair(rng, kind):
             P = _random_poly(rng)
             if P.degree() > 0:
                 break
-        return P, P + BivariatePoly.constant(float(rng.uniform(0.5, 2.0)),
-                                             exact=False)
+        return P, P + float(rng.uniform(0.5, 2.0))
     if kind == 1:
         a, b = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         P = _circle_poly_float(a, b, float(rng.uniform(0.5, 2.0)))
@@ -279,7 +277,7 @@ def test_criterion_7_verdicts_invariant_under_similarity(capsys, similar):
         elif m == 4:
             P = BivariatePoly({(1, 0): float(rng.uniform(0.5, 2)),
                                (0, 1): float(rng.uniform(0.5, 2)),
-                               (0, 0): float(rng.uniform(-1, 1))}, exact=False)
+                               (0, 0): float(rng.uniform(-1, 1))})
         else:
             P = _random_poly(rng)
             if P.degree() <= 0:

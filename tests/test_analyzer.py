@@ -7,15 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gradfit import analyzer
 from gradfit.analyzer import (
     WITNESS_TOL,
     CommonZeroWitness,
+    ReductionDecision,
     _basis,
     _Pair,
     _values,
     _zeros,
     analyze_family,
+    certificate_layout,
     certificate_system,
+    coefficients,
     decide_reduction,
     find_common_zero,
     solve_nullstellensatz,
@@ -43,9 +47,7 @@ def circle_poly(a, b, R):
 def random_poly(rng, max_deg=3, nterms=6):
     keys = [(p, q) for p in range(max_deg + 1) for q in range(max_deg + 1 - p)]
     idx = rng.choice(len(keys), size=min(nterms, len(keys)), replace=False)
-    return BivariatePoly(
-        {keys[i]: float(rng.uniform(-2, 2)) for i in idx}, exact=False
-    )
+    return BivariatePoly({keys[i]: float(rng.uniform(-2, 2)) for i in idx})
 
 
 # -- witness search ---------------------------------------------------------
@@ -58,7 +60,7 @@ def test_circle_has_no_common_zero():
 
 def test_ellipse_witness_matches_closed_form():
     a, b, c = 1.0, 2.0, 1.0
-    P = BivariatePoly({(2, 0): a, (0, 2): b, (0, 0): c}, exact=False)
+    P = BivariatePoly({(2, 0): a, (0, 2): b, (0, 0): c})
     w = find_common_zero(P, gradient_norm_squared(P))
     assert w is not None
     xe = cmath.sqrt(b * c / (a * (a - b)))
@@ -70,7 +72,7 @@ def test_ellipse_witness_matches_closed_form():
 def test_parabola_witness_is_i_over_2c():
     for c in (1.0, 0.5, 2.0):
         P = Y - c * X ** 2
-        w = find_common_zero(P.to_float(), gradient_norm_squared(P).to_float())
+        w = find_common_zero(P, gradient_norm_squared(P))
         assert w is not None
         assert min(abs(w.x - s * 0.5j / c) for s in (1, -1)) < 1e-8
         assert abs(w.y - (-1.0 / (4 * c))) < 1e-8
@@ -80,7 +82,7 @@ def test_parabola_double_root_witness_is_found():
     # for these c, root finding on the x-eliminated resultant
     # (y + 1/(4c))^2 moves its double root y = -1/(4c) off the true value
     for c in (0.6055845711802689, 0.6925030583875271):
-        P = get_family("parabola").poly({"c": c}, exact=True)
+        P = get_family("parabola").poly({"c": c})
         decision = decide_reduction(P)
         assert not decision.admissible
         assert abs(decision.witness.y + 1.0 / (4 * c)) < 1e-8
@@ -90,20 +92,19 @@ def test_flat_parabola_witness_is_found():
     # c = 4e-6: the normalized |grad P|^2 is 1 + 6.4e-11 x^2, and that tiny
     # x^2 term is what puts the witness at x = +-i/(2c)
     c = 4e-6
-    P = get_family("parabola").poly({"c": c}, exact=True)
-    for Pk in (P, P.to_float()):
-        w = find_common_zero(Pk, gradient_norm_squared(Pk))
-        assert w is not None
-        assert min(abs(w.x - s * 0.5j / c) for s in (1, -1)) <= 1e-8 * 0.5 / c
-        assert abs(w.y + 1.0 / (4 * c)) <= 1e-8 / (4 * c)
-        assert not decide_reduction(Pk).admissible
+    P = get_family("parabola").poly({"c": c})
+    w = find_common_zero(P, gradient_norm_squared(P))
+    assert w is not None
+    assert min(abs(w.x - s * 0.5j / c) for s in (1, -1)) <= 1e-8 * 0.5 / c
+    assert abs(w.y + 1.0 / (4 * c)) <= 1e-8 / (4 * c)
+    assert not decide_reduction(P).admissible
 
 
 def test_float_shared_factor_with_inexact_coefficients_gives_witness():
     # P = (y - 0.7x)(x + 2) and Q = (y - 0.7x)(y + 1) share the line
     # y = 0.7x exactly (0.7 as its double), so their ideal is not
     # zero-dimensional and the witness comes from a random line through it
-    x, y = parse_poly("x", exact=False), parse_poly("y", exact=False)
+    x, y = parse_poly("x"), parse_poly("y")
     line = y - 0.7 * x
     P, Q = line * (x + 2.0), line * (y + 1.0)
     w = find_common_zero(P, Q)
@@ -118,9 +119,8 @@ def test_small_circle_resultant_is_not_taken_for_noise(a, R):
     # a circle of radius R and its |grad P|^2 have no common zero however
     # small R is, though their resultants are constants of order R^4, as
     # small as rounding noise
-    P = get_family("circle").poly({"a": a, "b": 0.0, "R": R}, exact=True)
-    for Pk in (P, P.to_float()):
-        assert find_common_zero(Pk, gradient_norm_squared(Pk)) is None
+    P = get_family("circle").poly({"a": a, "b": 0.0, "R": R})
+    assert find_common_zero(P, gradient_norm_squared(P)) is None
     assert decide_reduction(P).admissible
 
 
@@ -128,7 +128,7 @@ def test_parabola_sweep_has_no_wrong_verdict():
     # a lift from the parabola's x-eliminated resultant misses its double
     # root for about one c in a thousand; every verdict needs its witness
     for c in np.random.default_rng(7).uniform(0.5, 2.0, 1000):
-        P = get_family("parabola").poly({"c": float(c)}, exact=True)
+        P = get_family("parabola").poly({"c": float(c)})
         decision = decide_reduction(P)
         assert not decision.admissible and decision.witness is not None
 
@@ -156,7 +156,7 @@ def test_shared_factor_yields_witness():
     # common factor (y - x): a line of common zeros, sliced by x = t
     P = (Y - X) * (X + 2)
     Q = (Y - X) * (Y + 1)
-    w = find_common_zero(P.to_float(), Q.to_float())
+    w = find_common_zero(P, Q)
     assert w is not None
     assert abs(w.x - w.y) < 1e-6
 
@@ -164,7 +164,7 @@ def test_shared_factor_yields_witness():
 def test_vanishing_leading_coefficient_not_mistaken_for_zero():
     # leading y-coefficient of P dies at x = 0 but no common zero exists:
     # Q - P*y = 2 rules one out identically
-    P = (X * Y ** 2 + X + 3).to_float()
+    P = X * Y ** 2 + X + 3
     Q = P * Y + 2.0
     assert find_common_zero(P, Q) is None
     cert = solve_nullstellensatz(P, Q)
@@ -174,19 +174,19 @@ def test_vanishing_leading_coefficient_not_mistaken_for_zero():
 def test_both_univariate_same_variable():
     # everything constant in y: the common zeros are the line x = 1, which
     # the slice x = t misses and y = t meets
-    P = (X ** 2 - 1).to_float()
-    Q = (X - 1).to_float() * 2.0
+    P = X ** 2 - 1
+    Q = (X - 1) * 2.0
     w = find_common_zero(P, Q)
     assert w is not None
     assert abs(w.x - 1.0) < 1e-8
-    assert find_common_zero((X ** 2 - 1).to_float(), (X - 3).to_float()) is None
+    assert find_common_zero(X ** 2 - 1, X - 3) is None
 
 
 def test_very_flat_parabola_gets_its_witness():
     # c = 1e-7: |grad P|^2 = 1 + 4e-14 x^2 keeps its x^2 term, which alone
     # puts the common zero at (+-i/(2c), -1/(4c))
     c = 1e-7
-    P = Y - BivariatePoly({(2, 0): c}, exact=False)
+    P = Y - BivariatePoly({(2, 0): c})
     w = find_common_zero(P, gradient_norm_squared(P))
     assert w is not None
     assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
@@ -198,7 +198,7 @@ def test_very_flat_parabola_gets_its_witness():
 def test_every_inadmissible_family_sample_gets_a_witness(name):
     family, rng = get_family(name), np.random.default_rng(1)
     for _ in range(50):
-        P = family.poly(family.sample_theta(rng), exact=True)
+        P = family.poly(family.sample_theta(rng))
         w = find_common_zero(P, gradient_norm_squared(P))
         assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
 
@@ -208,7 +208,7 @@ def test_cubic_pair_zeros_all_come_off_the_basis():
     # 9, against a central conic's 4, and every eigenvector gives one zero
     rng = np.random.default_rng(0)
     P, Q = random_poly(rng, nterms=10), random_poly(rng, nterms=10)
-    zeros = _zeros(_basis(P.to_exact().terms, Q.to_exact().terms))
+    zeros = _zeros(_basis(P.terms, Q.terms))
     assert zeros.shape == (2, 9)
     pair = _Pair(P, Q)
     for x, y in zeros.T:
@@ -221,15 +221,19 @@ def test_cubic_pair_zeros_all_come_off_the_basis():
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_certificate_system_exact_and_float_agree(d):
+    # the generic fit fills the same layout with float coefficient vectors
     rng = np.random.default_rng(90 + d)
     P, Q = random_poly(rng), random_poly(rng, max_deg=4)
-    A, b, cols = certificate_system(P.to_exact(), Q.to_exact(), d)
-    Af, bf, cols_f = certificate_system(P, Q, d)
+    A, b, cols = certificate_system(P, Q, d)
     assert all(isinstance(v, Fraction) for v in [*A.flat, *b])
-    assert Af.dtype == bf.dtype == np.float64
-    assert cols == cols_f and len(cols) == (d + 1) * (d + 2) // 2
+    dp, dq = int(P.degree()), int(Q.degree())
+    layout = certificate_layout(dp, dq, d)
+    Af = layout.fill(coefficients(P, dp).astype(float),
+                     coefficients(Q, dq).astype(float))
+    assert Af.dtype == np.float64
+    assert cols == layout.cols and len(cols) == (d + 1) * (d + 2) // 2
     assert np.array_equal(A.astype(float), Af)
-    assert np.array_equal(b.astype(float), bf)
+    assert b[0] == 1 and not b[1:].any()
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -254,7 +258,8 @@ def test_exact_solve_above_minimal_degree_is_minimum_norm(d):
     P = circle_poly(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 4))
     Q = gradient_norm_squared(P)
     U, W = _solve_exact_at(P, Q, d)
-    A, b, cols = certificate_system(P.to_float(), Q.to_float(), d)
+    A, b, cols = certificate_system(P, Q, d)
+    A, b = A.astype(float), b.astype(float)
     assert np.linalg.matrix_rank(A) < A.shape[1]
     exact = [float(poly.coeff(p, q)) for poly in (U, W) for p, q in cols]
     assert np.max(np.abs(np.array(exact) - np.linalg.pinv(A) @ b)) < 1e-12
@@ -295,23 +300,23 @@ def test_minimal_degree_is_reported():
 
 
 def test_float_certificate_residual_bound():
-    P = circle_poly(0.25, -0.75, 1.25).to_float()
+    P = circle_poly(0.25, -0.75, 1.25)
     Q = gradient_norm_squared(P)
     cert = solve_nullstellensatz(P, Q)
     assert cert is not None and cert.degree == 0
     assert cert.identity_residual <= 1e-10
-    assert (P * cert.U + Q * cert.W - 1).max_coeff_mag() <= 1e-10
+    assert (P * cert.U + Q * cert.W - 1).is_zero()
 
 
 # -- combined decision ------------------------------------------------------
 
 def test_decide_circle_admissible():
-    d = decide_reduction(circle_poly(0.5, 0.5, 2.0).to_float())
+    d = decide_reduction(circle_poly(0.5, 0.5, 2.0))
     assert d.admissible and d.certificate is not None and d.witness is None
 
 
 def test_decide_ellipse_not_admissible():
-    P = BivariatePoly({(2, 0): 1.0, (0, 2): 2.0, (0, 0): 1.0}, exact=False)
+    P = BivariatePoly({(2, 0): 1.0, (0, 2): 2.0, (0, 0): 1.0})
     d = decide_reduction(P)
     assert not d.admissible and d.witness is not None
 
@@ -322,17 +327,33 @@ def test_decide_walks_to_the_certificate_without_a_bound():
 
 
 def test_small_float_circle_is_admissible_at_degree_zero():
-    d = decide_reduction(parse_poly("x^2 + y^2 - 1e-8", exact=False))
+    d = decide_reduction(parse_poly("x^2 + y^2 - 1e-8"))
     assert d.admissible and d.certificate.degree == 0
     assert d.certificate.identity_residual == 0.0
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_flat_parabola_is_not_admissible(exact):
-    # P and Q share (+-i/(2c), -1/(4c)) for c = 2e-6
-    d = decide_reduction(Y - parse_poly("0.000002 x^2", exact=exact))
+@pytest.mark.parametrize("parsed", [False, True])
+def test_flat_parabola_is_not_admissible(parsed):
+    # P and Q share (+-i/(2c), -1/(4c)) for c = 2e-6, read from a float or
+    # from text, the same double
+    c = parse_poly("0.000002 x^2") if parsed else BivariatePoly({(2, 0): 2e-6})
+    d = decide_reduction(Y - c)
     assert not d.admissible and d.certificate is None and d.max_degree is None
     assert abs(d.witness.y + 1 / 8e-6) <= 1e-8 / 8e-6
+
+
+def test_unpolished_witness_is_not_admissible_without_a_certificate_search(
+        monkeypatch):
+    # find_common_zero raises NumericalFailure only once the basis of
+    # <P, Q> came out other than {1}, so the verdict is already known
+    def no_search(P, Q):
+        raise AssertionError("solve_nullstellensatz was called")
+
+    monkeypatch.setattr(analyzer, "_newton_refine",
+                        lambda pair, x, y: (complex(x), complex(y), 1.0, 1.0))
+    monkeypatch.setattr(analyzer, "solve_nullstellensatz", no_search)
+    d = decide_reduction(Y - 2 * X ** 2)
+    assert d == ReductionDecision(False, None, None, None)
 
 
 def test_exclusivity_on_random_pairs():
@@ -406,10 +427,10 @@ def test_analyze_line_family_is_admissible():
 
 
 def test_analyze_family_records_errors_without_aborting():
-    def broken_poly(theta, exact):
+    def broken_poly(theta):
         if theta["k"] > 0.5:
             raise RuntimeError("synthetic failure")
-        return (X ** 2 + Y ** 2 - 1).to_float()
+        return X ** 2 + Y ** 2 - 1
 
     fam = CurveFamily(
         "broken", ("k",), (0.0, 1.0),

@@ -362,7 +362,8 @@ def test_analyze_inadmissible_without_witness(capsys, monkeypatch):
     (xr, xi), (yr, yi) = blob["witness"]["x"], blob["witness"]["y"]
     assert abs(xr) + abs(abs(xi) - 0.5 / c) <= 1e-8 * 0.5 / c
     assert abs(yr + 0.25 / c) + abs(yi) <= 1e-8 * 0.25 / c
-    # a witness that cannot be polished leaves the ideal test to decide
+    # NumericalFailure means the basis of <P, Q> is not {1}: not
+    # admissible, with no witness
     def fail(P, Q):
         raise NumericalFailure("no witness")
 

@@ -60,8 +60,7 @@ def line_derived(name, build):
 
 # quadratic in theta with every cross term u v, u w, v w
 SQUARED_LINE = line_derived(
-    "squared_line", lambda th, exact: get_family("line").build_poly(
-        th, exact) ** 2)
+    "squared_line", lambda th: get_family("line").build_poly(th) ** 2)
 MAPPED = pytest.mark.parametrize(
     "fam", [*FAMILIES.values(), SQUARED_LINE], ids=lambda f: f.name)
 
@@ -73,9 +72,9 @@ def test_family_map_reproduces_poly_exactly(fam):
         # rationals that are not dyadic, so no float could stand in
         th = {k: Fraction(v).limit_denominator(1000)
               for k, v in fam.sample_theta(RNG).items()}
-        P = fam.poly(th, exact=True)
+        P = fam.poly(th)
         mapped = family_map_value(fmap, [th[k] for k in fam.param_names])
-        assert list(mapped) == list(coefficients(P, fmap.degree, True))
+        assert list(mapped) == list(coefficients(P, fmap.degree))
 
 
 @MAPPED
@@ -90,17 +89,15 @@ def test_family_map_derivative_is_exact_central_difference(fam):
             up = dict(theta, **{k: Fraction(theta[k]) + h})
             dn = dict(theta, **{k: Fraction(theta[k]) - h})
             # exact: P is quadratic in theta
-            fd = (coefficients(fam.poly(up, exact=True), fmap.degree, True)
-                  - coefficients(fam.poly(dn, exact=True), fmap.degree, True)
-                  ) / (2 * h)
+            fd = (coefficients(fam.poly(up), fmap.degree)
+                  - coefficients(fam.poly(dn), fmap.degree)) / (2 * h)
             assert np.allclose(dp[j], fd.astype(float), rtol=1e-15, atol=0)
 
 
 def test_family_not_quadratic_in_theta_is_refused():
-    cubic = line_derived("cubic", lambda th, exact: BivariatePoly(
-        {(1, 0): th["u"], (0, 1): th["v"] ** 3, (0, 0): th["w"]},
-        exact=exact))
-    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0}, exact=True)
+    cubic = line_derived("cubic", lambda th: BivariatePoly(
+        {(1, 0): th["u"], (0, 1): th["v"] ** 3, (0, 0): th["w"]}))
+    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     pts = np.column_stack([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
     with pytest.raises(InvalidSpec, match="not quadratic"):
@@ -118,7 +115,7 @@ def test_unknown_parameter_names_are_refused():
 
 
 def test_generic_fit_refuses_unknown_start_parameters():
-    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0}, exact=True)
+    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     pts = np.column_stack([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
     with pytest.raises(InvalidSpec, match="unknown parameters"):
@@ -136,11 +133,19 @@ def test_scale_free_families_are_linear_in_theta():
 
 
 def test_exact_mode_converts_floats_as_dyadics():
-    P = get_family("circle").poly({"a": 0.5, "b": 0.25, "R": 1.0}, exact=True)
-    assert P.exact
+    P = get_family("circle").poly({"a": 0.5, "b": 0.25, "R": 1.0})
     # 0.25 + 0.0625 - 1 with no rounding anywhere
     assert P.coeff(0, 0) == Fraction(-11, 16)
     assert P.coeff(1, 0) == Fraction(-1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_poly_refuses_a_float_domain(name):
+    fam = get_family(name)
+    theta = fam.sample_theta(RNG)
+    assert fam.poly(theta, exact=True) == fam.poly(theta)
+    with pytest.raises(InvalidSpec, match="exact only"):
+        fam.poly(theta, exact=False)
 
 
 @pytest.mark.parametrize("name,theta", [

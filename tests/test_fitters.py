@@ -56,7 +56,7 @@ def centered_mv(pts, degree=4):
 def circle_cert(degree=None):
     """The unit circle's certificate; ``degree`` relabels its degree, which
     is all the generic fit reads of it besides the residual."""
-    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0}, exact=True)
+    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     if degree is None:
         return cert
@@ -779,7 +779,7 @@ def test_generic_line_family_scale_invariant_fit():
     base = np.array([-w * u, -w * v])
     pts = np.column_stack([base[0] - v * t, base[1] + u * t])
     fam = get_family("line")
-    P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
+    P = fam.poly({"u": u, "v": v, "w": w})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     res = fit_reduced_generic(
         "line", cert, MomentVector.from_points(pts, 2),
@@ -808,7 +808,7 @@ def test_generic_line_fit_keeps_its_scale():
         else:
             m, c = np.polyfit(pts[:, 1], pts[:, 0], 1)
             start = {"u": -1.0, "v": m, "w": c}
-        P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
+        P = fam.poly({"u": u, "v": v, "w": w})
         cert = solve_nullstellensatz(P, gradient_norm_squared(P))
         res = fit_reduced_generic("line", cert,
                                   MomentVector.from_points(pts, 2),
@@ -847,14 +847,12 @@ def test_generic_circle_at_certificate_degree_two_recovers_clean_circle():
 
 
 def exact_dtheta(family, th, name, h=Fraction(1, 1024)):
-    """dP/dtheta_name as a float polynomial: the central difference of
-    ``family.poly`` in exact arithmetic, which is the derivative itself
-    because P is quadratic in theta."""
+    """dP/dtheta_name: the central difference of ``family.poly``, which
+    is the derivative itself because P is quadratic in theta."""
     up, dn = dict(th), dict(th)
     up[name] += h
     dn[name] -= h
-    diff = family.poly(up, exact=True) - family.poly(dn, exact=True)
-    return BivariatePoly((diff * (1 / (2 * h))).terms, exact=False)
+    return (family.poly(up) - family.poly(dn)) * (1 / (2 * h))
 
 
 def reference_value_grad(family, degree, mv, vec, contract):
@@ -866,13 +864,13 @@ def reference_value_grad(family, degree, mv, vec, contract):
     P = family.poly(th)
     px, py = P.partial("x"), P.partial("y")
     A, b, cols = certificate_system(P, px * px + py * py, degree)
+    A, b = A.astype(float), b.astype(float)
     k = len(cols)
     Ap = np.linalg.pinv(A, rcond=1e-12)
     s = Ap @ b
 
     def weight(sol):
-        return BivariatePoly({mn: sol[k + j] for j, mn in enumerate(cols)},
-                             exact=False)
+        return BivariatePoly({mn: sol[k + j] for j, mn in enumerate(cols)})
 
     W = weight(s)
     grad = []
@@ -881,7 +879,7 @@ def reference_value_grad(family, degree, mv, vec, contract):
         dQ = 2.0 * (px * dP.partial("x") + py * dP.partial("y"))
         dA = np.zeros_like(A)
         low, _, _ = certificate_system(dP, dQ, degree)
-        dA[:len(low)] = low  # rows run by degree; the rest are zero
+        dA[:len(low)] = low.astype(float)  # rows run by degree; the rest are zero
         # derivative of the minimum-norm solution of a consistent system
         ds = -Ap @ (dA @ s) + (np.eye(2 * k) - Ap @ A) @ (dA.T @ (Ap.T @ s))
         grad.append(contract(mv, weight(ds) * P * P + 2.0 * (W * P * dP)))
@@ -936,15 +934,13 @@ def test_compiled_objective_matches_polynomial_reference(family, d,
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
-def _scaled_circle_poly(th, exact):
+def _scaled_circle_poly(th):
     """(a x - 1)^2 + (a y - b)^2 - R^2, the circle of centre (1, b) / a and
     radius R / |a|: its x, y, x^2 and y^2 coefficients are quadratic in
     theta, which a second derivative of Q sees."""
-    conv = Fraction if exact else float
-    a, b, R = (conv(th[k]) for k in "abR")
+    a, b, R = (Fraction(th[k]) for k in "abR")
     return BivariatePoly({(2, 0): a * a, (0, 2): a * a, (1, 0): -2 * a,
-                          (0, 1): -2 * a * b, (0, 0): 1 + b * b - R * R},
-                         exact=exact)
+                          (0, 1): -2 * a * b, (0, 0): 1 + b * b - R * R})
 
 
 HESSIAN_FAMILIES = {
@@ -974,7 +970,7 @@ def test_exact_hessian_matches_gradient_differences(family, d):
             A, _, _ = certificate_system(P, gradient_norm_squared(P), d)
             # lines at d >= 1 and circles at d >= 2 have rank-deficient
             # systems, whose solution's derivatives have a null-space part
-            deficient = np.linalg.matrix_rank(A) < A.shape[1]
+            deficient = np.linalg.matrix_rank(A.astype(float)) < A.shape[1]
             assert deficient == (d >= (1 if family == "line" else 2))
             F, g, hess, _ = obj.evaluate(th)
             F_ref, g_ref = obj._evaluate(th)[:2]
@@ -1002,7 +998,7 @@ def line_cloud(seed, n=2000, sigma=0.01):
     else:
         m, c = np.polyfit(pts[:, 1], pts[:, 0], 1)
         start = {"u": -1.0, "v": m, "w": c}
-    P = get_family("line").poly({"u": u, "v": v, "w": w}, exact=True)
+    P = get_family("line").poly({"u": u, "v": v, "w": w})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     return pts, cert, start
 
@@ -1070,7 +1066,7 @@ def test_generic_degree_guard():
 def test_generic_noncircle_needs_explicit_init():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")
-    P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
+    P = fam.poly({"u": u, "v": v, "w": w})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)], 2)
     with pytest.raises(InvalidSpec):
@@ -1079,7 +1075,7 @@ def test_generic_noncircle_needs_explicit_init():
 
 def test_generic_noncircle_takes_a_start_in_parameter_order():
     fam = get_family("line")
-    P = fam.poly({"u": 0.1, "v": 1.0, "w": -0.5}, exact=True)
+    P = fam.poly({"u": 0.1, "v": 1.0, "w": -0.5})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     rng = np.random.default_rng(20)
     xs = np.linspace(-1.0, 1.0, 20)
@@ -1127,7 +1123,7 @@ def test_circle_starts_are_read_like_family_starts():
 def test_generic_noncircle_rejects_centered_accumulator():
     u, v, w = 1.0, 0.0, -0.5
     fam = get_family("line")
-    P = fam.poly({"u": u, "v": v, "w": w}, exact=True)
+    P = fam.poly({"u": u, "v": v, "w": w})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)],
                                   2, offset=(0.5, 0.0))

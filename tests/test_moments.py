@@ -521,7 +521,7 @@ def test_contract_evaluates_polynomial_sums(contract):
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 2))
     mv = MomentVector(3).extend(pts[:, 0], pts[:, 1])
-    P = BivariatePoly({(2, 1): 1.5, (1, 0): -2.0, (0, 0): 0.25}, exact=False)
+    P = BivariatePoly({(2, 1): 1.5, (1, 0): -2.0, (0, 0): 0.25})
     direct = sum(P.eval(x, y) for x, y in pts)
     assert contract(mv, P) == pytest.approx(direct, rel=1e-12)
 
@@ -529,7 +529,7 @@ def test_contract_evaluates_polynomial_sums(contract):
 def test_contract_degree_guard(contract):
     mv = MomentVector(2).accumulate(1.0, 1.0)
     with pytest.raises(DegreeMismatch):
-        contract(mv, BivariatePoly({(3, 0): 1.0}, exact=False))
+        contract(mv, BivariatePoly({(3, 0): 1.0}))
 
 
 # -- serialization ----------------------------------------------------------

@@ -20,7 +20,7 @@ X = BivariatePoly.variable("x")
 Y = BivariatePoly.variable("y")
 
 
-def circle_poly(a, b, R, exact=True):
+def circle_poly(a, b, R):
     terms = {
         (2, 0): 1,
         (0, 2): 1,
@@ -28,7 +28,7 @@ def circle_poly(a, b, R, exact=True):
         (0, 1): -2 * b,
         (0, 0): a * a + b * b - R * R,
     }
-    return BivariatePoly(terms, exact=exact)
+    return BivariatePoly(terms)
 
 
 # -- strategies -------------------------------------------------------------
@@ -38,13 +38,13 @@ exponents = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
 )
 int_coeffs = st.integers(min_value=-9, max_value=9)
 sparse_polys = st.builds(
-    lambda d: BivariatePoly(d, exact=True),
+    BivariatePoly,
     st.dictionaries(exponents, int_coeffs, max_size=12),
 )
 
 small_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 small_polys = st.builds(
-    lambda d: BivariatePoly(d, exact=True),
+    BivariatePoly,
     st.dictionaries(small_exponents, int_coeffs, min_size=1, max_size=5),
 )
 
@@ -59,18 +59,6 @@ def test_zero_terms_pruned():
 
 def test_zero_poly_degree_sentinel():
     assert BivariatePoly.zero().degree() == float("-inf")
-
-
-def test_exact_mode_inferred_from_coefficients():
-    assert BivariatePoly({(0, 0): Fraction(1, 3)}).exact
-    assert not BivariatePoly({(0, 0): 0.5}).exact
-
-
-def test_float_equality_is_scale_free():
-    P = BivariatePoly({(2, 0): 1e8, (0, 0): 1.0}, exact=False)
-    Q = BivariatePoly({(2, 0): 1e8 * (1 + 1e-15), (0, 0): 1.0}, exact=False)
-    assert P == Q
-    assert P != P + 1.0
 
 
 def test_immutability():
@@ -88,7 +76,7 @@ def test_eval_on_unit_circle():
 
 def test_eval_parabola_complex_point():
     P = Y - X * X  # y - x^2, c = 1
-    assert abs(P.to_float().eval(0.5j, -0.25)) == 0.0
+    assert abs(P.eval(0.5j, -0.25)) == 0.0
 
 
 def test_eval_direct_arithmetic():
@@ -125,27 +113,31 @@ def test_pow_repeated_product(P):
     assert P ** 0 == BivariatePoly.constant(1)
 
 
-def test_float_coefficients_are_real_floats():
+def test_float_coefficients_are_exact_fractions():
+    # each float is held as the exact value of its double
+    assert type(BivariatePoly({(0, 0): 0.1}).coeff(0, 0)) is Fraction
+    assert BivariatePoly({(0, 0): 0.1}).coeff(0, 0) == Fraction(0.1)
     P = BivariatePoly({(2, 0): 1, (1, 1): Fraction(1, 2),
-                       (0, 1): np.float64(0.25), (0, 0): -1.5 + 0j},
-                      exact=False)
-    assert P.terms == {(2, 0): 1.0, (1, 1): 0.5, (0, 1): 0.25, (0, 0): -1.5}
-    for Q in (P, P * P, P.partial("x"), parse_poly("1.5 x - 2e-3"),
-              circle_poly(1, 2, 3).to_float()):
-        assert all(type(c) is float for c in Q.terms.values())
+                       (0, 1): np.float64(0.1), (1, 0): np.float32(0.1),
+                       (0, 0): -1.5})
+    assert P.terms == {(2, 0): 1, (1, 1): Fraction(1, 2),
+                       (0, 1): Fraction(0.1), (1, 0): Fraction(float(np.float32(0.1))),
+                       (0, 0): Fraction(-3, 2)}
+    for Q in (P, P * P, P.partial("x"), P + 0.1, circle_poly(0.1, 2, 3)):
+        assert all(type(c) is Fraction for c in Q.terms.values())
 
 
 @pytest.mark.parametrize("c", [2j, np.complex128(1 + 1e-300j)])
 def test_float_poly_refuses_complex_coefficients(c):
     # x^2 + y^2 - 1 + 2i xy: its imaginary part must not be dropped
     with pytest.raises(TypeError):
-        BivariatePoly({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0, (1, 1): c},
-                      exact=False)
+        BivariatePoly({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0, (1, 1): c})
 
 
-def test_mixed_mode_promotes_to_float():
+def test_float_scalar_keeps_the_product_exact():
     P = (X + Y) * 0.5
-    assert not P.exact
+    assert P.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in P.terms.values())
 
 
 # -- calculus ---------------------------------------------------------------
@@ -180,11 +172,10 @@ def test_gradient_norm_parabola():
 @settings(max_examples=60)
 def test_gradient_norm_matches_finite_differences(P, x, y):
     assume(not P.is_zero())
-    Q = gradient_norm_squared(P).to_float()
-    Pf = P.to_float()
+    Q = gradient_norm_squared(P)
     h = 1e-5
-    fdx = (Pf.eval(x + h, y) - Pf.eval(x - h, y)) / (2 * h)
-    fdy = (Pf.eval(x, y + h) - Pf.eval(x, y - h)) / (2 * h)
+    fdx = (P.eval(x + h, y) - P.eval(x - h, y)) / (2 * h)
+    fdy = (P.eval(x, y + h) - P.eval(x, y - h)) / (2 * h)
     approx = fdx * fdx + fdy * fdy
     exact = Q.eval(x, y)
     scale = max(1.0, abs(exact))
@@ -196,14 +187,15 @@ def test_gradient_norm_matches_finite_differences(P, x, y):
 def test_parse_circle_text():
     P = parse_poly("1 x^2 + 1 y^2 - 1")
     assert P == circle_poly(0, 0, 1)
-    assert P.exact
 
 
 def test_parse_rational_and_float_coefficients():
     P = parse_poly("3/4 x y - 2 y^2")
-    assert P.exact and P.coeff(1, 1) == Fraction(3, 4)
+    assert P.coeff(1, 1) == Fraction(3, 4)
+    # a decimal is the exact value of its double
     Q = parse_poly("1.5 x - 2e-3")
-    assert not Q.exact
+    assert Q.terms == {(1, 0): Fraction(3, 2), (0, 0): -Fraction(2e-3)}
+    assert all(type(c) is Fraction for c in Q.terms.values())
 
 
 def test_parse_bare_variables_and_signs():
@@ -217,28 +209,33 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
-@pytest.mark.parametrize("text,exact", [
-    ("1e999 x^2 + 1 y^2 - 1", None),
-    ("1e999 x^2 + 1 y^2 - 1", True),
-    ("1 x^2 - 1e999 y", False),
-    ("1e308 x + 1e308 x", True),   # finite terms, overflowing sum
-    ("3/4 x + 1e999 x", None),
+@pytest.mark.parametrize("text", [
+    "1e999 x^2 + 1 y^2 - 1",
+    "1 x^2 - 1e999 y",
+    "1e308 x + 1e308 x",   # finite terms, overflowing sum
+    "3/4 x + 1e999 x",
 ])
-def test_parse_refuses_non_finite_coefficients(text, exact):
+def test_parse_refuses_non_finite_coefficients(text):
     with pytest.raises(NonFiniteValue, match=r"1e\d+ [xy]"):
-        parse_poly(text, exact=exact)
+        parse_poly(text)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("exact", [False, True])
-def test_non_finite_coefficients_are_refused(value, exact):
+@pytest.mark.parametrize("float32", [False, True])
+def test_non_finite_coefficients_are_refused(value, float32):
+    if float32:  # a numpy real that is not a Python float
+        value = np.float32(value)
     with pytest.raises(NonFiniteValue, match=r"x\^2\*y\^0"):
-        BivariatePoly({(2, 0): value, (0, 2): 1.0, (0, 0): -1.0}, exact=exact)
+        BivariatePoly({(2, 0): value, (0, 2): 1.0, (0, 0): -1.0})
 
 
 def test_format_canonical_order():
     P = BivariatePoly({(0, 0): -1, (0, 2): 1, (2, 0): 1})
     assert format_poly(P) == "1 x^2 + 1 y^2 - 1"
+
+
+def test_format_writes_decimals_as_fractions():
+    assert format_poly(parse_poly("2.25 x")) == "9/4 x"
 
 
 @given(sparse_polys)
