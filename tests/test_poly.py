@@ -209,11 +209,16 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+# The case ids keep the suffix of a coefficient-mode flag that parse_poly
+# no longer takes, so each case reads under the same name as before.
 @pytest.mark.parametrize("text", [
-    "1e999 x^2 + 1 y^2 - 1",
-    "1 x^2 - 1e999 y",
-    "1e308 x + 1e308 x",   # finite terms, overflowing sum
-    "3/4 x + 1e999 x",
+    pytest.param("1e999 x^2 + 1 y^2 - 1", id="1e999 x^2 + 1 y^2 - 1-None"),
+    pytest.param("1e999*x^2 + 1*y^2 - 1",  # '*' between factors
+                 id="1e999 x^2 + 1 y^2 - 1-True"),
+    pytest.param("1 x^2 - 1e999 y", id="1 x^2 - 1e999 y-False"),
+    pytest.param("1e308 x + 1e308 x",  # finite terms, overflowing sum
+                 id="1e308 x + 1e308 x-True"),
+    pytest.param("3/4 x + 1e999 x", id="3/4 x + 1e999 x-None"),
 ])
 def test_parse_refuses_non_finite_coefficients(text):
     with pytest.raises(NonFiniteValue, match=r"1e\d+ [xy]"):
