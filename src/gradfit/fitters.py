@@ -25,7 +25,8 @@ Four fitting routines around one damped-Newton core:
   so an evaluation does no polynomial arithmetic. Its gradient and
   Hessian are exact, from the derivatives of the certificate system's
   minimum-norm solution, and the Hessian is computed only where Newton
-  takes a step. The circle starts from ``pratt_init``.
+  takes a step. The circle and the line start at closed-form minimizers
+  and fit moments about any offset (``_FRAMES``).
 
 Non-convergence is reported through ``FitResult.converged``, never raised.
 Every accepted iteration is non-increasing in its objective up to the
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -82,6 +83,7 @@ _ROUNDING_TOL = 1e-6
 # Pratt's fit refuses a determinant below this fraction of Mz^2 (collinear)
 _PRATT_DET_TOL = 1e-12
 _PRATT_NEWTON_STEPS = 50
+_CIRCLE = get_family("circle")
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +283,6 @@ def _read_start(names, p) -> dict:
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"a start's parameters must be numbers: "
                           f"{exc}") from None
-
-
-def _circle_start(p) -> CircleParams:
-    """A circle start as ``_read_start`` reads it. InvalidRadius unless
-    finite with R > 0."""
-    if isinstance(p, CircleParams):
-        return p
-    return CircleParams(**_read_start(("a", "b", "R"), p))
-
-
-def _family_start(fam: CurveFamily, p) -> dict:
-    """A start for ``fam`` as ``_read_start`` reads it. InvalidSpec unless
-    ``fam.validate`` accepts it."""
-    p = _read_start(fam.param_names, p)
-    fam.validate(p)
-    return p
 
 
 def _circle_feasible(th) -> bool:
@@ -532,8 +518,8 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     view, start = _moment_circle_start(mv)
     if cfg.init is not None:
-        init = _circle_start(cfg.init)
-        start = (init.a, init.b, init.R)
+        start = astuple(CircleParams(**_read_start(_CIRCLE.param_names,
+                                                   cfg.init)))
     cx, cy = view.centroid
 
     def fun(th):
@@ -567,7 +553,7 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
     x = pts[:, 0]
     y = pts[:, 1]
     if cfg.init is not None:
-        init = _circle_start(cfg.init)
+        init = CircleParams(**_read_start(_CIRCLE.param_names, cfg.init))
     else:
         # points whose powers overflow are NonFiniteInput, without numpy's
         # overflow warnings
@@ -940,13 +926,50 @@ class _CertObjective:
         return F, g - (g @ t) * t, projected, noise
 
 
+def _line_start(mv: MomentVector) -> dict:
+    """Orthogonal regression from the sums of degree <= 2, in the
+    accumulator's frame: the line through the centroid whose unit normal
+    (u, v) is the smallest eigenvector of the central scatter (Pearson,
+    1901). Q = u^2 + v^2 is constant on a line, so this is the objective's
+    own minimizer, the line's analogue of Pratt's fit. DegenerateData for
+    fewer than 2 points or an isotropic scatter, which no line fits best."""
+    if mv.n < 2:
+        raise DegenerateData(f"need at least 2 points, got {mv.n}")
+    cx, cy, sxx, sxy, syy = (float(mv.entry(*k)) / mv.n for k in (
+        (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    sxx, sxy, syy = sxx - cx * cx, sxy - cx * cy, syy - cy * cy
+    # the gap between the scatter's eigenvalues, against their sum
+    if not math.hypot(sxx - syy, 2.0 * sxy) > 1e-12 * (sxx + syy):
+        raise DegenerateData("isotropic scatter: no line fits best")
+    phi = 0.5 * math.atan2(2.0 * sxy, sxx - syy)  # the major axis
+    u, v = -math.sin(phi), math.cos(phi)
+    return {"u": u, "v": v, "w": -(u * cx + v * cy)}
+
+
+def _circle_shift(p, ox, oy):
+    return {"a": p["a"] - ox, "b": p["b"] - oy, "R": p["R"]}
+
+
+# (start, shift) of the generic fit for the families closed under
+# translation: the objective's closed-form minimizer in the accumulator's
+# frame, and a curve's exact parameters in x - ox, y - oy
+_FRAMES = {
+    _CIRCLE: (lambda mv: _circle_shift(
+        dict(zip("abR", _moment_circle_start(mv)[1])), *mv.offset),
+        _circle_shift),
+    get_family("line"): (_line_start, lambda p, ox, oy: {
+        **p, "w": p["w"] + p["u"] * ox + p["v"] * oy}),
+}
+
+
 def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
                         cfg: FitConfig = None) -> FitResult:
     """Minimize the certificate-weighted objective assembled from moments.
 
     Same damped Newton driver as the reduced circle fit; the data enter
-    only through the accumulator. Circle moments that ``pratt_init``
-    refuses raise NoCircle, as in the reduced fit, whatever the start."""
+    only through the accumulator. The circle and the line start at their
+    closed-form minimizers and fit at any offset (``_FRAMES``). Circle
+    moments that ``pratt_init`` refuses raise NoCircle, whatever the start."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     fam = get_family(family) if isinstance(family, str) else family
     if not (cert.identity_residual <= _CERT_ACCEPT):
@@ -954,28 +977,18 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"certificate not verified: identity residual "
             f"{cert.identity_residual} exceeds {_CERT_ACCEPT}")
     ox, oy = mv.offset
-    if fam.name == "circle":
-        # the circle alone starts from Pratt's fit, which at d <= 1 is the
-        # objective's own minimizer, and moves with the accumulator's frame
-        start = _moment_circle_start(mv)[1]
-        init = _circle_start(cfg.init if cfg.init is not None else start)
-        theta0 = [init.a - ox, init.b - oy, init.R]
-
-        def params(th):
-            return CircleParams(th[0] + ox, th[1] + oy, th[2])
-    elif (ox, oy) != (0.0, 0.0):
-        raise InvalidSpec(
-            "centered accumulators are only supported for the circle family; "
-            "rebuild the moments with offset (0, 0)")
-    elif cfg.init is None:
-        raise InvalidSpec(f"family {fam.name!r} needs an explicit initializer "
-                          "in FitConfig.init")
-    else:
-        init = _family_start(fam, cfg.init)
-        theta0 = [init[k] for k in fam.param_names]
-
-        def params(th):
-            return {k: float(v) for k, v in zip(fam.param_names, th)}
+    start, shift = _FRAMES.get(fam, (None, lambda p, ox, oy: p))
+    if start is None and (cfg.init is None or (ox, oy) != (0.0, 0.0)):
+        raise InvalidSpec(f"family {fam.name!r} has no start or parameter "
+                          "shift of its own: it needs FitConfig.init and "
+                          "moments about the origin (offset (0, 0))")
+    # the circle refuses what pratt_init refuses, whatever its start
+    if cfg.init is None or fam == _CIRCLE:
+        theta0 = start(mv)
+    if cfg.init is not None:
+        theta0 = _read_start(fam.param_names, cfg.init)
+        fam.validate(theta0)
+        theta0 = shift(theta0, ox, oy)
 
     deg = _family_map(fam).degree
     need = cert.degree + 2 * deg
@@ -985,6 +998,8 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"(certificate degree {cert.degree}, curve degree {deg})")
 
     obj = _CertObjective(fam, cert.degree, mv)
-    run = _damped_newton(obj.evaluate, theta0, cfg, obj.feasible)
-    return _result(fam.name, params(run.theta), run, 1,
-                   certificate_degree=cert.degree)
+    run = _damped_newton(obj.evaluate, [theta0[k] for k in fam.param_names],
+                         cfg, obj.feasible)
+    params = shift(obj.theta_dict(run.theta), -ox, -oy)
+    return _result(fam.name, CircleParams(**params) if fam == _CIRCLE
+                   else params, run, 1, certificate_degree=cert.degree)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational, Real
@@ -219,9 +220,9 @@ def parse_poly(text: str) -> BivariatePoly:
     """Parse the term-list text form.
 
     Coefficients may be decimals (``-1.5``, ``2e-3``) or rationals (``3/4``);
-    a decimal is read as its double, which the polynomial holds exactly. A
-    decimal beyond the double range (``1e999``), or a repeated term whose
-    decimals sum beyond it, is a NonFiniteValue.
+    a decimal is read as the exact value of its double, and a repeated
+    term's coefficients are summed exactly. A decimal beyond the double
+    range (``1e999``), or a sum beyond it, is a NonFiniteValue.
     """
     src = text.replace("*", " ").strip()
     if not src:
@@ -247,6 +248,7 @@ def parse_poly(text: str) -> BivariatePoly:
             value = Fraction(int(num), int(den))
         elif "." in coeff or "e" in coeff or "E" in coeff:
             value = float(coeff)
+            value = Fraction(value if math.isfinite(value) else coeff)
         else:
             value = Fraction(int(coeff))
         if sign == "-":
@@ -254,9 +256,9 @@ def parse_poly(text: str) -> BivariatePoly:
         p = int(m.group("px") or (1 if xv else 0))
         q = int(m.group("py") or (1 if yv else 0))
         total = terms[(p, q)] = terms.get((p, q), 0) + value
-        if isinstance(total, float) and not math.isfinite(total):
-            raise NonFiniteValue(
-                f"coefficient not finite at term {src[pos:m.end()].strip()!r}")
+        if not abs(total) <= sys.float_info.max:
+            raise NonFiniteValue(f"coefficient beyond the double range at "
+                                 f"term {src[pos:m.end()].strip()!r}")
         pos = m.end()
         first = False
     return BivariatePoly(terms)

@@ -114,6 +114,29 @@ def test_unknown_parameter_names_are_refused():
                 build(theta)
 
 
+def test_derived_families_need_a_start_and_moments_about_the_origin():
+    # the generic fit's closed-form starts and parameter shifts belong to
+    # the registry's circle and line: a family derived from the line, even
+    # one under its name, fits only from a given start about the origin
+    line = get_family("line")
+    P = line.poly({"u": 1.0, "v": 0.0, "w": -0.5})
+    cert = solve_nullstellensatz(P, gradient_norm_squared(P))
+    pts = [(0.5, t) for t in np.linspace(-1.0, 1.0, 9)]
+    start = FitConfig(init={"u": 1.0, "v": 0.1, "w": -0.5})
+    ref = fit_reduced_generic(line, cert, MomentVector.from_points(pts, 2),
+                              start)
+    for name in ("derived_line", "line"):
+        fam = line_derived(name, lambda th: line.build_poly(th))
+        with pytest.raises(InvalidSpec, match="FitConfig.init"):
+            fit_reduced_generic(fam, cert, MomentVector.from_points(pts, 2))
+        with pytest.raises(InvalidSpec, match="about the origin"):
+            fit_reduced_generic(fam, cert, MomentVector.from_points(
+                pts, 2, offset=(0.5, 0.0)), start)
+        res = fit_reduced_generic(fam, cert,
+                                  MomentVector.from_points(pts, 2), start)
+        assert res.params == ref.params
+
+
 def test_generic_fit_refuses_unknown_start_parameters():
     P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradfit.analyzer import (ReductionCertificate, certificate_system,
+from gradfit.analyzer import (ReductionCertificate, analyze_family,
+                              certificate_system, decide_reduction,
                               solve_nullstellensatz)
+from gradfit.datagen import SyntheticSpec, generate
 from gradfit.errors import (
     CenterHitsDataPoint,
     DegenerateData,
@@ -21,7 +23,7 @@ from gradfit.errors import (
     NoCircle,
 )
 from gradfit import fitters
-from gradfit.families import get_family
+from gradfit.families import FAMILIES, get_family
 from gradfit.fitters import (
     CircleParams,
     ConicParams,
@@ -1063,13 +1065,40 @@ def test_generic_degree_guard():
         fit_reduced_generic("circle", deep, mv)
 
 
-def test_generic_noncircle_needs_explicit_init():
-    u, v, w = 1.0, 0.0, -0.5
-    fam = get_family("line")
-    P = fam.poly({"u": u, "v": v, "w": w})
+def unit_line(params) -> np.ndarray:
+    """(u, v, w) scaled to a unit normal whose larger entry is positive:
+    one representative of a line's scale and sign."""
+    p = np.array([params["u"], params["v"], params["w"]])
+    p /= math.hypot(p[0], p[1])
+    return p if p[np.argmax(np.abs(p[:2]))] > 0.0 else -p
+
+
+def test_generic_line_starts_at_orthogonal_regression():
+    # the line's closed-form start is the objective's minimizer: no Newton
+    # step is left, and the fit from the least-squares start ends on it
+    for seed in (1, 3, 12):
+        pts, cert, start = line_cloud(seed)
+        mv = MomentVector.from_points(pts, 2)
+        res = fit_reduced_generic("line", cert, mv)
+        ref = fit_reduced_generic("line", cert, mv, FitConfig(init=start))
+        assert res.converged and res.iterations == 0
+        assert ref.converged and ref.iterations >= 2
+        assert np.max(np.abs(unit_line(res.params)
+                             - unit_line(ref.params))) <= 1e-12
+
+
+@pytest.mark.parametrize("pts", [
+    [(0.5, 2.0)],
+    [(1.0, -1.0)] * 5,
+    [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+], ids=["one point", "coincident points", "square corners"])
+def test_line_start_refuses_points_no_line_fits_best(pts):
+    P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
-    mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)], 2)
-    with pytest.raises(InvalidSpec):
+    mv = MomentVector.from_points(pts, 2)
+    with pytest.raises(DegenerateData):
+        fitters._line_start(mv)
+    with pytest.raises(DegenerateData):
         fit_reduced_generic("line", cert, mv)
 
 
@@ -1120,16 +1149,75 @@ def test_circle_starts_are_read_like_family_starts():
         fit({"a": 2.5, "b": -1.0, "R": -2.0})
 
 
-def test_generic_noncircle_rejects_centered_accumulator():
-    u, v, w = 1.0, 0.0, -0.5
-    fam = get_family("line")
-    P = fam.poly({"u": u, "v": v, "w": w})
+def test_generic_line_fits_at_any_offset():
+    # the line's parameters move into the accumulator's frame and back
+    pts, cert, start = line_cloud(3)
+    for cfg in (None, FitConfig(init=start)):
+        at_origin, moved = (
+            fit_reduced_generic("line", cert, MomentVector.from_points(
+                pts, 2, offset=offset), cfg)
+            for offset in ((0.0, 0.0), (0.5, 0.0)))
+        assert moved.converged
+        assert moved.iterations == at_origin.iterations
+        assert np.max(np.abs(unit_line(moved.params)
+                             - unit_line(at_origin.params))) <= 1e-12
+    # x = 0.5 accumulated about a point on it
+    vertical = [(0.5, t) for t in np.linspace(-1, 1, 9)]
+    res = fit_reduced_generic("line", cert, MomentVector.from_points(
+        vertical, 2, offset=(0.5, 0.0)))
+    assert res.converged and res.objective < 1e-30
+    assert np.max(np.abs(unit_line(res.params) - [1.0, 0.0, -0.5])) < 1e-15
+
+
+def test_generic_line_far_from_the_origin_matches_the_near_fit():
+    # dyadic points, multiples of 2^-20 near the origin, and the same
+    # points moved by 2^20 in x and in y, so that the move is exact; each
+    # set accumulated about its own centroid
+    rng = np.random.default_rng(5)
+    u, v, w = math.cos(0.3), math.sin(0.3), 0.7
+    t = rng.uniform(-1.0, 1.0, 200)
+    near = np.column_stack([-w * u - v * t, -w * v + u * t])
+    near = np.round((near + rng.normal(0.0, 0.01, near.shape)) * 2.0 ** 20)
+    near /= 2.0 ** 20
+    far = near + 2.0 ** 20
+    assert np.array_equal(far - 2.0 ** 20, near)
+    P = get_family("line").poly({"u": u, "v": v, "w": w})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
-    mv = MomentVector.from_points([(0.5, t) for t in np.linspace(-1, 1, 9)],
-                                  2, offset=(0.5, 0.0))
-    with pytest.raises(InvalidSpec):
-        fit_reduced_generic("line", cert, mv,
-                            FitConfig(init={"u": 1.0, "v": 0.0, "w": -0.5}))
+    fits = [fit_reduced_generic("line", cert, centered_mv(pts, 2))
+            for pts in (near, far)]
+    assert all(f.converged and f.iterations == 0 for f in fits)
+    (un, vn, wn), (uf, vf, wf) = (unit_line(f.params) for f in fits)
+    assert abs(uf - un) <= 1e-12 and abs(vf - vn) <= 1e-12
+    # the near line u x + v y + w in coordinates moved by (2^20, 2^20)
+    moved = Fraction(wn) - (Fraction(un) + Fraction(vn)) * 2 ** 20
+    assert abs(Fraction(wf) - moved) <= 1e-12 * abs(moved)
+
+
+def test_every_admissible_registry_family_has_a_start_and_a_shift():
+    # a family the analyzer admits fits its own clean points from an
+    # accumulator about their centroid, with no FitConfig, at its start
+    admissible = [name for name in sorted(FAMILIES)
+                  if analyze_family(name, 3).verdict == "admissible"]
+    assert admissible
+    rng = np.random.default_rng(17)
+    for name in admissible:
+        fam = get_family(name)
+        assert fam in fitters._FRAMES, f"{name} has no start and shift"
+        for draw in range(5):
+            theta = fam.sample_theta(rng)
+            pts = generate(SyntheticSpec(name, theta, 200, seed=draw))
+            P = fam.poly(theta)
+            cert = decide_reduction(P, gradient_norm_squared(P)).certificate
+            res = fit_reduced_generic(
+                fam, cert, centered_mv(pts, cert.degree + 2 * P.degree()))
+            assert res.converged and res.iterations == 0, (name, theta)
+            got, want = res.to_dict()["params"], theta
+            if name == "line":
+                got, want = unit_line(got), unit_line(want)
+            else:
+                got, want = (np.array([p[k] for k in fam.param_names])
+                             for p in (got, want))
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, theta)
 
 
 # -- result plumbing ---------------------------------------------------------

@@ -225,6 +225,24 @@ def test_parse_refuses_non_finite_coefficients(text):
         parse_poly(text)
 
 
+def test_parse_sums_repeated_terms_exactly():
+    # each literal is converted exactly, then summed: 1 plus the double of
+    # 0.1, not the double nearest 1.1, and 3/10 is not rounded away
+    assert parse_poly("x + 0.1 x").coeff(1, 0) == 1 + Fraction(0.1)
+    assert parse_poly("3/10 x + 0.1 x").coeff(1, 0) == (Fraction(3, 10)
+                                                        + Fraction(0.1))
+
+
+def test_parse_refuses_any_coefficient_beyond_the_double_range():
+    # integers are exact too, and a sum of them is refused where it leaves
+    # the range of finite doubles
+    top = 2 ** 1023
+    for text in [f"{2 * top} x", f"{top} x + {top} x"]:
+        with pytest.raises(NonFiniteValue, match="double range"):
+            parse_poly(text)
+    assert parse_poly(f"{top} x + {top // 2} x").coeff(1, 0) == 3 * top // 2
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("float32", [False, True])
 def test_non_finite_coefficients_are_refused(value, float32):
