@@ -932,15 +932,19 @@ def _line_start(mv: MomentVector) -> dict:
     (u, v) is the smallest eigenvector of the central scatter (Pearson,
     1901). Q = u^2 + v^2 is constant on a line, so this is the objective's
     own minimizer, the line's analogue of Pratt's fit. DegenerateData for
-    fewer than 2 points or an isotropic scatter, which no line fits best."""
+    fewer than 2 points, or a scatter isotropic (no line fits best) or too
+    near it to resolve from moments far from the accumulator's offset."""
     if mv.n < 2:
         raise DegenerateData(f"need at least 2 points, got {mv.n}")
     cx, cy, sxx, sxy, syy = (float(mv.entry(*k)) / mv.n for k in (
         (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    raw = sxx + syy  # the central scatter is taken from it by cancellation
     sxx, sxy, syy = sxx - cx * cx, sxy - cx * cy, syy - cy * cy
-    # the gap between the scatter's eigenvalues, against their sum
-    if not math.hypot(sxx - syy, 2.0 * sxy) > 1e-12 * (sxx + syy):
-        raise DegenerateData("isotropic scatter: no line fits best")
+    if not math.hypot(sxx - syy, 2.0 * sxy) > 1e-12 * raw:
+        raise DegenerateData(
+            "the scatter's eigenvalues do not differ beyond its rounding: "
+            "isotropic data, or data too far from the accumulator's offset "
+            "(accumulate about the centroid)")
     phi = 0.5 * math.atan2(2.0 * sxy, sxx - syy)  # the major axis
     u, v = -math.sin(phi), math.cos(phi)
     return {"u": u, "v": v, "w": -(u * cx + v * cy)}
@@ -950,9 +954,8 @@ def _circle_shift(p, ox, oy):
     return {"a": p["a"] - ox, "b": p["b"] - oy, "R": p["R"]}
 
 
-# (start, shift) of the generic fit for the families closed under
-# translation: the objective's closed-form minimizer in the accumulator's
-# frame, and a curve's exact parameters in x - ox, y - oy
+# (start, shift) of the families closed under translation: the closed-form
+# minimizer in the accumulator's frame, and exact parameters in x-ox, y-oy
 _FRAMES = {
     _CIRCLE: (lambda mv: _circle_shift(
         dict(zip("abR", _moment_circle_start(mv)[1])), *mv.offset),
@@ -977,18 +980,18 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
             f"certificate not verified: identity residual "
             f"{cert.identity_residual} exceeds {_CERT_ACCEPT}")
     ox, oy = mv.offset
-    start, shift = _FRAMES.get(fam, (None, lambda p, ox, oy: p))
+    start, shift = _FRAMES.get(fam, (None, None))
     if start is None and (cfg.init is None or (ox, oy) != (0.0, 0.0)):
-        raise InvalidSpec(f"family {fam.name!r} has no start or parameter "
-                          "shift of its own: it needs FitConfig.init and "
-                          "moments about the origin (offset (0, 0))")
-    # the circle refuses what pratt_init refuses, whatever its start
-    if cfg.init is None or fam == _CIRCLE:
+        raise InvalidSpec(f"family {fam.name!r} has no start of its own: it "
+                          "needs FitConfig.init and moments about the origin")
+    if cfg.init is None:
         theta0 = start(mv)
-    if cfg.init is not None:
+    else:
+        if fam == _CIRCLE:
+            _moment_circle_start(mv)  # NoCircle whatever the start
         theta0 = _read_start(fam.param_names, cfg.init)
         fam.validate(theta0)
-        theta0 = shift(theta0, ox, oy)
+        theta0 = shift(theta0, ox, oy) if shift else theta0
 
     deg = _family_map(fam).degree
     need = cert.degree + 2 * deg
@@ -1000,6 +1003,7 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
     obj = _CertObjective(fam, cert.degree, mv)
     run = _damped_newton(obj.evaluate, [theta0[k] for k in fam.param_names],
                          cfg, obj.feasible)
-    params = shift(obj.theta_dict(run.theta), -ox, -oy)
+    params = obj.theta_dict(run.theta)
+    params = shift(params, -ox, -oy) if shift else params
     return _result(fam.name, CircleParams(**params) if fam == _CIRCLE
                    else params, run, 1, certificate_degree=cert.degree)

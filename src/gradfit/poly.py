@@ -247,8 +247,9 @@ def parse_poly(text: str) -> BivariatePoly:
                 raise ParseError(f"zero denominator in {coeff!r}")
             value = Fraction(int(num), int(den))
         elif "." in coeff or "e" in coeff or "E" in coeff:
-            value = float(coeff)
-            value = Fraction(value if math.isfinite(value) else coeff)
+            value = float(coeff)  # 1e999 is inf: refused with the sum
+            if math.isfinite(value):
+                value = Fraction(value)
         else:
             value = Fraction(int(coeff))
         if sign == "-":

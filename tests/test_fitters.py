@@ -1087,16 +1087,20 @@ def test_generic_line_starts_at_orthogonal_regression():
                              - unit_line(ref.params))) <= 1e-12
 
 
-@pytest.mark.parametrize("pts", [
-    [(0.5, 2.0)],
-    [(1.0, -1.0)] * 5,
-    [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
-], ids=["one point", "coincident points", "square corners"])
-def test_line_start_refuses_points_no_line_fits_best(pts):
+@pytest.mark.parametrize("pts, cause", [
+    ([(0.5, 2.0)], "2 points"),
+    ([(1.0, -1.0)] * 5, "isotropic"),
+    ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], "isotropic"),
+    # a clear line, but its scatter about (0, 0) cancels below the rounding
+    # of sums near 1e18
+    ([(1e9 + t, 1e9 - t) for t in (-1.0, 0.0, 1.0)], "about the centroid"),
+], ids=["one point", "coincident points", "square corners",
+        "far from the offset"])
+def test_line_start_refuses_points_no_line_fits_best(pts, cause):
     P = get_family("line").poly({"u": 1.0, "v": 0.0, "w": 0.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     mv = MomentVector.from_points(pts, 2)
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DegenerateData, match=cause):
         fitters._line_start(mv)
     with pytest.raises(DegenerateData):
         fit_reduced_generic("line", cert, mv)

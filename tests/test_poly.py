@@ -219,6 +219,10 @@ def test_parse_rejects_garbage():
     pytest.param("1e308 x + 1e308 x",  # finite terms, overflowing sum
                  id="1e308 x + 1e308 x-True"),
     pytest.param("3/4 x + 1e999 x", id="3/4 x + 1e999 x-None"),
+    # a literal beyond the range is refused, even where the sum is not
+    pytest.param("-1e308 x + 1e309 x", id="-1e308 x + 1e309 x"),
+    # and at once: its exact value would have a billion digits
+    pytest.param("1e1000000000 x", id="1e1000000000 x"),
 ])
 def test_parse_refuses_non_finite_coefficients(text):
     with pytest.raises(NonFiniteValue, match=r"1e\d+ [xy]"):
