@@ -26,6 +26,7 @@ for a pair whose basis is {1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,8 +104,14 @@ def _values(F: np.ndarray, x: complex, y: complex) -> np.ndarray:
 
 def _rel_residual(value: complex, degree: int, x: complex, y: complex) -> float:
     """|P(x, y)| of P scaled to largest coefficient 1, relative to the
-    point's size."""
-    return float(abs(value)) / max(1.0, abs(x), abs(y)) ** degree
+    point's size; inf where the value or the size's power is not finite,
+    so that such a point is never a witness. The power is taken of a
+    Python float, which raises OverflowError where numpy's gives inf."""
+    try:
+        r = float(abs(value)) / float(max(1.0, abs(x), abs(y))) ** degree
+    except OverflowError:
+        return math.inf
+    return r if r < math.inf else math.inf
 
 
 def _newton_refine(pair: "_Pair", x, y, iters: int = 60):
@@ -293,14 +300,17 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
     G = _basis(P.terms, Q.terms)
     if G is None:
         return None
-    zeros = _zeros(G)
-    if zeros is None:
-        zeros = _sliced_zeros(P, Q)
-    pair = _Pair(P, Q)
-    for x, y in zip(*zeros):
-        x, y, rp, rq = _newton_refine(pair, x, y)
-        if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
-            return CommonZeroWitness(x, y, rp, rq)
+    # a zero far out overflows its powers: its residual is inf, and numpy's
+    # warnings of it say nothing more
+    with np.errstate(all="ignore"):
+        zeros = _zeros(G)
+        if zeros is None:
+            zeros = _sliced_zeros(P, Q)
+        pair = _Pair(P, Q)
+        for x, y in zip(*zeros):
+            x, y, rp, rq = _newton_refine(pair, x, y)
+            if rp <= WITNESS_TOL and rq <= WITNESS_TOL:
+                return CommonZeroWitness(x, y, rp, rq)
     raise NumericalFailure(
         "no common zero of the basis met the witness tolerance "
         f"(degrees {_int_degree(P)}, {_int_degree(Q)})"

@@ -51,13 +51,21 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> np.ndarray:
-    """Points of shape (n, 2), deterministic for a given seed."""
+    """Points of shape (n, 2), deterministic for a given seed. InvalidSpec
+    if a point is beyond the float range, as a hyperbola's are far out on
+    a long arc."""
     fam = get_family(spec.family)
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.t_range()
-    pts = np.column_stack(fam.point_at(spec.theta, rng.uniform(lo, hi, spec.n)))
-    if spec.sigma > 0.0:
-        pts = pts + rng.normal(0.0, spec.sigma, size=pts.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.column_stack(fam.point_at(spec.theta,
+                                           rng.uniform(lo, hi, spec.n)))
+        if spec.sigma > 0.0:
+            pts = pts + rng.normal(0.0, spec.sigma, size=pts.shape)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise InvalidSpec(f"{spec.family} point {int(np.argmax(bad))} is "
+                          f"beyond the float range")
     return pts
 
 

@@ -24,8 +24,8 @@ class NonFiniteInput(GradfitError):
 
 
 class DegreeMismatch(GradfitError):
-    """Moment accumulators of incompatible degree/offset/mode, or a moment
-    vector too shallow for the requested statistic."""
+    """Moment accumulators of different degrees, or a moment vector too
+    shallow for the requested statistic."""
 
 
 class InvalidRadius(GradfitError):

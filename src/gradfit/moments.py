@@ -11,8 +11,7 @@ Numerical notes:
   fourth-power sums feeding Mzz are the dominant cancellation hazard;
 * callers may center the data by a visible ``offset`` (usually the centroid):
   powers are taken of (x - ox, y - oy), which improves the conditioning of
-  fourth moments by orders of magnitude, and fits translate their result back;
-* an exact mode accumulates ``Fraction`` sums; floats convert exactly.
+  fourth moments by orders of magnitude, and fits translate their result back.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ class MomentVector:
     Concurrent ingestion should use one accumulator per worker and ``merge``.
     """
 
-    __slots__ = ("max_total_degree", "offset", "exact", "n", "_keys", "_index",
-                 "_sum", "_comp", "_frac")
+    __slots__ = ("max_total_degree", "offset", "n", "_keys", "_index", "_sum",
+                 "_comp")
 
-    def __init__(self, max_total_degree: int, offset=(0.0, 0.0), exact: bool = False):
+    def __init__(self, max_total_degree: int, offset=(0.0, 0.0)):
         if max_total_degree < 0:
             raise ValueError("max_total_degree must be nonnegative")
         self.max_total_degree = int(max_total_degree)
@@ -114,17 +113,11 @@ class MomentVector:
         if not (math.isfinite(ox) and math.isfinite(oy)):
             raise NonFiniteInput("offset must be finite")
         self.offset = (float(ox), float(oy))
-        self.exact = bool(exact)
         self.n = 0
         layout = _layout(self.max_total_degree)
         self._keys, self._index = layout.keys, layout.index
-        if exact:
-            self._frac = [Fraction(0)] * len(self._keys)
-            self._sum = self._comp = None
-        else:
-            self._frac = None
-            self._sum = np.zeros(len(self._keys))
-            self._comp = np.zeros(len(self._keys))
+        self._sum = np.zeros(len(self._keys))
+        self._comp = np.zeros(len(self._keys))
 
     def __getstate__(self):
         # the layout is shared by degree: a copy or an unpickled accumulator
@@ -142,22 +135,7 @@ class MomentVector:
 
     def accumulate(self, x: float, y: float) -> "MomentVector":
         """Absorb one point; every m[p,q] grows by x^p y^q."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NonFiniteInput(f"non-finite point ({x}, {y})")
-        if not self.exact:
-            return self._absorb(np.array([[x], [y]], dtype=float))
-        D = self.max_total_degree
-        u = Fraction(x) - Fraction(self.offset[0])
-        v = Fraction(y) - Fraction(self.offset[1])
-        up = [Fraction(1)]
-        vq = [Fraction(1)]
-        for _ in range(D):
-            up.append(up[-1] * u)
-            vq.append(vq[-1] * v)
-        for i, (p, q) in enumerate(self._keys):
-            self._frac[i] += up[p] * vq[q]
-        self.n += 1
-        return self
+        return self._absorb(np.array([[x], [y]], dtype=float))
 
     def extend(self, xs, ys) -> "MomentVector":
         """Absorb the points (xs[i], ys[i]), both of any shape with the same
@@ -187,11 +165,7 @@ class MomentVector:
         not finite or the points' powers overflow a sum, or adding them
         overflows the accumulator's (numpy warns of the overflow first)."""
         if not np.isfinite(xy).all():
-            raise NonFiniteInput("non-finite coordinate in bulk input")
-        if self.exact:
-            for x, y in xy.T.tolist():
-                self.accumulate(x, y)
-            return self
+            raise NonFiniteInput("non-finite coordinate in the points")
         D = self.max_total_degree
         n = xy.shape[1]
         offset = np.array(self.offset).reshape(2, 1)
@@ -237,12 +211,12 @@ class MomentVector:
         return self
 
     @classmethod
-    def from_points(cls, points, max_total_degree: int, offset=(0.0, 0.0),
-                    exact: bool = False) -> "MomentVector":
+    def from_points(cls, points, max_total_degree: int,
+                    offset=(0.0, 0.0)) -> "MomentVector":
         """An accumulator of ``points``: an (n, 2) array or a list of
         (x, y) pairs, or one (x, y) pair. InvalidSpec for any other shape;
         an empty input gives an empty accumulator."""
-        mv = cls(max_total_degree, offset=offset, exact=exact)
+        mv = cls(max_total_degree, offset=offset)
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1 and pts.size in (0, 2):
             pts = pts.reshape(-1, 2)
@@ -255,28 +229,15 @@ class MomentVector:
     def merge(self, other: "MomentVector") -> "MomentVector":
         """Entrywise sum of two accumulators over the same degree and offset."""
         if self.max_total_degree != other.max_total_degree:
-            raise DegreeMismatch(
-                f"cannot merge D={self.max_total_degree} with D={other.max_total_degree}"
-            )
+            raise DegreeMismatch(f"cannot merge D={self.max_total_degree} "
+                                 f"with D={other.max_total_degree}")
         if self.offset != other.offset:
             raise ValueError("cannot merge accumulators with different offsets")
-        out = MomentVector(self.max_total_degree, offset=self.offset,
-                           exact=self.exact and other.exact)
+        out = MomentVector(self.max_total_degree, offset=self.offset)
         out.n = self.n + other.n
-        if out.exact:
-            out._frac = [a + b for a, b in zip(self._frac, other._frac)]
-            return out
-        a_sum, a_comp = self._float_parts()
-        b_sum, b_comp = other._float_parts()
-        s, c = _add_compensated(a_sum, a_comp, b_sum)
-        out._sum, out._comp = _add_compensated(s, c, b_comp)
+        s, c = _add_compensated(self._sum, self._comp, other._sum)
+        out._sum, out._comp = _add_compensated(s, c, other._comp)
         return out
-
-    def _float_parts(self):
-        if self.exact:
-            return (np.array([float(f) for f in self._frac]),
-                    np.zeros(len(self._keys)))
-        return self._sum, self._comp
 
     # -- views --------------------------------------------------------------
 
@@ -285,8 +246,6 @@ class MomentVector:
         i = self._index.get((int(p), int(q)))
         if i is None:
             raise DegreeMismatch(f"moment ({p},{q}) exceeds max_total_degree")
-        if self.exact:
-            return self._frac[i]
         return self._sum[i] + self._comp[i]
 
     def central_circle_view(self) -> "CentralCircleView":
@@ -297,8 +256,7 @@ class MomentVector:
             raise DegreeMismatch("circle view needs moments of total degree 4")
         if self.n == 0:
             raise ValueError("empty accumulator has no centroid")
-        s, c = self._float_parts()
-        sums, at = (s + c).tolist(), self._index
+        sums, at = (self._sum + self._comp).tolist(), self._index
         n = self.n
         cx = sums[at[1, 0]] / n
         cy = sums[at[0, 1]] / n
@@ -341,56 +299,57 @@ class MomentVector:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.exact:
-            entries = [[p, q, f"{f.numerator}/{f.denominator}"]
-                       for (p, q), f in zip(self._keys, self._frac)]
-        else:
-            entries = [[p, q, self._sum[i] + self._comp[i]]
-                       for i, (p, q) in enumerate(self._keys)]
+        sums = (self._sum + self._comp).tolist()
         return {
             "format": FORMAT_TAG,
             "max_total_degree": self.max_total_degree,
             "n": self.n,
             "offset": list(self.offset),
-            "exact": self.exact,
-            "entries": entries,
+            "exact": False,
+            "entries": [[p, q, m] for (p, q), m in zip(self._keys, sums)],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentVector":
+        """The accumulator a ``to_dict`` record describes; ValueError naming
+        the field or the moment unless it lists every moment of its degree
+        once, finite. An ``"exact": true`` record's ``"num/den"`` moments are
+        read as their nearest doubles."""
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"not a {FORMAT_TAG} record")
         offset = d["offset"]
         if type(offset) is not list or len(offset) != 2:
             raise ValueError(f"offset must be two numbers, got {offset!r}")
-        mv = cls(_field(d, "max_total_degree", int),
-                 offset=tuple(_number("offset", v) for v in offset),
-                 exact=_field(d, "exact", bool))
-        mv.n = _field(d, "n", int)
-        seen = set()
+        D = _field(d, "max_total_degree", int)
+        offset = tuple(_number("offset", v) for v in offset)
+        exact = _field(d, "exact", bool)
+        n = _field(d, "n", int)
+        values = {}
         for p, q, val in d["entries"]:
             key = (p, q)
             if not all(type(e) is int and e >= 0 for e in key):
                 raise ValueError(f"moment {key}: exponents must be integers "
                                  f">= 0")
-            i = mv._index.get(key)
-            if i is None:
-                raise ValueError(f"moment {key} exceeds max_total_degree "
-                                 f"{mv.max_total_degree}")
-            if key in seen:
+            if p + q > D:
+                raise ValueError(f"moment {key} exceeds max_total_degree {D}")
+            if key in values:
                 raise ValueError(f"moment {key} appears more than once")
-            seen.add(key)
-            if mv.exact:
+            if exact:
                 ratio = re.fullmatch(r"(-?\d+)/(\d+)", str(val))
                 if ratio is None or int(ratio[2]) == 0:
                     raise ValueError(f"moment {key} must be 'num/den' with "
                                      f"den > 0, got {val!r}")
-                mv._frac[i] = Fraction(int(ratio[1]), int(ratio[2]))
-            else:
-                mv._sum[i] = _number(f"moment {key}", val)
-        missing = [k for k in mv._keys if k not in seen]
-        if missing:
-            raise ValueError(f"moment {missing[0]} is missing")
+                val = Fraction(int(ratio[1]), int(ratio[2]))
+            values[key] = _number(f"moment {key}", val)
+        # the keys are distinct and within the degree, so if one is missing
+        # the walk in key order meets it within len(values) + 1 steps
+        if len(values) < (D + 1) * (D + 2) // 2:
+            missing = next((p, q) for p in range(D + 1)
+                           for q in range(D + 1 - p) if (p, q) not in values)
+            raise ValueError(f"moment {missing} is missing")
+        mv = cls(D, offset=offset)
+        mv.n = n
+        mv._sum[:] = [values[k] for k in mv._keys]
         return mv
 
     def dump(self, path) -> None:
@@ -405,7 +364,7 @@ class MomentVector:
 
     def __repr__(self):
         return (f"MomentVector(D={self.max_total_degree}, n={self.n}, "
-                f"offset={self.offset}, exact={self.exact})")
+                f"offset={self.offset})")
 
 
 def _field(d: dict, name: str, kind: type):
@@ -419,13 +378,14 @@ def _field(d: dict, name: str, kind: type):
 
 
 def _number(name: str, value) -> float:
-    """A finite number (a bool is not one) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite number (a bool is not one), an integer or a Fraction as its
+    nearest double; beyond the float range, named without its digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} is not finite: {value!r}")
     return x

@@ -39,16 +39,12 @@ def contract():
     objective the compiled one is checked against. DegreeMismatch for a
     term beyond the accumulated degree."""
     def contract(mv, poly):
-        acc = Fraction(0) if mv.exact else 0.0
+        acc = 0.0
         for (p, q), coeff in poly.terms.items():
             if p + q > mv.max_total_degree:
                 raise DegreeMismatch(
                     f"term x^{p} y^{q} exceeds accumulated degree "
                     f"{mv.max_total_degree}")
-            val = mv.entry(p, q)
-            if isinstance(acc, Fraction):
-                acc += coeff * val
-            else:
-                acc += float(coeff) * float(val)
+            acc += float(coeff) * float(mv.entry(p, q))
         return acc
     return contract

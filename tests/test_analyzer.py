@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,22 @@ def test_unpolished_witness_is_not_admissible_without_a_certificate_search(
     monkeypatch.setattr(analyzer, "solve_nullstellensatz", no_search)
     d = decide_reduction(Y - 2 * X ** 2)
     assert d == ReductionDecision(False, None, None, None)
+
+
+@pytest.mark.parametrize("degree", [20, 100])
+def test_zeros_that_overflow_are_never_witnesses(degree):
+    # the basis of x^d + y - 1 and its squared gradient has zeros whose
+    # powers overflow a double; each stays unpolished, with no numpy warning
+    # (an error under this suite's settings) and no OverflowError
+    d = decide_reduction(parse_poly(f"x^{degree} + y - 1"))
+    assert d == ReductionDecision(False, None, None, None)
+
+
+def test_residual_whose_power_overflows_is_inf():
+    for x in (1e3, np.complex128(1e3)):
+        assert analyzer._rel_residual(1.0, 400, x, 0.0) == math.inf
+    assert analyzer._rel_residual(complex("nan"), 2, 1.0, 0.0) == math.inf
+    assert analyzer._rel_residual(3.0, 2, 2.0, 0.5) == 0.75
 
 
 def test_exclusivity_on_random_pairs():

@@ -3,14 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradfit import analyzer, cli, errors
+from gradfit import analyzer, cli, errors, moments
 from gradfit.cli import EXIT_NOT_CONVERGED, exit_code_for, main
-from gradfit.datagen import ingest
 from gradfit.moments import MomentVector
 from gradfit.errors import (CenterHitsDataPoint, DegenerateData,
                             DegenerateInput, DegreeMismatch, GradfitError,
@@ -18,6 +18,13 @@ from gradfit.errors import (CenterHitsDataPoint, DegenerateData,
                             InvalidRadius, InvalidSpec, NoCircle,
                             NonFiniteInput, NonFiniteValue, NumericalFailure,
                             ParseError)
+
+
+def _exact_record(blob):
+    """A moment record as an "exact": true file: each sum as "num/den"."""
+    entries = [[p, q, "%d/%d" % Fraction(v).as_integer_ratio()]
+               for p, q, v in blob["entries"]]
+    return dict(blob, exact=True, entries=entries)
 
 
 def run(capsys, *argv):
@@ -210,10 +217,8 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
     rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
     assert rc == 0
     blob = json.loads(mfile.read_text())
-    if exact:  # the same points, summed in Fractions
-        pts = ingest(circle_csv)
-        blob = MomentVector(4, exact=True).extend(pts[:, 0],
-                                                  pts[:, 1]).to_dict()
+    if exact:
+        blob = _exact_record(blob)
     blob["entries"] = [e for e in blob["entries"] if e[:2] != [1, 2]] + entries
     mfile.write_text(json.dumps(blob))
     rc, out, err = run(capsys, "fit", "--moments", str(mfile))
@@ -229,14 +234,46 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
 def test_fit_moment_file_with_bad_header_is_parse_error(tmp_path, capsys,
                                                         field, value):
     t = np.linspace(0.0, 6.0, 40)
-    blob = MomentVector(4, exact=True).extend(
-        0.3 + np.cos(t), -0.2 + np.sin(t)).to_dict()
+    blob = MomentVector(4).extend(0.3 + np.cos(t), -0.2 + np.sin(t)).to_dict()
     blob[field] = value  # infinity is written as Infinity, which json reads
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(blob))
     rc, out, err = run(capsys, "fit", "--moments", str(mfile))
     assert rc == 3
     assert err.startswith("error:") and field in err
+    assert out == ""
+
+
+def test_fit_exact_moment_file_beyond_the_float_range_is_parse_error(
+        circle_csv, tmp_path, capsys):
+    # an exact sum of points near 1e100 has no double
+    mfile = tmp_path / "m.json"
+    rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
+    assert rc == 0
+    blob = _exact_record(json.loads(mfile.read_text()))
+    blob["entries"][-1][2] = f"{10 ** 400}/1"
+    mfile.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "moment (4, 0) is beyond the float range" in err
+    assert "0" * 100 not in err
+    assert out == ""
+
+
+def test_fit_moment_file_of_a_degree_beyond_its_entries_is_parse_error(
+        tmp_path, capsys, monkeypatch):
+    # 2e10 moments asked for and none listed: refused before any is laid out
+    layout = moments._layout
+    monkeypatch.setattr(moments, "_layout", lambda D: layout(D) if D <= 64
+                        else pytest.fail(f"laid out degree {D}"))
+    mfile = tmp_path / "m.json"
+    mfile.write_text('{"format": "moment-vector/1", "max_total_degree": '
+                     '200000, "n": 3, "offset": [0, 0], "exact": false, '
+                     '"entries": []}\n')
+    rc, out, err = run(capsys, "fit", "--moments", str(mfile))
+    assert rc == 3
+    assert err.startswith("error:") and "moment (0, 0) is missing" in err
     assert out == ""
 
 
@@ -468,6 +505,18 @@ def test_generate_random_params_reproducible(capsys):
 def test_generate_invalid_requests(capsys, argv):
     rc, _, _ = run(capsys, *argv)
     assert rc == 5
+
+
+def test_generate_points_beyond_the_float_range_is_invalid_spec(tmp_path,
+                                                               capsys):
+    target = tmp_path / "far.csv"
+    rc, out, err = run(capsys, "generate", "--family", "hyperbola",
+                       "--params", "a=1", "b=-1", "c=-1", "--n", "3",
+                       "--arc", "0", "800", "--seed", "1",
+                       "--output", str(target))
+    assert rc == 5
+    assert err == "error: hyperbola point 1 is beyond the float range\n"
+    assert out == "" and not target.exists()
 
 
 def test_generate_unwritable_output_is_invalid_spec(tmp_path, capsys):

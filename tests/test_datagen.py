@@ -119,6 +119,15 @@ def test_invalid_specs_rejected(kwargs):
         SyntheticSpec(**kwargs)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_points_beyond_the_float_range_are_invalid_spec(sigma):
+    # cosh(t) overflows a double from t = 710 on; no numpy warning escapes
+    spec = SyntheticSpec("hyperbola", {"a": 1.0, "b": -1.0, "c": -1.0}, n=3,
+                         sigma=sigma, arc=(0.0, 800.0), seed=1)
+    with pytest.raises(InvalidSpec, match="hyperbola point 1 is beyond"):
+        generate(spec)
+
+
 def test_every_registered_family_generates():
     rng = np.random.default_rng(0)
     for name, fam in FAMILIES.items():

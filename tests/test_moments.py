@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gradfit import moments
 from gradfit.errors import DegreeMismatch, InvalidSpec, NonFiniteInput
-from gradfit.fitters import _fa_val_grad_hess
+from gradfit.fitters import _fa_val_grad_hess, fit_circle_reduced
 from gradfit.moments import (_CHUNK, _GATHER_MAX, MomentVector,
                              _add_compensated, _layout)
 from gradfit.poly import BivariatePoly, monomial_index, monomials
@@ -96,21 +96,6 @@ def test_merge_degree_mismatch():
 def test_merge_offset_mismatch():
     with pytest.raises(ValueError):
         MomentVector(2, offset=(1.0, 0.0)).merge(MomentVector(2))
-
-
-@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=12),
-       st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=12))
-@settings(max_examples=40)
-def test_merge_commutes_exactly_in_exact_mode(pts_a, pts_b):
-    a = MomentVector(4, exact=True)
-    b = MomentVector(4, exact=True)
-    for x, y in pts_a:
-        a.accumulate(x, y)
-    for x, y in pts_b:
-        b.accumulate(x, y)
-    ab, ba = a.merge(b), b.merge(a)
-    assert all(ab.entry(*k) == ba.entry(*k) for k in monomials(4))
-    assert ab.n == ba.n
 
 
 def test_float_permutation_stability():
@@ -245,9 +230,12 @@ def test_first_chunk_is_copied_without_compensated_addition(monkeypatch):
     copy.deepcopy, lambda mv: pickle.loads(pickle.dumps(mv))])
 @pytest.mark.parametrize("exact", [False, True])
 def test_accumulators_copy_and_pickle(clone, exact):
-    # as a worker's accumulator is sent back to be merged
-    mv = MomentVector(3, offset=(0.5, -1.0), exact=exact)
+    # as a worker's accumulator is sent back to be merged; exact: one read
+    # from an "exact": true file
+    mv = MomentVector(3, offset=(0.5, -1.0))
     mv.extend([1.0, 2.0, 0.25], [3.0, -1.0, 0.5])
+    if exact:
+        mv = MomentVector.from_dict(_exact_record(mv.to_dict()))
     twin = clone(mv)
     assert twin.to_dict() == mv.to_dict()
     assert twin._keys is monomials(3) and twin._index is monomial_index(3)
@@ -363,18 +351,6 @@ def test_extend_matches_pointwise_accumulate():
     for k in monomials(4):
         a, b = bulk.entry(*k), slow.entry(*k)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def test_exact_mode_is_order_independent():
-    pts = [(0.5, -0.25), (1.75, 3.0), (-2.125, 0.0625)]
-    a = MomentVector(4, exact=True)
-    b = MomentVector(4, exact=True)
-    for x, y in pts:
-        a.accumulate(x, y)
-    for x, y in reversed(pts):
-        b.accumulate(x, y)
-    assert all(a.entry(*k) == b.entry(*k) for k in monomials(4))
-    assert isinstance(a.entry(4, 0), Fraction)
 
 
 # -- the circle objective's moments ----------------------------------------
@@ -547,14 +523,44 @@ def test_roundtrip_float(tmp_path):
         assert back.entry(*k) == pytest.approx(mv.entry(*k), rel=1e-15)
 
 
-def test_roundtrip_exact(tmp_path):
-    mv = MomentVector(2, exact=True).accumulate(0.5, -0.25).accumulate(1.0, 3.0)
-    path = tmp_path / "mv.json"
-    mv.dump(path)
-    back = MomentVector.load(path)
-    assert back.exact
-    assert back.entry(2, 0) == Fraction(5, 4)
-    assert back.entry(0, 2) == Fraction(145, 16)
+# the exact (Fraction) accumulator of earlier versions wrote this record, and
+# the float one the record after it, of the same seven points; the points are
+# dyadic, so both hold the same sums
+_EXACT_FILE = {
+    "format": "moment-vector/1", "max_total_degree": 4, "n": 7,
+    "offset": [0.5, 0.0], "exact": True, "entries": [
+        [0, 0, "7/1"], [0, 1, "-3/4"], [0, 2, "187/32"], [0, 3, "-471/128"],
+        [0, 4, "18385/2048"], [1, 0, "3/4"], [1, 1, "-77/64"],
+        [1, 2, "553/512"], [1, 3, "-6707/4096"], [2, 0, "167/32"],
+        [2, 1, "-121/512"], [2, 2, "7089/4096"], [3, 0, "27/64"],
+        [3, 1, "-3503/4096"], [4, 0, "13049/2048"]]}
+_FLOAT_FILE = {
+    "format": "moment-vector/1", "max_total_degree": 4, "n": 7,
+    "offset": [0.5, 0.0], "exact": False, "entries": [
+        [0, 0, 7.0], [0, 1, -0.75], [0, 2, 5.84375], [0, 3, -3.6796875],
+        [0, 4, 8.97705078125], [1, 0, 0.75], [1, 1, -1.203125],
+        [1, 2, 1.080078125], [1, 3, -1.637451171875], [2, 0, 5.21875],
+        [2, 1, -0.236328125], [2, 2, 1.730712890625], [3, 0, 0.421875],
+        [3, 1, -0.855224609375], [4, 0, 6.37158203125]]}
+
+
+def test_exact_file_fits_like_its_float_twin():
+    exact = MomentVector.from_dict(_EXACT_FILE)
+    twin = MomentVector.from_dict(_FLOAT_FILE)
+    assert exact.to_dict() == twin.to_dict()
+    assert exact.entry(0, 2) == 187 / 32
+    a, b = fit_circle_reduced(exact), fit_circle_reduced(twin)
+    assert a.params == b.params and a.objective == b.objective
+    # as the exact accumulator itself fitted
+    assert (a.params.a, a.params.b, a.params.R, a.objective) == pytest.approx(
+        (0.47799989432251866, -0.24127836375221906, 1.2621998053013874,
+         0.015122104757494901), rel=1e-12)
+
+
+def test_exact_entries_read_as_their_nearest_doubles():
+    blob = _blob_without(key=(1, 2), exact=True)
+    blob["entries"].append([1, 2, "1/3"])
+    assert MomentVector.from_dict(blob).entry(1, 2) == 1 / 3
 
 
 def test_dict_entries_are_lexicographic():
@@ -564,9 +570,16 @@ def test_dict_entries_are_lexicographic():
     assert d["format"] == "moment-vector/1"
 
 
+def _exact_record(blob):
+    """``blob`` as an "exact": true record: each moment as "num/den"."""
+    entries = [[p, q, "%d/%d" % Fraction(v).as_integer_ratio()]
+               for p, q, v in blob["entries"]]
+    return dict(blob, exact=True, entries=entries)
+
+
 def _blob_without(key=None, extra=None, exact=False):
-    mv = MomentVector(4, exact=exact).extend([1.0, 2.0, 0.5], [0.0, 1.5, -1.0])
-    blob = mv.to_dict()
+    mv = MomentVector(4).extend([1.0, 2.0, 0.5], [0.0, 1.5, -1.0])
+    blob = _exact_record(mv.to_dict()) if exact else mv.to_dict()
     blob["entries"] = [e for e in blob["entries"] if tuple(e[:2]) != key]
     if extra is not None:
         blob["entries"].append(extra)
@@ -587,12 +600,26 @@ def _blob_without(key=None, extra=None, exact=False):
     (_blob_without(key=(1, 2), extra=[1, 2, 10 ** 400]), "(1, 2)"),
     (_blob_without(key=(1, 2), extra=[1, 2, "1/0"], exact=True), "(1, 2)"),
     (_blob_without(key=(1, 2), extra=[1, 2, "1.5/2"], exact=True), "(1, 2)"),
+    (_blob_without(key=(1, 2), extra=[1, 2, f"{10 ** 400}/3"], exact=True),
+     "(1, 2)"),
 ], ids=["missing", "duplicate", "above-degree", "infinite", "nan",
         "infinite-exponent", "fractional-exponent", "boolean-exponent",
         "string-value", "boolean-value", "huge-integer-value",
-        "zero-denominator", "fractional-numerator"])
+        "zero-denominator", "fractional-numerator", "huge-fraction-value"])
 def test_from_dict_requires_every_moment_once(blob, named):
     with pytest.raises(ValueError, match=re.escape(named)):
+        MomentVector.from_dict(blob)
+
+
+def test_from_dict_reads_the_entries_before_the_degree(monkeypatch):
+    # a record's degree asks for (D + 1)(D + 2) / 2 moments: 2e10 here, never
+    # laid out, since one entry cannot cover them
+    layout = moments._layout
+    monkeypatch.setattr(moments, "_layout", lambda D: layout(D) if D <= 64
+                        else pytest.fail(f"laid out degree {D}"))
+    blob = {"format": "moment-vector/1", "max_total_degree": 200_000, "n": 1,
+            "offset": [0.0, 0.0], "exact": False, "entries": [[0, 0, 1.0]]}
+    with pytest.raises(ValueError, match=re.escape("moment (0, 1) is missing")):
         MomentVector.from_dict(blob)
 
 
@@ -604,8 +631,7 @@ def test_from_dict_requires_every_moment_once(blob, named):
     ("offset", [0.0]),
 ])
 def test_from_dict_requires_typed_header_fields(field, value):
-    blob = MomentVector(4, exact=True).extend([1.0, 2.0, 0.5],
-                                              [0.0, 1.5, -1.0]).to_dict()
+    blob = _blob_without()
     blob[field] = value
     with pytest.raises(ValueError, match=field):
         MomentVector.from_dict(blob)

@@ -4,10 +4,12 @@ reach."""
 
 import ast
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import gradfit
+from gradfit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -35,6 +37,22 @@ def test_readme_python_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_shell_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # every gradfit command of the README's sh blocks, in order, in one
+    # directory, through the CLI's entry point; bench is left out, as
+    # acceptance criterion 5 times the same fits
+    blocks = re.findall(r"^```sh\n(.*?)^```$",
+                        README.read_text(encoding="utf-8"), re.M | re.S)
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands
+                if argv[:1] == ["gradfit"] and argv[1] != "bench"]
+    assert any("--moments" in argv for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_no_package_code_only_tests_reach():
