@@ -20,8 +20,9 @@ zeros is first cut by a random line. A damped 2-D Newton iteration on P, Q
 and their partials, compiled once into a stack of dense coefficient
 matrices, polishes each point to the witness tolerance. Certificate search
 poses the identity as a linear system in the coefficients of U and W,
-solved over the rationals at degree 0 first, and at higher degrees only
-for a pair whose basis is {1}.
+scaled by one common denominator to integers and solved by fraction-free
+elimination, at degree 0 first, and at higher degrees only for a pair
+whose basis is {1}; the identity is then verified on integers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .poly import (
     BivariatePoly,
     format_poly,
     gradient_norm_squared,
+    integer_terms,
     monomial_index,
     monomials,
 )
@@ -333,9 +335,11 @@ class CertificateLayout:
     """Where the coefficients of P and Q sit in the system A s = b of P*U +
     Q*W = 1 (see ``certificate_system``).
 
-    ``fill(p, q)`` takes P's coefficient vector on ``monomials(p_degree)``
-    and Q's on ``monomials(q_degree)`` and returns A, of shape ``shape``;
-    leading axes of p and q are kept, so one call fills a stack of systems.
+    ``spots[i]`` lists the (row, column) places of entry i of P's
+    coefficient vector on ``monomials(p_degree)`` followed by Q's on
+    ``monomials(q_degree)``. ``fill(p, q)`` takes those two float vectors
+    and returns A, of shape ``shape``; leading axes of p and q are kept, so
+    one call fills a stack of systems.
     """
 
     def __init__(self, p_degree: int, q_degree: int, d: int):
@@ -343,22 +347,18 @@ class CertificateLayout:
         k = len(self.cols)
         drow = d + max(p_degree, q_degree)
         self.shape = ((drow + 1) * (drow + 2) // 2, 2 * k)
-        rows, cols, src = [], [], []
-        for base, degree, first in ((0, p_degree, 0),
-                                    (k, q_degree, len(monomials(p_degree)))):
-            for i, (a, e) in enumerate(monomials(degree)):
-                # distinct monomials land in distinct rows of each column
-                for j, (p, q) in enumerate(self.cols):
-                    rows.append(_row(a + p, e + q))
-                    cols.append(base + j)
-                    src.append(first + i)
+        # distinct monomials land in distinct rows of each column
+        self.spots = [[(_row(a + p, e + q), base + j)
+                       for j, (p, q) in enumerate(self.cols)]
+                      for base, degree in ((0, p_degree), (k, q_degree))
+                      for a, e in monomials(degree)]
+        rows, cols = zip(*(spot for s in self.spots for spot in s))
         self._at = (np.array(rows), np.array(cols))
-        self._src = np.array(src)
+        self._src = np.repeat(np.arange(len(self.spots)), k)
 
     def fill(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         pq = np.concatenate([p, q], axis=-1)
-        zero = Fraction(0) if pq.dtype == object else 0.0
-        A = np.full(pq.shape[:-1] + self.shape, zero, dtype=pq.dtype)
+        A = np.zeros(pq.shape[:-1] + self.shape, dtype=pq.dtype)
         A[(...,) + self._at] = pq[..., self._src]
         return A
 
@@ -372,21 +372,33 @@ def certificate_layout(p_degree: int, q_degree: int,
 
 
 def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
-    """The linear system A s = b equating the coefficients of P*U + Q*W with 1.
+    """The linear system A s = b equating the coefficients of P*U + Q*W with
+    1, times K, the least common denominator of P's and Q's coefficients,
+    so that every entry is an integer. Scaling keeps the solution set, and
+    so its minimum-norm point.
 
     The unknowns s are U's then W's coefficients on the monomials ``cols`` of
     total degree <= d. The rows are the monomials of total degree
     <= d + max(deg P, deg Q), ordered by total degree, so x^0 y^0 is row 0
     and the system of a lower-degree pair is the leading rows of a
-    higher-degree one's. A and b hold Fractions (dtype object). Returns
-    (A, b, cols).
+    higher-degree one's. Returns (M, cols), M the rows of [K A | K b] as
+    lists of Python ints; b is 1 in row 0 only, so K is M[0][-1].
     """
     dp, dq = _int_degree(P), _int_degree(Q)
     layout = certificate_layout(dp, dq, d)
-    A = layout.fill(coefficients(P, dp), coefficients(Q, dq))
-    b = np.full(len(A), Fraction(0), dtype=object)
-    b[0] = Fraction(1)
-    return A, b, layout.cols
+    (p, lp), (q, lq) = integer_terms(P), integer_terms(Q)
+    K = math.lcm(lp, lq)
+    M = [[0] * (layout.shape[1] + 1) for _ in range(layout.shape[0])]
+    first = 0
+    for terms, scale, degree in ((p, K // lp, dp), (q, K // lq, dq)):
+        index = monomial_index(degree)
+        for m, c in terms.items():
+            c *= scale
+            for r, j in layout.spots[first + index[m]]:
+                M[r][j] = c
+        first += len(index)
+    M[0][-1] = K
+    return M, layout.cols
 
 
 def coefficients(P: BivariatePoly, degree: int) -> np.ndarray:
@@ -398,68 +410,97 @@ def coefficients(P: BivariatePoly, degree: int) -> np.ndarray:
     return vec
 
 
-def _rref(M: list[list[Fraction]]):
-    """Reduced row echelon form in place; returns pivot column list."""
+def _rref(M: list[list[int]]):
+    """Gauss-Jordan elimination of integer rows in place, fraction-free: a
+    row loses a pivot column's entry by a cross multiplication with the
+    pivot row and is then divided by the gcd of its entries, so the rows
+    stay primitive and carry no common factor from step to step. Returns
+    the pivot columns and D, the least common multiple of the pivots, to
+    which every pivot row is finally scaled: each then holds D at its own
+    pivot column and 0 at the others, so M / D is the reduced row echelon
+    form."""
     rows, cols = len(M), len(M[0]) if M else 0
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if M[i][c]), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        pv = M[r][c]
-        M[r] = [v / pv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        top, pv = M[r], M[r][c]
+        for i, row in enumerate(M):
+            f = row[c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                M[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return pivots
+    D = math.lcm(*(M[i][c] for i, c in enumerate(pivots)))
+    for i, c in enumerate(pivots):
+        if M[i][c] != D:
+            s = D // M[i][c]
+            M[i] = [v * s for v in M[i]]
+    return pivots, D
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _solve_exact_at(P, Q, d):
-    A, b, cols = certificate_system(P, Q, d)
+    """The minimum-norm solution (U, W) of ``certificate_system`` at degree
+    d, or None where it is inconsistent, solved on integers: the
+    Fractions are built only for U's and W's coefficients."""
+    M, cols = certificate_system(P, Q, d)
     k = len(cols)
-    ncols = 2 * k
-    M = [row + [bi] for row, bi in zip(A.tolist(), b.tolist())]
-    pivots = _rref(M)
-    piv_set = set(pivots)
-    for row in M:
-        if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return None  # inconsistent: infeasible at this degree
-    # particular solution with free variables zero
-    x0 = [Fraction(0)] * ncols
+    n = 2 * k
+    pivots, D = _rref(M)
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in b: infeasible at this degree
+    # D times the particular solution with free variables zero
+    x = [0] * n
     for r, c in enumerate(pivots):
-        x0[c] = M[r][ncols]
-    free = [c for c in range(ncols) if c not in piv_set]
+        x[c] = M[r][n]
+    den = D
+    free = sorted(set(range(n)) - set(pivots))
     if free:
-        # minimum-norm solution: project x0 onto the affine solution set
+        # minimum-norm solution: project x onto the affine solution set
+        # along D times the null-space basis; the Gram matrix of independent
+        # vectors pivots in every column, in order
         basis = []
         for fcol in free:
-            v = [Fraction(0)] * ncols
-            v[fcol] = Fraction(1)
+            v = [0] * n
+            v[fcol] = D
             for r, c in enumerate(pivots):
                 v[c] = -M[r][fcol]
             basis.append(v)
-        m = len(basis)
-        G = [[sum(basis[i][t] * basis[j][t] for t in range(ncols))
-              for j in range(m)] for i in range(m)]
-        h = [-sum(basis[i][t] * x0[t] for t in range(ncols)) for i in range(m)]
-        # G is the Gram matrix of independent vectors: every column pivots
-        Gh = [row + [hi] for row, hi in zip(G, h)]
-        _rref(Gh)
-        coef = [row[m] for row in Gh]
-        for i in range(m):
-            if coef[i] != 0:
-                for t in range(ncols):
-                    x0[t] += coef[i] * basis[i][t]
-    U = BivariatePoly({mno: x0[j] for j, mno in enumerate(cols)})
-    W = BivariatePoly({mno: x0[k + j] for j, mno in enumerate(cols)})
-    return U, W
+        G = [[_dot(u, v) for v in basis] + [-_dot(u, x)] for u in basis]
+        _, E = _rref(G)
+        coef = [row[-1] for row in G]
+        x = [E * xt + sum(c * v[t] for c, v in zip(coef, basis) if c)
+             for t, xt in enumerate(x)]
+        den *= E
+    return tuple(BivariatePoly._canonical({m: Fraction(x[j], den)
+                                           for j, m in enumerate(cols, first)
+                                           if x[j]})
+                 for first in (0, k))
+
+
+def _is_identity(P, Q, U, W) -> bool:
+    """Whether P*U + Q*W = 1 exactly, checked on integers: the identity
+    times the four polynomials' common denominators (``integer_terms``)."""
+    (p, lp), (q, lq), (u, lu), (w, lw) = map(integer_terms, (P, Q, U, W))
+    total: dict = {}
+    for f, g, scale in ((p, u, lq * lw), (q, w, lp * lu)):
+        for (a, b), c in f.items():
+            c *= scale
+            for (e, h), v in g.items():
+                k = (a + e, b + h)
+                total[k] = total.get(k, 0) + c * v
+    return ({k: v for k, v in total.items() if v}
+            == {(0, 0): lp * lq * lu * lw})
 
 
 def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
@@ -470,8 +511,9 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
     degree-0 system is solved first, as every admissible registry family's
     certificate has that degree; then membership of 1 in <P, Q> is tested,
     and only a member walks up the degrees, which ends because a
-    certificate exists. Each degree is solved by Gauss-Jordan elimination
-    over the rationals, giving the exact minimum-norm solution.
+    certificate exists. Each degree's system is scaled to integers and
+    solved by fraction-free elimination, giving the exact minimum-norm
+    solution, and the identity is verified exactly on integers.
     """
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("P and Q must be nonzero")
@@ -483,7 +525,7 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
         d += 1
         got = _solve_exact_at(P, Q, d)
     U, W = got
-    if not (P * U + Q * W - 1).is_zero():
+    if not _is_identity(P, Q, U, W):
         raise NumericalFailure("exact certificate failed verification")
     return ReductionCertificate(U, W, 0.0, d)
 

@@ -62,6 +62,15 @@ class BivariatePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, terms: dict) -> "BivariatePoly":
+        """The polynomial of ``terms`` already in canonical form, (p, q)
+        pairs of ints >= 0 to nonzero Fractions, kept as given without the
+        checks of ``__init__``: for exact code that builds such terms."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "terms", terms)
+        return P
+
+    @classmethod
     def zero(cls) -> "BivariatePoly":
         return cls({})
 
@@ -195,11 +204,35 @@ def _coerce(value):
     return NotImplemented
 
 
+def integer_terms(P: BivariatePoly) -> tuple[dict, int]:
+    """P's terms times L, the least common denominator of its
+    coefficients, as Python ints; and L. So P = N / L for N of integer
+    coefficients, and exact arithmetic on N needs no gcd per operation."""
+    L = math.lcm(*(c.denominator for c in P.terms.values()))
+    return {m: c.numerator * (L // c.denominator)
+            for m, c in P.terms.items()}, L
+
+
 def gradient_norm_squared(P: BivariatePoly) -> BivariatePoly:
-    """Squared gradient magnitude (dP/dx)^2 + (dP/dy)^2 as a polynomial."""
-    px = P.partial("x")
-    py = P.partial("y")
-    return px * px + py * py
+    """Squared gradient magnitude (dP/dx)^2 + (dP/dy)^2 as a polynomial,
+    formed on integers: for P = N / L (``integer_terms``) it is
+    (Nx^2 + Ny^2) / L^2."""
+    terms, L = integer_terms(P)
+    px, py = [], []
+    for (p, q), c in terms.items():
+        if p:
+            px.append(((p - 1, q), p * c))
+        if q:
+            py.append(((p, q - 1), q * c))
+    total: dict = {}
+    for partial in (px, py):
+        for (a, b), u in partial:
+            for (e, f), v in partial:
+                k = (a + e, b + f)
+                total[k] = total.get(k, 0) + u * v
+    L2 = L * L
+    return BivariatePoly._canonical({k: Fraction(v, L2)
+                                     for k, v in total.items() if v})
 
 
 # ---------------------------------------------------------------------------

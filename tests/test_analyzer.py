@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from gradfit import analyzer
 from gradfit.analyzer import (
@@ -26,11 +27,12 @@ from gradfit.analyzer import (
     solve_nullstellensatz,
     _solve_exact_at,
 )
-from gradfit.errors import DegenerateInput
+from gradfit.errors import DegenerateInput, NumericalFailure
 from gradfit.families import CurveFamily, get_family
 from gradfit.poly import (
     BivariatePoly,
     gradient_norm_squared,
+    monomials,
     parse_poly,
 )
 
@@ -220,13 +222,25 @@ def test_cubic_pair_zeros_all_come_off_the_basis():
 
 # -- certificates -----------------------------------------------------------
 
+def exact_system(P, Q, d):
+    """``certificate_system``'s A and b as arrays of Fractions: its integer
+    rows divided by K."""
+    M, cols = certificate_system(P, Q, d)
+    K = M[0][-1]
+    S = np.array([[Fraction(v, K) for v in row] for row in M], dtype=object)
+    return S[:, :-1], S[:, -1], cols
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_certificate_system_exact_and_float_agree(d):
     # the generic fit fills the same layout with float coefficient vectors
     rng = np.random.default_rng(90 + d)
     P, Q = random_poly(rng), random_poly(rng, max_deg=4)
-    A, b, cols = certificate_system(P, Q, d)
-    assert all(isinstance(v, Fraction) for v in [*A.flat, *b])
+    M, _ = certificate_system(P, Q, d)
+    assert all(type(v) is int for row in M for v in row)
+    dens = [c.denominator for R in (P, Q) for c in R.terms.values()]
+    assert M[0][-1] == math.lcm(*dens) > 1
+    A, b, cols = exact_system(P, Q, d)
     dp, dq = int(P.degree()), int(Q.degree())
     layout = certificate_layout(dp, dq, d)
     Af = layout.fill(coefficients(P, dp).astype(float),
@@ -243,9 +257,9 @@ def test_certificate_system_lower_degree_rows_are_a_prefix(d):
     # and uses it as the leading rows of A's shape
     low_P, low_Q = X * Y + 3 * X - 2, X ** 2 - Y + 5
     high_P, high_Q = X ** 3 - 2 * Y ** 2, 4 * X * Y ** 3
-    A, b, cols = certificate_system(low_P, low_Q, d)
-    A2, _, _ = certificate_system(high_P, high_Q, d)
-    Asum, bsum, _ = certificate_system(low_P + high_P, low_Q + high_Q, d)
+    A, b, cols = exact_system(low_P, low_Q, d)
+    A2, _, _ = exact_system(high_P, high_Q, d)
+    Asum, bsum, _ = exact_system(low_P + high_P, low_Q + high_Q, d)
     m = len(A)
     assert m < len(A2) == len(Asum)
     assert (Asum[:m] == A + A2[:m]).all() and (Asum[m:] == A2[m:]).all()
@@ -259,11 +273,104 @@ def test_exact_solve_above_minimal_degree_is_minimum_norm(d):
     P = circle_poly(Fraction(1, 2), Fraction(-3, 4), Fraction(5, 4))
     Q = gradient_norm_squared(P)
     U, W = _solve_exact_at(P, Q, d)
-    A, b, cols = certificate_system(P, Q, d)
+    A, b, cols = exact_system(P, Q, d)
     A, b = A.astype(float), b.astype(float)
     assert np.linalg.matrix_rank(A) < A.shape[1]
     exact = [float(poly.coeff(p, q)) for poly in (U, W) for p, q in cols]
     assert np.max(np.abs(np.array(exact) - np.linalg.pinv(A) @ b)) < 1e-12
+
+
+def sympy_solution(P, Q, d):
+    """sympy's exact minimum-norm solution of P*U + Q*W = 1 over U, W of
+    degree <= d, as U's then W's coefficients on ``monomials(d)``; None
+    where the system is inconsistent. Posed from sympy's own expansion."""
+    x, y = sympy.symbols("x y")
+    mons = monomials(d)
+    s = sympy.symbols(f"s0:{2 * len(mons)}")
+
+    def expr(coeffs):
+        return sum(c * x ** p * y ** q for (p, q), c in coeffs)
+
+    def exact(R):
+        return expr((m, sympy.Rational(c.numerator, c.denominator))
+                    for m, c in R.terms.items())
+
+    U, W = expr(zip(mons, s)), expr(zip(mons, s[len(mons):]))
+    eqs = sympy.Poly(exact(P) * U + exact(Q) * W - 1, x, y).coeffs()
+    A, b = sympy.linear_eq_to_matrix(eqs, s)
+    if A.rank() < A.row_join(b).rank():
+        return None
+    return [Fraction(int(v.p), int(v.q)) for v in A.pinv() * b]
+
+
+def rational_poly(rng, dens, max_deg=2, nterms=4):
+    keys = monomials(max_deg)
+    idx = rng.choice(len(keys), size=min(nterms, len(keys)), replace=False)
+    return BivariatePoly({keys[i]: Fraction(int(rng.integers(-9, 10)),
+                                            int(rng.choice(dens)))
+                          for i in idx})
+
+
+@pytest.mark.parametrize("dens", [(1, 2, 4, 8), (3, 7, 21)],
+                         ids=["dyadic", "thirds_sevenths"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_integer_solver_matches_sympy(dens, d):
+    # random pairs (almost always with common zeros), pairs with
+    # Q = P R + c (a certificate of degree deg R), x^2 and (x + 1)^2
+    # (consistent from degree 1) and a circle (rank-deficient at d >= 2)
+    rng = np.random.default_rng([d, len(dens)])
+    pairs = []
+    for _ in range(3):
+        c = Fraction(int(rng.integers(1, 9)), int(rng.choice(dens)))
+        P = rational_poly(rng, dens)
+        pairs += [(rational_poly(rng, dens), rational_poly(rng, dens)),
+                  (P, P * rational_poly(rng, dens, max_deg=d, nterms=2) + c),
+                  (X ** 2 * c, (X + 1) ** 2),
+                  (circle_poly(c, c - 1, c + Fraction(1, dens[-1])), None)]
+    outcomes = set()
+    for P, Q in pairs:
+        Q = gradient_norm_squared(P) if Q is None else Q
+        got, want = _solve_exact_at(P, Q, d), sympy_solution(P, Q, d)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None
+        else:
+            assert [R.coeff(p, q) for R in got
+                    for p, q in monomials(d)] == want
+    assert outcomes == {True, False}
+
+
+def test_identity_check_catches_a_wrong_certificate(monkeypatch):
+    solve = analyzer._solve_exact_at
+
+    def off(P, Q, d):
+        got = solve(P, Q, d)
+        if got is not None:
+            got = got[0], got[1] * (1 + Fraction(1, 2 ** 60))
+        return got
+
+    monkeypatch.setattr(analyzer, "_solve_exact_at", off)
+    P = circle_poly(0.25, -0.75, 1.25)
+    with pytest.raises(NumericalFailure,
+                       match="exact certificate failed verification"):
+        solve_nullstellensatz(P, gradient_norm_squared(P))
+
+
+def test_exact_core_eliminates_integers_only(monkeypatch):
+    # the system's rows and, with free columns, its Gram system: Fractions
+    # are built only for the solution
+    seen = []
+    rref = analyzer._rref
+
+    def spy(M):
+        seen.extend(type(v) for row in M for v in row)
+        return rref(M)
+
+    monkeypatch.setattr(analyzer, "_rref", spy)
+    P = circle_poly(0.25, -0.75, 1.25)
+    assert _solve_exact_at(P, gradient_norm_squared(P), 2) is not None
+    assert solve_nullstellensatz(X ** 2, (X + 1) ** 2).degree == 1
+    assert seen and set(seen) == {int}
 
 
 def test_circle_certificate_exact_at_degree_zero():

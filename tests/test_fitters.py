@@ -857,6 +857,14 @@ def exact_dtheta(family, th, name, h=Fraction(1, 1024)):
     return (family.poly(up) - family.poly(dn)) * (1 / (2 * h))
 
 
+def float_system(P, Q, degree):
+    """``certificate_system``'s A and b rounded to floats: its integer
+    rows divided by K."""
+    M, cols = certificate_system(P, Q, degree)
+    S = (np.array(M, dtype=object) / M[0][-1]).astype(float)
+    return S[:, :-1], S[:, -1], cols
+
+
 def reference_value_grad(family, degree, mv, vec, contract):
     """F and its gradient the direct way: W from certificate_system and
     pinv, then W P^2 and its theta-derivatives (exact central differences
@@ -865,8 +873,7 @@ def reference_value_grad(family, degree, mv, vec, contract):
     th = dict(zip(family.param_names, map(float, vec)))
     P = family.poly(th)
     px, py = P.partial("x"), P.partial("y")
-    A, b, cols = certificate_system(P, px * px + py * py, degree)
-    A, b = A.astype(float), b.astype(float)
+    A, b, cols = float_system(P, px * px + py * py, degree)
     k = len(cols)
     Ap = np.linalg.pinv(A, rcond=1e-12)
     s = Ap @ b
@@ -880,8 +887,8 @@ def reference_value_grad(family, degree, mv, vec, contract):
         dP = exact_dtheta(family, th, name)
         dQ = 2.0 * (px * dP.partial("x") + py * dP.partial("y"))
         dA = np.zeros_like(A)
-        low, _, _ = certificate_system(dP, dQ, degree)
-        dA[:len(low)] = low.astype(float)  # rows run by degree; the rest are zero
+        low, _, _ = float_system(dP, dQ, degree)
+        dA[:len(low)] = low  # rows run by degree; the rest are zero
         # derivative of the minimum-norm solution of a consistent system
         ds = -Ap @ (dA @ s) + (np.eye(2 * k) - Ap @ A) @ (dA.T @ (Ap.T @ s))
         grad.append(contract(mv, weight(ds) * P * P + 2.0 * (W * P * dP)))
@@ -969,10 +976,10 @@ def test_exact_hessian_matches_gradient_differences(family, d):
             if family == "scaled_circle":
                 th[0] = rng.uniform(0.5, 2.0)  # a = 0 is no circle
             P = fam.poly(dict(zip(fam.param_names, th)))
-            A, _, _ = certificate_system(P, gradient_norm_squared(P), d)
+            A, _, _ = float_system(P, gradient_norm_squared(P), d)
             # lines at d >= 1 and circles at d >= 2 have rank-deficient
             # systems, whose solution's derivatives have a null-space part
-            deficient = np.linalg.matrix_rank(A.astype(float)) < A.shape[1]
+            deficient = np.linalg.matrix_rank(A) < A.shape[1]
             assert deficient == (d >= (1 if family == "line" else 2))
             F, g, hess, _ = obj.evaluate(th)
             F_ref, g_ref = obj._evaluate(th)[:2]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradfit.errors import NonFiniteValue, ParseError
@@ -41,6 +41,12 @@ sparse_polys = st.builds(
     BivariatePoly,
     st.dictionaries(exponents, int_coeffs, max_size=12),
 )
+
+rational_coeffs = st.builds(
+    Fraction, st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from([1, 2, 3, 7, 21, 2 ** 53, 3 * 2 ** 40, 10 ** 9]))
+rational_polys = st.builds(
+    BivariatePoly, st.dictionaries(exponents, rational_coeffs, max_size=8))
 
 small_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 small_polys = st.builds(
@@ -180,6 +186,19 @@ def test_gradient_norm_matches_finite_differences(P, x, y):
     exact = Q.eval(x, y)
     scale = max(1.0, abs(exact))
     assert abs(approx - exact) <= 1e-6 * scale
+
+
+@given(rational_polys | st.builds(BivariatePoly.constant, rational_coeffs))
+@example(BivariatePoly.zero())
+@example(BivariatePoly.constant(Fraction(-5, 7)))
+@settings(max_examples=150)
+def test_gradient_norm_on_integers_matches_fraction_arithmetic(P):
+    # formed on integers over one common denominator, Q is the exact value
+    # of Px^2 + Py^2; the zero polynomial and constants give 0
+    px, py = P.partial("x"), P.partial("y")
+    assert gradient_norm_squared(P).terms == (px * px + py * py).terms
+    if P.degree() <= 0:
+        assert gradient_norm_squared(P).is_zero()
 
 
 # -- text form --------------------------------------------------------------
