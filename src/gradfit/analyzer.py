@@ -39,6 +39,7 @@ from .families import CurveFamily, get_family
 from .poly import (
     NEG_INF,
     BivariatePoly,
+    add_product,
     format_poly,
     gradient_norm_squared,
     integer_terms,
@@ -482,9 +483,8 @@ def _solve_exact_at(P, Q, d):
         x = [E * xt + sum(c * v[t] for c, v in zip(coef, basis) if c)
              for t, xt in enumerate(x)]
         den *= E
-    return tuple(BivariatePoly._canonical({m: Fraction(x[j], den)
-                                           for j, m in enumerate(cols, first)
-                                           if x[j]})
+    return tuple(BivariatePoly({m: Fraction(x[j], den)
+                                for j, m in enumerate(cols, first) if x[j]})
                  for first in (0, k))
 
 
@@ -492,13 +492,9 @@ def _is_identity(P, Q, U, W) -> bool:
     """Whether P*U + Q*W = 1 exactly, checked on integers: the identity
     times the four polynomials' common denominators (``integer_terms``)."""
     (p, lp), (q, lq), (u, lu), (w, lw) = map(integer_terms, (P, Q, U, W))
-    total: dict = {}
-    for f, g, scale in ((p, u, lq * lw), (q, w, lp * lu)):
-        for (a, b), c in f.items():
-            c *= scale
-            for (e, h), v in g.items():
-                k = (a + e, b + h)
-                total[k] = total.get(k, 0) + c * v
+    p = {m: c * lq * lw for m, c in p.items()}
+    q = {m: c * lp * lu for m, c in q.items()}
+    total = add_product(add_product({}, p, u), q, w)
     return ({k: v for k, v in total.items() if v}
             == {(0, 0): lp * lq * lu * lw})
 

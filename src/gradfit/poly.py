@@ -62,15 +62,6 @@ class BivariatePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, terms: dict) -> "BivariatePoly":
-        """The polynomial of ``terms`` already in canonical form, (p, q)
-        pairs of ints >= 0 to nonzero Fractions, kept as given without the
-        checks of ``__init__``: for exact code that builds such terms."""
-        P = object.__new__(cls)
-        object.__setattr__(P, "terms", terms)
-        return P
-
-    @classmethod
     def zero(cls) -> "BivariatePoly":
         return cls({})
 
@@ -132,12 +123,7 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                k = (p1 + p2, q1 + q2)
-                terms[k] = terms.get(k, 0) + c1 * c2
-        return BivariatePoly(terms)
+        return BivariatePoly(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -213,26 +199,26 @@ def integer_terms(P: BivariatePoly) -> tuple[dict, int]:
             for m, c in P.terms.items()}, L
 
 
+def add_product(total: dict, f: Mapping, g: Mapping) -> dict:
+    """Add the product of the term maps f and g, (p, q) -> coefficient,
+    into ``total`` and return it; zero sums stay in it."""
+    for (a, b), u in f.items():
+        for (e, h), v in g.items():
+            k = (a + e, b + h)
+            total[k] = total.get(k, 0) + u * v
+    return total
+
+
 def gradient_norm_squared(P: BivariatePoly) -> BivariatePoly:
     """Squared gradient magnitude (dP/dx)^2 + (dP/dy)^2 as a polynomial,
     formed on integers: for P = N / L (``integer_terms``) it is
     (Nx^2 + Ny^2) / L^2."""
     terms, L = integer_terms(P)
-    px, py = [], []
-    for (p, q), c in terms.items():
-        if p:
-            px.append(((p - 1, q), p * c))
-        if q:
-            py.append(((p, q - 1), q * c))
-    total: dict = {}
-    for partial in (px, py):
-        for (a, b), u in partial:
-            for (e, f), v in partial:
-                k = (a + e, b + f)
-                total[k] = total.get(k, 0) + u * v
+    px = {(p - 1, q): p * c for (p, q), c in terms.items() if p}
+    py = {(p, q - 1): q * c for (p, q), c in terms.items() if q}
+    total = add_product(add_product({}, px, px), py, py)
     L2 = L * L
-    return BivariatePoly._canonical({k: Fraction(v, L2)
-                                     for k, v in total.items() if v})
+    return BivariatePoly({k: Fraction(v, L2) for k, v in total.items() if v})
 
 
 # ---------------------------------------------------------------------------
