@@ -10,13 +10,14 @@ mutually exclusive situations holds:
   polynomial, the reduced objective exists, and a verified
   :class:`ReductionCertificate` is produced.
 
-Both are decided on the exact values of the coefficients. A Groebner basis
-of <P, Q> is {1} exactly when there is no common zero (weak
-Nullstellensatz). Otherwise the witness comes off the same basis by
-Stetter's eigenvector method: x and y act on the quotient ring by matrices
-of exact normal forms, rounded to doubles, whose shared eigenvectors hold
-the values of the normal monomials at the common zeros; a curve of common
-zeros is first cut by a random line. A damped 2-D Newton iteration on P, Q
+Both are decided on the exact values of the coefficients, in integer
+arithmetic. A Groebner basis of <P, Q>, of primitive integer polynomials,
+is {1} exactly when there is no common zero (weak Nullstellensatz).
+Otherwise the witness comes off the same basis by Stetter's eigenvector
+method: x and y act on the quotient ring by matrices of exact normal forms,
+rounded to doubles, whose shared eigenvectors hold the values of the normal
+monomials at the common zeros; a curve of common zeros is first cut by a
+random line. A damped 2-D Newton iteration on P, Q
 and their partials, compiled once into a stack of dense coefficient
 matrices, polishes each point to the witness tolerance. Certificate search
 poses the identity as a linear system in the coefficients of U and W,
@@ -156,7 +157,8 @@ class _Pair:
         n = 1 + max(self.degree)
         F = self.F = np.zeros((6, n, n), dtype=complex)
         for k, R in enumerate((P, Q)):
-            terms = {m: float(c) for m, c in R.terms.items()}
+            num, den = integer_terms(R)
+            terms = {m: c / den for m, c in num.items()}
             scale = max(map(abs, terms.values()), default=1.0)
             for (p, q), c in terms.items():
                 c /= scale
@@ -183,8 +185,9 @@ def _grevlex(m) -> tuple:
 
 
 def _remainder(f: dict, G: list) -> dict:
-    """f reduced by G, a list of (leading monomial, monic polynomial) with
-    polynomials as dicts of Fractions, in graded reverse-lex order."""
+    """A multiple of f reduced by G, a list of (leading monomial, dict of
+    ints) in graded reverse-lex order: to cancel a leading term, f and the
+    divisor are scaled by each other's leading coefficient over their gcd."""
     f, rem = dict(f), {}
     while f:
         m = max(f, key=_grevlex)
@@ -193,7 +196,12 @@ def _remainder(f: dict, G: list) -> dict:
         if g is None:
             rem[m] = f.pop(m)
             continue
-        c, sp, sq = f[m], m[0] - lm[0], m[1] - lm[1]
+        h = math.gcd(f[m], g[lm])
+        a, c = g[lm] // h, f[m] // h
+        if a != 1:
+            f = {k: a * v for k, v in f.items()}
+            rem = {k: a * v for k, v in rem.items()}
+        sp, sq = m[0] - lm[0], m[1] - lm[1]
         for (p, q), v in g.items():
             k = (p + sp, q + sq)
             f[k] = f.get(k, 0) - c * v
@@ -203,12 +211,12 @@ def _remainder(f: dict, G: list) -> dict:
 
 
 def _basis(*polys) -> list | None:
-    """A Groebner basis of the ideal of exact polynomials (dicts of
-    Fractions) in graded reverse-lex order, as (leading monomial, monic
-    polynomial) pairs, or None if 1 lies in the ideal: Buchberger's
-    algorithm, skipping pairs with coprime leading monomials and stopping as
+    """A Groebner basis of the ideal of the polynomials in graded reverse-lex
+    order, as (leading monomial, polynomial) pairs, each a primitive dict
+    (p, q) -> int, or None if 1 lies in the ideal: Buchberger's algorithm on
+    integers, skipping pairs with coprime leading monomials and stopping as
     soon as a constant appears."""
-    G, pairs, todo = [], [], list(polys[::-1])
+    G, pairs, todo = [], [], [integer_terms(R)[0] for R in polys[::-1]]
     while todo or pairs:
         if todo:
             f = todo.pop()
@@ -216,10 +224,10 @@ def _basis(*polys) -> list | None:
             pairs.sort(key=lambda t: _grevlex(t[0]), reverse=True)
             lcm, i, j = pairs.pop()
             f = {}
-            for (lm, g), sign in ((G[i], 1), (G[j], -1)):
+            for (lm, g), (l2, g2), s in ((G[i], G[j], 1), (G[j], G[i], -1)):
                 for (p, q), v in g.items():
                     k = (p + lcm[0] - lm[0], q + lcm[1] - lm[1])
-                    f[k] = f.get(k, 0) + sign * v
+                    f[k] = f.get(k, 0) + s * g2[l2] * v
         r = _remainder({k: v for k, v in f.items() if v}, G)
         if not r:
             continue
@@ -229,7 +237,8 @@ def _basis(*polys) -> list | None:
         pairs += [((max(lm[0], lg[0]), max(lm[1], lg[1])), i, len(G))
                   for i, (lg, _) in enumerate(G)
                   if min(lm[0], lg[0]) or min(lm[1], lg[1])]
-        G.append((lm, {m: v / r[lm] for m, v in r.items()}))
+        content = math.gcd(*r.values())
+        G.append((lm, {m: v // content for m, v in r.items()}))
     return G
 
 
@@ -238,10 +247,11 @@ def _zeros(G: list):
     and y, or None when there are infinitely many. Stetter's eigenvector
     method: the k monomials that no leading monomial divides, 1 first, span
     the quotient ring; x and y act on it by the matrices T_x and T_y whose
-    rows are the exact normal forms of x and y times each of them, rounded
-    here; and each eigenvector of T_x + r T_y holds those monomials' values
-    at one zero, so its products with the rows of 1, the normal forms of x
-    and y, give x and y there."""
+    rows are the exact normal forms of x and y times each of them, held as
+    integer numerators over one denominator and rounded here once per entry;
+    and each eigenvector of T_x + r T_y holds those monomials' values at
+    one zero, so its products with the rows of 1, the normal forms of x and
+    y, give x and y there."""
     lms = [lm for lm, _ in G]
     a = min((p for p, q in lms if q == 0), default=None)
     b = min((q for p, q in lms if p == 0), default=None)
@@ -249,26 +259,35 @@ def _zeros(G: list):
         return None
     normal = [(p, q) for p in range(a) for q in range(b)
               if not any(l[0] <= p and l[1] <= q for l in lms)]
-    forms = {m: {m: 1} for m in normal}
+    forms = {m: ({m: 1}, 1) for m in normal}
 
     def normal_form(m):
-        # m - (m / lm) g leaves the tail of g times m / lm, of lower monomials
+        # m - (m / lm) g / lc leaves minus the tail of g times m / lm, over
+        # g's leading coefficient lc, of lower monomials
         if m not in forms:
             lm, g = next(h for h in G if h[0][0] <= m[0] and h[0][1] <= m[1])
-            form = forms[m] = {}
+            sp, sq = m[0] - lm[0], m[1] - lm[1]
+            num, den = {}, 1
             for (p, q), c in g.items():
                 if (p, q) != lm:
-                    t = (p + m[0] - lm[0], q + m[1] - lm[1])
-                    for n, v in normal_form(t).items():
-                        form[n] = form.get(n, 0) - c * v
+                    form, d = normal_form((p + sp, q + sq))
+                    num = {n: v * d for n, v in num.items()}
+                    for n, v in form.items():
+                        num[n] = num.get(n, 0) - c * den * v
+                    den *= d
+            den *= g[lm]
+            h = math.gcd(den, *num.values())
+            forms[m] = ({n: v // h for n, v in num.items()}, den // h)
         return forms[m]
 
     index = {m: i for i, m in enumerate(normal)}
-    T = np.zeros((2, len(normal), len(normal)))
+    T = [[[0.0] * len(normal) for _ in normal] for _ in "xy"]
     for i, (p, q) in enumerate(normal):
         for v, m in enumerate(((p + 1, q), (p, q + 1))):
-            for n, c in normal_form(m).items():
-                T[v, i, index[n]] = c
+            form, den = normal_form(m)
+            for n, c in form.items():
+                T[v][i][index[n]] = c / den  # int division rounds correctly
+    T = np.array(T)
     _, V = np.linalg.eig(T[0] + _MIX * T[1])
     return T[:, 0] @ V / V[0]
 
@@ -278,8 +297,8 @@ def _sliced_zeros(P: BivariatePoly, Q: BivariatePoly):
     a curve of common zeros meets one of them in finitely many points."""
     rng = np.random.default_rng(1729)
     for line in ((1, 0), (0, 1)):
-        t = Fraction(int(rng.integers(-2 ** 20, 2 ** 20)), 2 ** 19)
-        G = _basis(P.terms, Q.terms, {line: Fraction(1), (0, 0): -t})
+        k = int(rng.integers(-2 ** 20, 2 ** 20))  # t = k / 2^19
+        G = _basis(P, Q, BivariatePoly({line: 2 ** 19, (0, 0): -k}))
         zeros = None if G is None else _zeros(G)
         if zeros is not None:
             return zeros
@@ -300,7 +319,7 @@ def find_common_zero(P: BivariatePoly, Q: BivariatePoly):
     """
     if _int_degree(P) == 0:
         raise DegenerateInput("P is constant; nothing to intersect")
-    G = _basis(P.terms, Q.terms)
+    G = _basis(P, Q)
     if G is None:
         return None
     # a zero far out overflows its powers: its residual is inf, and numpy's
@@ -452,8 +471,8 @@ def _dot(u, v) -> int:
 
 def _solve_exact_at(P, Q, d):
     """The minimum-norm solution (U, W) of ``certificate_system`` at degree
-    d, or None where it is inconsistent, solved on integers: the
-    Fractions are built only for U's and W's coefficients."""
+    d, or None where it is inconsistent, solved on integers: U and W are
+    their integer numerators over one common denominator."""
     M, cols = certificate_system(P, Q, d)
     k = len(cols)
     n = 2 * k
@@ -483,8 +502,7 @@ def _solve_exact_at(P, Q, d):
         x = [E * xt + sum(c * v[t] for c, v in zip(coef, basis) if c)
              for t, xt in enumerate(x)]
         den *= E
-    return tuple(BivariatePoly({m: Fraction(x[j], den)
-                                for j, m in enumerate(cols, first) if x[j]})
+    return tuple(BivariatePoly(dict(zip(cols, x[first:first + k])), den)
                  for first in (0, k))
 
 
@@ -514,7 +532,7 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("P and Q must be nonzero")
     got = _solve_exact_at(P, Q, 0)
-    if got is None and _basis(P.terms, Q.terms) is not None:
+    if got is None and _basis(P, Q) is not None:
         return None
     d = 0
     while got is None:

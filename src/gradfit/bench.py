@@ -147,7 +147,9 @@ def run_bench(ns, repetitions: int = 5, seed: int = 0,
     rows = []
     for (i, algo), cell in laps.items():
         setups, totals, results = zip(*cell)
-        iter_samples = [t for r in results for t in r.iteration_seconds]
+        # per lap, so that a lap the machine slowed as a whole counts once
+        iter_samples = [median(r.iteration_seconds) for r in results
+                        if r.iteration_seconds]
         rows.append(BenchRow(
             algorithm=algo,
             n=ns[i],

@@ -17,14 +17,13 @@ Registered families:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .poly import BivariatePoly
+from .poly import BivariatePoly, exact_ratio
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,14 @@ class CurveFamily:
 # -- circle -----------------------------------------------------------------
 
 def _circle_poly(theta):
-    # convert before combining: the constant term must be the exact
-    # a^2 + b^2 - R^2 of the (dyadic) parameters, not a float rounding
-    a, b, R = (Fraction(theta[k]) for k in ("a", "b", "R"))
-    return BivariatePoly(
-        {(2, 0): 1, (0, 2): 1, (1, 0): -2 * a, (0, 1): -2 * b,
-         (0, 0): a * a + b * b - R * R},
-    )
+    # the constant term must be the exact a^2 + b^2 - R^2 of the (dyadic)
+    # parameters, not a float rounding: over their common denominator L
+    ratios = [exact_ratio(theta[k]) for k in ("a", "b", "R")]
+    L = math.lcm(*(d for _, d in ratios))
+    a, b, R = (n * (L // d) for n, d in ratios)
+    return BivariatePoly({(2, 0): L * L, (0, 2): L * L, (1, 0): -2 * a * L,
+                          (0, 1): -2 * b * L, (0, 0): a * a + b * b - R * R},
+                         L * L)
 
 
 def _circle_sample(rng):

@@ -1,11 +1,12 @@
 """Sparse bivariate polynomial arithmetic over the rationals.
 
-Polynomials in x, y are stored as a map ``(p, q) -> coefficient`` in canonical
-sparse form (no zero terms). Every coefficient is a ``fractions.Fraction``: a
-float fed in is converted exactly (every finite double is a dyadic rational),
-so certificate computations are free of rounding. All values are immutable
-after construction and every operation is a pure function, so instances can
-be shared freely across threads.
+A polynomial in x, y is stored as integer numerators, a map ``(p, q) -> int``
+with no zero terms, over one positive denominator, in lowest terms. A float
+fed in is converted exactly (every finite double is a dyadic rational), so
+certificate computations are free of rounding, and they run on integers.
+``terms`` gives the coefficients as ``fractions.Fraction`` values. All values
+are immutable after construction and every operation is a pure function, so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -24,40 +25,64 @@ from .errors import NonFiniteValue, ParseError
 NEG_INF = float("-inf")
 
 
-def _to_fraction(c, term) -> Fraction:
-    """c as a Fraction, a float as the exact value of its double;
-    NonFiniteValue naming the term (p, q) if c is not finite."""
-    if type(c) is Fraction:
-        return c
-    if isinstance(c, Rational):
-        return Fraction(c)
-    if not isinstance(c, Real):
-        raise TypeError(f"unsupported coefficient type {type(c)!r}")
-    c = float(c)
+def exact_ratio(c) -> tuple[int, int]:
+    """c as (numerator, positive denominator), Python ints; a float as its
+    double's exact value. NonFiniteValue or TypeError unless c is real."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is not float:
+        if isinstance(c, Rational):
+            return int(c.numerator), int(c.denominator)
+        if not isinstance(c, Real):
+            raise TypeError(f"unsupported coefficient type {type(c)!r}")
+        c = float(c)
     if not math.isfinite(c):
-        raise NonFiniteValue(f"coefficient of x^{term[0]}*y^{term[1]} is "
-                             f"not finite: {c}")
-    return Fraction(c)
+        raise NonFiniteValue(f"not finite: {c}")
+    return c.as_integer_ratio()
 
 
 class BivariatePoly:
     """A sparse polynomial in two variables with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_terms")
 
-    def __init__(self, terms=None):
-        clean = {}
+    def __init__(self, terms=None, den: int = 1):
+        """The polynomial terms / den: ``terms`` maps (p, q) to an int, a
+        Rational or a finite real, ``den`` is a nonzero int."""
+        ratios = {}
         for (p, q), c in dict(terms or {}).items():
-            p, q = int(p), int(q)
-            if p < 0 or q < 0:
-                raise ValueError("exponents must be nonnegative")
-            cc = _to_fraction(c, (p, q))
-            if cc != 0:
-                clean[(p, q)] = cc
-        object.__setattr__(self, "terms", clean)
+            try:
+                ratios[int(p), int(q)] = exact_ratio(c)
+            except NonFiniteValue:
+                raise NonFiniteValue(f"coefficient of x^{p}*y^{q} is not "
+                                     f"finite: {float(c)}") from None
+        L = math.lcm(*(d for _, d in ratios.values()))
+        num = {m: n * (L // d) for m, (n, d) in ratios.items() if n}
+        if num and min(map(min, num)) < 0:
+            raise ValueError("exponents must be nonnegative")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        den *= L
+        g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
+        if g != 1:  # lowest terms, den > 0
+            num = {m: n // g for m, n in num.items()}
+            den //= g
+        setattr = object.__setattr__
+        setattr(self, "_num", num)
+        setattr(self, "_den", den)
+        setattr(self, "_terms", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("BivariatePoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients, a plain dict ``(p, q) -> Fraction`` without
+        zero terms, built on first read and shared: read-only."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", {
+                m: Fraction(n, self._den) for m, n in self._num.items()})
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
@@ -80,16 +105,16 @@ class BivariatePoly:
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self):
         """Total degree; the zero polynomial reports -inf."""
-        if not self.terms:
+        if not self._num:
             return NEG_INF
-        return max(p + q for p, q in self.terms)
+        return max(p + q for p, q in self._num)
 
     def coeff(self, p: int, q: int) -> Fraction:
-        return self.terms.get((p, q), Fraction(0))
+        return Fraction(self._num.get((p, q), 0), self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -97,15 +122,15 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return BivariatePoly(terms)
+        num = {m: n * other._den for m, n in self._num.items()}
+        for m, n in other._num.items():
+            num[m] = num.get(m, 0) + n * self._den
+        return BivariatePoly(num, self._den * other._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariatePoly({k: -c for k, c in self.terms.items()})
+        return BivariatePoly({m: -n for m, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -123,7 +148,8 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BivariatePoly(add_product({}, self.terms, other.terms))
+        return BivariatePoly(add_product({}, self._num, other._num),
+                             self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -143,7 +169,7 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     # -- evaluation ---------------------------------------------------------
 
@@ -161,14 +187,12 @@ class BivariatePoly:
 
     def partial(self, var: str) -> "BivariatePoly":
         idx = _var_index(var)
-        terms = {}
-        for (p, q), c in self.terms.items():
+        num = {}
+        for (p, q), n in self._num.items():
             e = (p, q)[idx]
-            if e == 0:
-                continue
-            k = (p - 1, q) if idx == 0 else (p, q - 1)
-            terms[k] = terms.get(k, 0) + c * e
-        return BivariatePoly(terms)
+            if e:
+                num[(p - 1, q) if idx == 0 else (p, q - 1)] = n * e
+        return BivariatePoly(num, self._den)
 
     def __repr__(self):
         return f"BivariatePoly({format_poly(self)!r})"
@@ -191,12 +215,9 @@ def _coerce(value):
 
 
 def integer_terms(P: BivariatePoly) -> tuple[dict, int]:
-    """P's terms times L, the least common denominator of its
-    coefficients, as Python ints; and L. So P = N / L for N of integer
-    coefficients, and exact arithmetic on N needs no gcd per operation."""
-    L = math.lcm(*(c.denominator for c in P.terms.values()))
-    return {m: c.numerator * (L // c.denominator)
-            for m, c in P.terms.items()}, L
+    """P = N / D as stored: N (p, q) -> int, shared with P so read-only,
+    and D > 0, the least common denominator of P's coefficients."""
+    return P._num, P._den
 
 
 def add_product(total: dict, f: Mapping, g: Mapping) -> dict:
@@ -217,8 +238,7 @@ def gradient_norm_squared(P: BivariatePoly) -> BivariatePoly:
     px = {(p - 1, q): p * c for (p, q), c in terms.items() if p}
     py = {(p, q - 1): q * c for (p, q), c in terms.items() if q}
     total = add_product(add_product({}, px, px), py, py)
-    L2 = L * L
-    return BivariatePoly({k: Fraction(v, L2) for k, v in total.items() if v})
+    return BivariatePoly(total, L * L)
 
 
 # ---------------------------------------------------------------------------

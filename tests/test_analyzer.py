@@ -3,12 +3,14 @@
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+import groebner_reference as ref
 from gradfit import analyzer
 from gradfit.analyzer import (
     WITNESS_TOL,
@@ -25,10 +27,11 @@ from gradfit.analyzer import (
     decide_reduction,
     find_common_zero,
     solve_nullstellensatz,
+    _sliced_zeros,
     _solve_exact_at,
 )
 from gradfit.errors import DegenerateInput, NumericalFailure
-from gradfit.families import CurveFamily, get_family
+from gradfit.families import FAMILIES, CurveFamily, get_family
 from gradfit.poly import (
     BivariatePoly,
     gradient_norm_squared,
@@ -211,13 +214,96 @@ def test_cubic_pair_zeros_all_come_off_the_basis():
     # 9, against a central conic's 4, and every eigenvector gives one zero
     rng = np.random.default_rng(0)
     P, Q = random_poly(rng, nterms=10), random_poly(rng, nterms=10)
-    zeros = _zeros(_basis(P.terms, Q.terms))
+    zeros = _zeros(_basis(P, Q))
     assert zeros.shape == (2, 9)
     pair = _Pair(P, Q)
     for x, y in zeros.T:
         assert max(pair.residuals(_values(pair.F, x, y), x, y)) <= WITNESS_TOL
     w = find_common_zero(P, Q)
     assert max(w.residual_P, w.residual_Q) <= WITNESS_TOL
+
+
+
+# -- the integer basis and normal forms against the Fraction reference --------
+
+def _reference_cases():
+    cases = []
+    for name, family in FAMILIES.items():
+        rng = np.random.default_rng(4)
+        cases += [pytest.param(family.poly(family.sample_theta(rng)),
+                               id=f"{name}-{i}") for i in range(6)]
+    # a tall quotient ring, a cubic, a mixed term; then x^2 - y^2, whose one
+    # common zero is multiple, and x^2 and x^2 + y^2, which share a curve
+    # of zeros with their squared gradients: the slice is what is tested
+    cases += [pytest.param(parse_poly(t), id=t) for t in
+              ["x^12 + y - 1", "y^2 - x^3 - x", "x^2 + x y + y^2 - 1",
+               "x^2", "x^2 - y^2", "x^2 + y^2"]]
+    return cases
+
+
+def assert_same_basis(G, R):
+    """G from ``_basis``, R from the Fraction reference: the same leading
+    monomials, and each element of G, primitive, a rational multiple of the
+    monic one."""
+    assert (G is None) == (R is None)
+    assert [lm for lm, _ in G or []] == [lm for lm, _ in R or []]
+    for (lm, g), (_, r) in zip(G or [], R or []):
+        assert all(type(v) is int for v in g.values())
+        assert math.gcd(*g.values()) == 1
+        assert {m: Fraction(v, g[lm]) for m, v in g.items()} == r
+
+
+def assert_same_zeros(z, rz):
+    assert (z is None) == (rz is None)
+    if z is not None:
+        assert z.shape == rz.shape and z.tobytes() == rz.tobytes()
+
+
+@pytest.mark.parametrize("P", _reference_cases())
+def test_integer_basis_and_zeros_match_the_fraction_reference(P):
+    Q = gradient_norm_squared(P)
+    with np.errstate(all="ignore"):
+        G = _basis(P, Q)
+        R = ref.basis(P.terms, Q.terms)
+        assert_same_basis(G, R)
+        zeros = None if G is None else _zeros(G)
+        assert_same_zeros(zeros, None if R is None else ref.zeros(R))
+        if G is None or zeros is not None:
+            return
+        # a curve of common zeros: on each seeded line, and as sliced
+        sliced = None
+        for triple in ref.slices(P, Q):
+            G = _basis(*map(BivariatePoly, triple))
+            R = ref.basis(*triple)
+            assert_same_basis(G, R)
+            zeros = None if G is None else _zeros(G)
+            assert_same_zeros(zeros, None if R is None else ref.zeros(R))
+            if sliced is None:
+                sliced = zeros
+        assert sliced is not None
+        assert_same_zeros(_sliced_zeros(P, Q), sliced)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "hyperbola", "parabola",
+                                  "circle", "line"])
+def test_verdicts_call_nothing_in_the_fractions_module(name):
+    # the verdict runs on integers from the family's polynomial to the
+    # witness or the verified certificate
+    family, rng = get_family(name), np.random.default_rng(6)
+    thetas = [family.sample_theta(rng) for _ in range(5)]
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "fractions":
+            calls.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        decisions = [decide_reduction(family.poly(theta)) for theta in thetas]
+    finally:
+        sys.setprofile(None)
+    assert not calls
+    assert {d.admissible for d in decisions} == {name in ("circle", "line")}
 
 
 # -- certificates -----------------------------------------------------------

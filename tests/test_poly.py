@@ -289,3 +289,88 @@ def test_format_writes_decimals_as_fractions():
 def test_format_parse_roundtrip(P):
     assume(not P.is_zero())
     assert parse_poly(format_poly(P)) == P
+
+
+# -- the integer form against Fraction arithmetic ----------------------------
+
+# ints, non-dyadic Fractions, exact doubles and zero; a term list may repeat
+# a monomial or cancel one, and the reference sums it in Fractions
+any_coeffs = (st.integers(-10 ** 20, 10 ** 20)
+              | st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.sampled_from([3, 7, 10, 3 * 2 ** 40, 10 ** 9]))
+              | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+              | st.just(0))
+term_lists = st.lists(st.tuples(exponents, any_coeffs), max_size=8).flatmap(
+    lambda ts: st.lists(st.sampled_from(ts), max_size=3).map(
+        lambda again: ts + [(m, -c) for m, c in again])
+    if ts else st.just(ts))
+
+
+def reference(pairs) -> dict:
+    """The term list summed in Fractions, zero terms dropped."""
+    out = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def build(pairs) -> BivariatePoly:
+    return sum((BivariatePoly({m: c}) for m, c in pairs), BivariatePoly.zero())
+
+
+def ref_mul(f, g) -> dict:
+    return reference([((a + e, b + h), u * v) for (a, b), u in f.items()
+                      for (e, h), v in g.items()])
+
+
+def ref_partial(f, idx) -> dict:
+    return reference([((p - 1, q) if idx == 0 else (p, q - 1), c * (p, q)[idx])
+                      for (p, q), c in f.items() if (p, q)[idx]])
+
+
+def float_eval(f, x, y):
+    return sum((c * x ** p * y ** q for (p, q), c in f.items()), 0.0)
+
+
+def assert_terms(P, expected):
+    assert type(P.terms) is dict
+    assert all(type(c) is Fraction for c in P.terms.values())
+    assert P.terms == expected
+
+
+@given(term_lists, term_lists, st.integers(0, 3),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+       st.floats(-2, 2, allow_nan=False))
+@settings(max_examples=150, deadline=None)
+def test_integer_form_matches_fraction_arithmetic(s, t, n, r, x):
+    f, g = reference(s), reference(t)
+    P, Q = build(s), build(t)
+    # construction: from one dict, and from a sum with repeats and cancels
+    assert_terms(P, f)
+    assert_terms(BivariatePoly(dict(s)), reference(dict(s).items()))
+    assert_terms(P + Q, reference(s + t))
+    assert_terms(P - Q, reference(s + [(m, -c) for m, c in t]))
+    assert_terms(-P, {m: -c for m, c in f.items()})
+    assert_terms(P * Q, ref_mul(f, g))
+    power = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        power = ref_mul(power, f)
+    assert_terms(P ** n, power)
+    assert (P == Q) == (f == g)
+    assert (P == 3) == (f == {(0, 0): 3})
+    for idx, var in enumerate("xy"):
+        assert_terms(P.partial(var), ref_partial(f, idx))
+    assert P.degree() == max((p + q for p, q in f), default=float("-inf"))
+    for m in [(0, 0), (1, 0), *f]:
+        got = P.coeff(*m)
+        assert type(got) is Fraction and got == f.get(m, 0)
+    # at a rational point exactly; at a float point bit for bit, with the
+    # terms in the reference's order
+    exact = sum((c * r ** p * (r + 1) ** q for (p, q), c in f.items()),
+                Fraction(0))
+    got = P.eval(r, r + 1)
+    assert type(got) is Fraction and got == exact
+    assert (BivariatePoly(f).eval(x, 0.5 * x).hex()
+            == float_eval(f, x, 0.5 * x).hex())
+    if f:
+        assert parse_poly(format_poly(P)) == P
