@@ -73,13 +73,14 @@ class CommonZeroWitness:
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Polynomials U, W with P*U + Q*W = 1, exactly. ``identity_residual``
-    is the residual of that identity, always 0.0."""
+    """Polynomials U, W of total degree ``degree`` with P*U + Q*W = 1,
+    exactly: the identity is verified on integers before a certificate is
+    made, so ``identity_residual``, its residual, is 0.0 for every one."""
 
     U: BivariatePoly
     W: BivariatePoly
-    identity_residual: float
     degree: int
+    identity_residual = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -355,11 +356,10 @@ class CertificateLayout:
     """Where the coefficients of P and Q sit in the system A s = b of P*U +
     Q*W = 1 (see ``certificate_system``).
 
-    ``spots[i]`` lists the (row, column) places of entry i of P's
-    coefficient vector on ``monomials(p_degree)`` followed by Q's on
-    ``monomials(q_degree)``. ``fill(p, q)`` takes those two float vectors
-    and returns A, of shape ``shape``; leading axes of p and q are kept, so
-    one call fills a stack of systems.
+    ``fill(p, q)`` takes P's coefficient vector on ``monomials(p_degree)``
+    and Q's on ``monomials(q_degree)`` and returns A, of shape ``shape``
+    and of their dtype; leading axes of p and q are kept, so one call fills
+    a stack of systems.
     """
 
     def __init__(self, p_degree: int, q_degree: int, d: int):
@@ -368,13 +368,12 @@ class CertificateLayout:
         drow = d + max(p_degree, q_degree)
         self.shape = ((drow + 1) * (drow + 2) // 2, 2 * k)
         # distinct monomials land in distinct rows of each column
-        self.spots = [[(_row(a + p, e + q), base + j)
-                       for j, (p, q) in enumerate(self.cols)]
-                      for base, degree in ((0, p_degree), (k, q_degree))
-                      for a, e in monomials(degree)]
-        rows, cols = zip(*(spot for s in self.spots for spot in s))
-        self._at = (np.array(rows), np.array(cols))
-        self._src = np.repeat(np.arange(len(self.spots)), k)
+        spots = [(_row(a + p, e + q), base + j)
+                 for base, degree in ((0, p_degree), (k, q_degree))
+                 for a, e in monomials(degree)
+                 for j, (p, q) in enumerate(self.cols)]
+        self._at = tuple(np.array(c) for c in zip(*spots))
+        self._src = np.arange(len(spots)) // k
 
     def fill(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         pq = np.concatenate([p, q], axis=-1)
@@ -408,15 +407,14 @@ def certificate_system(P: BivariatePoly, Q: BivariatePoly, d: int):
     layout = certificate_layout(dp, dq, d)
     (p, lp), (q, lq) = integer_terms(P), integer_terms(Q)
     K = math.lcm(lp, lq)
-    M = [[0] * (layout.shape[1] + 1) for _ in range(layout.shape[0])]
-    first = 0
+    vecs = []
     for terms, scale, degree in ((p, K // lp, dp), (q, K // lq, dq)):
         index = monomial_index(degree)
+        vec = np.zeros(len(index), dtype=object)  # Python ints, any size
         for m, c in terms.items():
-            c *= scale
-            for r, j in layout.spots[first + index[m]]:
-                M[r][j] = c
-        first += len(index)
+            vec[index[m]] = c * scale
+        vecs.append(vec)
+    M = [row + [0] for row in layout.fill(*vecs).tolist()]
     M[0][-1] = K
     return M, layout.cols
 
@@ -541,7 +539,7 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
     U, W = got
     if not _is_identity(P, Q, U, W):
         raise NumericalFailure("exact certificate failed verification")
-    return ReductionCertificate(U, W, 0.0, d)
+    return ReductionCertificate(U, W, d)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +549,20 @@ def solve_nullstellensatz(P: BivariatePoly, Q: BivariatePoly):
 
 @dataclass(frozen=True)
 class ReductionDecision:
-    """Outcome for one (P, Q) pair. ``max_degree`` is the certificate's
-    degree when the verdict is admissible, None otherwise."""
+    """Outcome for one (P, Q) pair: admissible exactly when it holds a
+    certificate. A pair that is not admissible may hold a witness."""
 
-    admissible: bool
     witness: CommonZeroWitness | None
     certificate: ReductionCertificate | None
-    max_degree: int | None
+
+    @property
+    def admissible(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def max_degree(self) -> int | None:
+        """The certificate's degree when admissible, None otherwise."""
+        return None if self.certificate is None else self.certificate.degree
 
     def to_dict(self) -> dict:
         return {
@@ -583,13 +588,10 @@ def decide_reduction(P: BivariatePoly,
         witness = find_common_zero(P, Q)
     except NumericalFailure:
         # raised only once the basis of <P, Q> came out other than {1}
-        return ReductionDecision(False, None, None, None)
+        return ReductionDecision(None, None)
     if witness is not None:
-        return ReductionDecision(False, witness, None, None)
-    cert = solve_nullstellensatz(P, Q)
-    if cert is None:
-        return ReductionDecision(False, None, None, None)
-    return ReductionDecision(True, None, cert, cert.degree)
+        return ReductionDecision(witness, None)
+    return ReductionDecision(None, solve_nullstellensatz(P, Q))
 
 
 def circle_certificate() -> ReductionCertificate:
@@ -598,7 +600,7 @@ def circle_certificate() -> ReductionCertificate:
     reads only that degree, so this one serves any circle fit."""
     P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0})
     decision = decide_reduction(P)
-    if not decision.admissible or decision.certificate is None:
+    if not decision.admissible:
         raise NumericalFailure("no certificate for the unit circle")
     return decision.certificate
 

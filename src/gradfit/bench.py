@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import median
 
 import numpy as np
@@ -42,15 +42,7 @@ class BenchRow:
     objective: float
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "accumulation_seconds": self.accumulation_seconds,
-            "per_iteration_seconds": self.per_iteration_seconds,
-            "iterations": self.iterations,
-            "total_seconds": self.total_seconds,
-            "objective": self.objective,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,7 @@ class BenchReport:
     sigma: float
 
     def to_dict(self) -> dict:
-        return {
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return asdict(self)
 
     def row(self, algorithm: str, n: int) -> BenchRow:
         for r in self.rows:

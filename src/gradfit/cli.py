@@ -320,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit from a saved moment file instead of points")
     p_fit.add_argument("--save-moments", metavar="FILE",
                        help="serialize the accumulated moments")
-    p_fit.add_argument("--max-iterations", type=int, default=100)
-    p_fit.add_argument("--gradient-tol", type=float, default=1e-10)
-    p_fit.add_argument("--step-tol", type=float, default=1e-12,
+    p_fit.add_argument("--max-iterations", type=int,
+                       default=FitConfig.max_iterations)
+    p_fit.add_argument("--gradient-tol", type=float,
+                       default=FitConfig.gradient_tol)
+    p_fit.add_argument("--step-tol", type=float, default=FitConfig.step_tol,
                        help="Newton fits stop when a step's largest entry is "
                        "at most STEP_TOL (1 + max |theta|); reweight stops "
                        "when its unit-norm conic moves by at most STEP_TOL")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,7 +115,7 @@ class CircleParams:
         return self.a * self.a + self.b * self.b - self.R * self.R
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "R": self.R}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class ConicParams:
         return np.array([self.A, self.B, self.C, self.D, self.E, self.F])
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in "ABCDEF"}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,7 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        params = (self.params.to_dict() if hasattr(self.params, "to_dict")
-                  else dict(self.params))
-        return {
-            "family": self.family,
-            "params": params,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "iteration_seconds": list(self.iteration_seconds),
-            "data_passes": self.data_passes,
-            "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in self.diagnostics.items()},
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +532,9 @@ def _as_points(points) -> np.ndarray:
 def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
     """Damped Gauss-Newton on the distance residuals r_i = d_i - R.
 
-    One pass over all n points per objective/Jacobian evaluation."""
+    One pass over all n points per objective/Jacobian evaluation, and two
+    more, for the centroid and the moments, to start at Pratt's fit when
+    ``cfg.init`` gives no start."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     pts = _as_points(points)
     n = pts.shape[0]
@@ -578,7 +568,9 @@ def fit_circle_geometric(points, cfg: FitConfig = None) -> FitResult:
         return float(r @ r), g, lambda: H, 0.0
 
     run = _damped_newton(fun, [init.a, init.b, init.R], cfg, _circle_feasible)
-    return _result("circle", CircleParams(*run.theta), run, run.evals,
+    # the centroid and the moments of Pratt's start are two passes more
+    return _result("circle", CircleParams(*run.theta), run,
+                   run.evals + (2 if cfg.init is None else 0),
                    init=init.to_dict())
 
 
@@ -629,8 +621,12 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
     RMS distance from it (Hartley's normalization), then maps the conic
     back; the objective and its trace are in the caller's frame, the
     stationarity residual and ``smallest_eigenvalue`` in the normalized
-    one, so that they do not depend on where the data lie."""
+    one, so that they do not depend on where the data lie. It always
+    starts from unit weights: InvalidSpec if ``cfg.init`` gives a start."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
+    if cfg.init is not None:
+        raise InvalidSpec("fit_conic_reweight takes no start: it begins "
+                          "from unit weights")
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 6:
@@ -975,10 +971,6 @@ def fit_reduced_generic(family, cert: ReductionCertificate, mv: MomentVector,
     moments that ``pratt_init`` refuses raise NoCircle, whatever the start."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     fam = get_family(family) if isinstance(family, str) else family
-    if not (cert.identity_residual <= _CERT_ACCEPT):
-        raise InvalidSpec(
-            f"certificate not verified: identity residual "
-            f"{cert.identity_residual} exceeds {_CERT_ACCEPT}")
     ox, oy = mv.offset
     start, shift = _FRAMES.get(fam, (None, None))
     if start is None and (cfg.init is None or (ox, oy) != (0.0, 0.0)):

@@ -102,8 +102,7 @@ class MomentVector:
     Concurrent ingestion should use one accumulator per worker and ``merge``.
     """
 
-    __slots__ = ("max_total_degree", "offset", "n", "_keys", "_index", "_sum",
-                 "_comp")
+    __slots__ = ("max_total_degree", "offset", "n", "_sum", "_comp")
 
     def __init__(self, max_total_degree: int, offset=(0.0, 0.0)):
         if max_total_degree < 0:
@@ -114,22 +113,8 @@ class MomentVector:
             raise NonFiniteInput("offset must be finite")
         self.offset = (float(ox), float(oy))
         self.n = 0
-        layout = _layout(self.max_total_degree)
-        self._keys, self._index = layout.keys, layout.index
-        self._sum = np.zeros(len(self._keys))
-        self._comp = np.zeros(len(self._keys))
-
-    def __getstate__(self):
-        # the layout is shared by degree: a copy or an unpickled accumulator
-        # looks it up again instead of carrying its own
-        return {k: getattr(self, k) for k in self.__slots__
-                if k not in ("_keys", "_index")}
-
-    def __setstate__(self, state):
-        for k, v in state.items():
-            setattr(self, k, v)
-        layout = _layout(self.max_total_degree)
-        self._keys, self._index = layout.keys, layout.index
+        self._sum = np.zeros(len(_layout(self.max_total_degree).keys))
+        self._comp = np.zeros(len(self._sum))
 
     # -- ingestion ----------------------------------------------------------
 
@@ -170,7 +155,7 @@ class MomentVector:
         n = xy.shape[1]
         offset = np.array(self.offset).reshape(2, 1)
         layout = _layout(D)
-        width, K = min(n, _CHUNK), len(self._keys)
+        width, K = min(n, _CHUNK), len(layout.keys)
         # one allocation for the power block and the product rows: as two,
         # malloc gave their pages back and faulted them in again on every
         # call at some sizes (97 faults per 2000-point call at D = 4)
@@ -243,7 +228,7 @@ class MomentVector:
 
     def entry(self, p: int, q: int):
         """The accumulated sum of x^p y^q (in centered coordinates)."""
-        i = self._index.get((int(p), int(q)))
+        i = _layout(self.max_total_degree).index.get((int(p), int(q)))
         if i is None:
             raise DegreeMismatch(f"moment ({p},{q}) exceeds max_total_degree")
         return self._sum[i] + self._comp[i]
@@ -256,7 +241,8 @@ class MomentVector:
             raise DegreeMismatch("circle view needs moments of total degree 4")
         if self.n == 0:
             raise ValueError("empty accumulator has no centroid")
-        sums, at = (self._sum + self._comp).tolist(), self._index
+        sums = (self._sum + self._comp).tolist()
+        at = _layout(self.max_total_degree).index
         n = self.n
         cx = sums[at[1, 0]] / n
         cy = sums[at[0, 1]] / n
@@ -306,7 +292,8 @@ class MomentVector:
             "n": self.n,
             "offset": list(self.offset),
             "exact": False,
-            "entries": [[p, q, m] for (p, q), m in zip(self._keys, sums)],
+            "entries": [[p, q, m] for (p, q), m in
+                        zip(_layout(self.max_total_degree).keys, sums)],
         }
 
     @classmethod
@@ -349,7 +336,7 @@ class MomentVector:
             raise ValueError(f"moment {missing} is missing")
         mv = cls(D, offset=offset)
         mv.n = n
-        mv._sum[:] = [values[k] for k in mv._keys]
+        mv._sum[:] = [values[k] for k in _layout(D).keys]
         return mv
 
     def dump(self, path) -> None:

@@ -1,12 +1,13 @@
 """Sparse bivariate polynomial arithmetic over the rationals.
 
 A polynomial in x, y is stored as integer numerators, a map ``(p, q) -> int``
-with no zero terms, over one positive denominator, in lowest terms. A float
-fed in is converted exactly (every finite double is a dyadic rational), so
-certificate computations are free of rounding, and they run on integers.
-``terms`` gives the coefficients as ``fractions.Fraction`` values. All values
-are immutable after construction and every operation is a pure function, so
-instances can be shared freely across threads.
+with no zero terms, over one positive denominator, in lowest terms, and
+nothing else. A float fed in is converted exactly (every finite double is a
+dyadic rational), so certificate computations are free of rounding, and they
+run on integers. ``terms`` builds the coefficients as ``fractions.Fraction``
+values on each read. All values are immutable after construction, pickle and
+copy as their numerators and denominator, and every operation is a pure
+function, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def exact_ratio(c) -> tuple[int, int]:
 class BivariatePoly:
     """A sparse polynomial in two variables with rational coefficients."""
 
-    __slots__ = ("_num", "_den", "_terms")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None, den: int = 1):
         """The polynomial terms / den: ``terms`` maps (p, q) to an int, a
@@ -70,19 +71,18 @@ class BivariatePoly:
         setattr = object.__setattr__
         setattr(self, "_num", num)
         setattr(self, "_den", den)
-        setattr(self, "_terms", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("BivariatePoly is immutable")
 
+    def __reduce__(self):
+        return BivariatePoly, (self._num, self._den)
+
     @property
     def terms(self) -> dict:
-        """The coefficients, a plain dict ``(p, q) -> Fraction`` without
-        zero terms, built on first read and shared: read-only."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", {
-                m: Fraction(n, self._den) for m, n in self._num.items()})
-        return self._terms
+        """The coefficients, a new dict ``(p, q) -> Fraction`` without zero
+        terms."""
+        return {m: Fraction(n, self._den) for m, n in self._num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -307,12 +307,13 @@ def parse_poly(text: str) -> BivariatePoly:
 def format_poly(P: BivariatePoly) -> str:
     """Emit the canonical text form, terms ordered by descending (total
     degree, x-degree), each coefficient an integer or a reduced fraction."""
-    if not P.terms:
+    terms = P.terms
+    if not terms:
         return "0"
-    keys = sorted(P.terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
+    keys = sorted(terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
     out = []
     for i, (p, q) in enumerate(keys):
-        c = P.terms[(p, q)]
+        c = terms[(p, q)]
         neg = c < 0
         body = str(-c if neg else c)
         if p:

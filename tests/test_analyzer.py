@@ -547,7 +547,7 @@ def test_unpolished_witness_is_not_admissible_without_a_certificate_search(
                         lambda pair, x, y: (complex(x), complex(y), 1.0, 1.0))
     monkeypatch.setattr(analyzer, "solve_nullstellensatz", no_search)
     d = decide_reduction(Y - 2 * X ** 2)
-    assert d == ReductionDecision(False, None, None, None)
+    assert d == ReductionDecision(None, None)
 
 
 @pytest.mark.parametrize("degree", [20, 100])
@@ -556,7 +556,7 @@ def test_zeros_that_overflow_are_never_witnesses(degree):
     # powers overflow a double; each stays unpolished, with no numpy warning
     # (an error under this suite's settings) and no OverflowError
     d = decide_reduction(parse_poly(f"x^{degree} + y - 1"))
-    assert d == ReductionDecision(False, None, None, None)
+    assert d == ReductionDecision(None, None)
 
 
 def test_residual_whose_power_overflows_is_inf():

@@ -179,6 +179,15 @@ def test_fit_unwritable_moment_file_is_invalid_spec(circle_csv, tmp_path,
     assert out == ""
 
 
+def test_save_moments_needs_the_reduced_fit(circle_csv, tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    rc, out, err = run(capsys, "fit", circle_csv, "--algo", "geometric",
+                       "--save-moments", str(mfile))
+    assert rc == 5
+    assert err == "error: --save-moments needs --algo reduced\n"
+    assert out == "" and not mfile.exists()
+
+
 @pytest.mark.parametrize("text", [
     "not json\n",
     '{"format": "moment-vector/1", "max_total_degree": 4, "n": 3, '
@@ -505,6 +514,13 @@ def test_generate_random_params_reproducible(capsys):
 def test_generate_invalid_requests(capsys, argv):
     rc, _, _ = run(capsys, *argv)
     assert rc == 5
+
+
+def test_generate_parameter_without_a_value_is_invalid_spec(capsys):
+    rc, out, err = run(capsys, "generate", "--params", "a")
+    assert rc == 5
+    assert err == "error: expected name=value, got 'a'\n"
+    assert out == ""
 
 
 def test_generate_points_beyond_the_float_range_is_invalid_spec(tmp_path,

@@ -57,7 +57,7 @@ def centered_mv(pts, degree=4):
 
 def circle_cert(degree=None):
     """The unit circle's certificate; ``degree`` relabels its degree, which
-    is all the generic fit reads of it besides the residual."""
+    is all the generic fit reads of it."""
     P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0})
     cert = solve_nullstellensatz(P, gradient_norm_squared(P))
     if degree is None:
@@ -604,6 +604,45 @@ def test_geometric_starts_from_pratt_init_about_the_centroid():
     assert res.converged
 
 
+def test_geometric_counts_the_passes_of_its_own_start():
+    # the same start given and made: the Newton runs are the same, and
+    # making it reads the points twice, for the centroid and the moments
+    pts = circle_points(0.3, -0.2, 1.0, 50, noise=0.01, seed=8)
+    own = fit_circle_geometric(pts)
+    given = fit_circle_geometric(
+        pts, FitConfig(init=pratt_init(centered_mv(pts))))
+    assert given.params == own.params
+    assert given.diagnostics == own.diagnostics
+    assert own.data_passes - given.data_passes == 2
+
+
+# -- the damped Newton step --------------------------------------------------
+
+
+def test_newton_step_damps_a_singular_hessian():
+    # solve raises LinAlgError on H = 0; the first damping, 1e-8 times the
+    # unit scale an all-zero H is given, makes the step -g / 1e-8
+    g = np.array([1.0, -2.0])
+    d = fitters._newton_step(np.zeros((2, 2)), g)
+    assert d == pytest.approx(-g / 1e-8, rel=1e-12)
+
+
+def test_newton_step_on_an_indefinite_hessian_descends():
+    # the undamped step is orthogonal to g; damping is raised until the
+    # step is a descent direction
+    H, g = np.diag([1.0, -1.0]), np.array([1.0, 1.0])
+    assert np.linalg.solve(H, -g) @ g == 0.0
+    d = fitters._newton_step(H, g)
+    assert d @ g < 0.0
+
+
+def test_newton_step_falls_back_to_steepest_descent():
+    # every damped solve of a Hessian holding NaN is NaN
+    g = np.array([1.0, 2.0])
+    d = fitters._newton_step(np.array([[np.nan, 0.0], [0.0, 1.0]]), g)
+    assert np.array_equal(d, -g)
+
+
 # -- conic reweight ----------------------------------------------------------
 
 
@@ -675,6 +714,13 @@ def test_reweight_converges_far_from_the_origin():
     assert res.objective == pytest.approx(direct, rel=1e-9)
     assert res.diagnostics["objective_trace"][-1] == pytest.approx(
         res.objective, rel=1e-6)
+
+
+def test_reweight_refuses_a_start():
+    pts = circle_points(0.2, -0.1, 1.3, 30, noise=0.03, seed=8)
+    with pytest.raises(InvalidSpec, match="takes no start"):
+        fit_conic_reweight(pts, FitConfig(init=(1.0, 0.0, 1.0, 0.0, 0.0,
+                                                -1.0)))
 
 
 def test_reweight_requires_six_points():
@@ -1054,19 +1100,9 @@ def test_generic_line_fit_converges_by_the_gradient_test(seed):
         1.0 + res.objective)
 
 
-def test_generic_rejects_unverified_certificate():
-    cert = circle_cert()
-    bad = ReductionCertificate(U=cert.U, W=cert.W, identity_residual=0.5,
-                               degree=cert.degree)
-    mv = MomentVector.from_points(circle_points(0, 0, 1, 12), 4)
-    with pytest.raises(InvalidSpec):
-        fit_reduced_generic("circle", bad, mv)
-
-
 def test_generic_degree_guard():
     cert = circle_cert()
-    deep = ReductionCertificate(U=cert.U, W=cert.W, identity_residual=0.0,
-                                degree=2)
+    deep = ReductionCertificate(U=cert.U, W=cert.W, degree=2)
     mv = MomentVector.from_points(circle_points(0, 0, 1, 12), 4)
     with pytest.raises(DegreeMismatch):
         fit_reduced_generic("circle", deep, mv)

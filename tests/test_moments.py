@@ -238,7 +238,7 @@ def test_accumulators_copy_and_pickle(clone, exact):
         mv = MomentVector.from_dict(_exact_record(mv.to_dict()))
     twin = clone(mv)
     assert twin.to_dict() == mv.to_dict()
-    assert twin._keys is monomials(3) and twin._index is monomial_index(3)
+    assert _layout(twin.max_total_degree).keys is monomials(3)
     assert twin.merge(mv).to_dict() == mv.merge(mv).to_dict()
 
 
@@ -322,11 +322,12 @@ def test_from_points_takes_pairs_a_single_pair_and_nothing():
 
 def test_layout_cannot_be_changed_through_a_caller():
     used = MomentVector(3).extend([1.0, 2.0], [3.0, -1.0])
-    assert used._keys is monomials(3) and used._index is monomial_index(3)
+    layout = _layout(used.max_total_degree)
+    assert layout.keys is monomials(3) and layout.index is monomial_index(3)
     with pytest.raises(TypeError):
-        used._index[(3, 1)] = 0
+        layout.index[(3, 1)] = 0
     with pytest.raises(TypeError):
-        used._keys[0] = (3, 1)
+        layout.keys[0] = (3, 1)
     for shared in (_layout(3).p, _layout(3).q):
         with pytest.raises(ValueError):
             shared[0] = 1

@@ -1,12 +1,18 @@
 """The package's public surface: what ``gradfit.__all__`` promises exists,
-the README's examples, which use it, and no package code that only tests
-reach."""
+the README's examples, which use it, the values it returns, which copy and
+pickle, and no package code that only tests reach."""
 
 import ast
+import copy
+import dataclasses
+import pickle
 import re
 import shlex
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import gradfit
 from gradfit.cli import main
@@ -80,3 +86,39 @@ def test_no_package_code_only_tests_reach():
                 if words[d.name] <= own:
                     unreached.append(f"{path.name}:{d.lineno} {d.name}")
     assert not unreached
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_returned_values_copy_and_pickle(clone, tmp_path):
+    # as a verdict or a fit is sent back from a worker process: the copy
+    # equals the original
+    circle = gradfit.parse_poly("x^2 + y^2 - 1")
+    admissible = gradfit.decide_reduction(circle)
+    inadmissible = gradfit.decide_reduction(
+        gradfit.parse_poly("2 x^2 + y^2 - 1"))
+    assert admissible.admissible and not inadmissible.admissible
+    line_cert = gradfit.decide_reduction(
+        gradfit.parse_poly("x + y - 1")).certificate
+    t = np.arange(12.0)
+    pts = np.column_stack([np.cos(t), np.sin(t)])
+    line = np.column_stack([t, 0.5 * t - 1.0 + 0.01 * np.sin(3.0 * t)])
+    values = [
+        circle, admissible, inadmissible,
+        gradfit.analyze_family("circle", 2),
+        gradfit.analyze_family("ellipse", 2),
+        gradfit.fit_circle_reduced(gradfit.MomentVector.from_points(pts, 4)),
+        gradfit.fit_reduced_generic(
+            "line", line_cert, gradfit.MomentVector.from_points(line, 2)),
+    ]
+    for value in values:
+        assert clone(value) == value, value
+    # a MomentVector has no ==; its record stands for it
+    saved = tmp_path / "m.json"
+    gradfit.MomentVector.from_points(pts, 4, offset=(1.0, -2.0)).dump(saved)
+    for mv in (gradfit.MomentVector(4), gradfit.MomentVector.load(saved),
+               gradfit.MomentVector.from_points(pts, 4)):
+        assert clone(mv).to_dict() == mv.to_dict()
+    blob = dataclasses.asdict(admissible)
+    assert blob["certificate"]["U"] == admissible.certificate.U
