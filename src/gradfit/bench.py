@@ -123,11 +123,13 @@ def run_bench(ns, repetitions: int = 5, seed: int = 0,
             for i, n in enumerate(ns)]
     laps = {(i, algo): [] for i in range(len(ns)) for algo in _TIMERS}
     # every lap times each algorithm on every size back to back, so the
-    # sizes compared in a per-iteration ratio share the machine's state;
-    # the first lap is the discarded warm-up
+    # sizes compared in a per-iteration ratio share the machine's state,
+    # in an order reversed on alternate laps, so that no size always runs
+    # first or after another's work; the first lap is the discarded warm-up
+    order = list(enumerate(data))
     for rep in range(repetitions + 1):
         for algo, timer in _TIMERS.items():
-            for i, pts in enumerate(data):
+            for i, pts in order if rep % 2 else order[::-1]:
                 lap = timer(pts)
                 if rep:
                     laps[i, algo].append(lap)

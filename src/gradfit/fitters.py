@@ -292,7 +292,7 @@ def _newton_step(H, g):
     lam = 0.0
     for _ in range(14):
         try:
-            d = np.linalg.solve(H + lam * np.eye(k), -g)
+            d = np.linalg.solve(H if lam == 0.0 else H + lam * np.eye(k), -g)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and float(d @ g) < 0.0:
@@ -757,18 +757,23 @@ def _family_map(family: CurveFamily) -> _FamilyMap:
                       C2.astype(float), not (any(c0) or any(C2.flat)))
 
 
-# T's entries are the moments at ``keys``, indexed by ``at``
-_ObjectiveShape = namedtuple("_ObjectiveShape", "layout square keys at")
+# T's entries are the sums at ``at`` of an accumulator's sums; at
+# certificate degree 0, ``pair`` holds the system A as a quadratic form in
+# (1, p) (see ``_CertObjective._evaluate_pair``)
+_ObjectiveShape = namedtuple("_ObjectiveShape", "layout square at pair")
 
 
 @lru_cache(maxsize=None)
-def _objective_shape(deg: int, degree: int) -> _ObjectiveShape:
-    """What ``_CertObjective`` compiles from deg P and the certificate
-    degree alone: the certificate layout, the bilinear map ``square`` and
-    T's index. Q_k = sum over x and y of (D p)_i (D p)_j over the
-    pairs with beta_i + beta_j = kappa_k, D the partial derivative on
-    alpha = monomials(deg); T[i, j, l] = m(gamma_i + alpha_j + alpha_l)
-    for gamma the certificate's monomials."""
+def _objective_shape(deg: int, degree: int,
+                     moment_degree: int) -> _ObjectiveShape:
+    """What ``_CertObjective`` compiles from deg P, the certificate degree
+    and the accumulator's degree alone: the certificate layout, the bilinear
+    map ``square``, T's index and, at degree 0, the system's quadratic
+    form. Q_k = sum over x and y of (D p)_i (D p)_j over the pairs with
+    beta_i + beta_j = kappa_k, D the partial derivative on alpha =
+    monomials(deg); T[i, j, l] = m(gamma_i + alpha_j + alpha_l) for gamma
+    the certificate's monomials, read from the sums in the order of
+    ``monomials(moment_degree)``."""
     alpha = monomials(deg)
     layout = certificate_layout(deg, 2 * deg - 2, degree)
     beta = monomial_index(deg - 1)
@@ -783,12 +788,41 @@ def _objective_shape(deg: int, degree: int) -> _ObjectiveShape:
     for (a1, e1), i in beta.items():
         for (a2, e2), j in beta.items():
             prod[kappa[a1 + a2, e1 + e2], i, j] = 1.0
-    keys = monomials(degree + 2 * deg)
-    index = monomial_index(degree + 2 * deg)
+    square = np.einsum("cia,kij,cjb->kab", D, prod, D)
+    index = monomial_index(moment_degree)
     at = np.array([[[index[g0 + a0 + b0, g1 + a1 + b1] for b0, b1 in alpha]
                     for a0, a1 in alpha] for g0, g1 in layout.cols])
-    return _ObjectiveShape(layout, np.einsum("cia,kij,cjb->kab", D, prod, D),
-                           keys, at)
+    pair = None
+    if degree == 0:
+        # A's entry (r, c) is ph' S[r, c] ph for ph = (1, p): the first
+        # row and column place p in column 0, and square places Q in 1
+        n_p, n_q = len(alpha), len(kappa)
+        Ep = layout.fill(np.eye(n_p), np.zeros((n_p, n_q)))[..., 0]
+        Eq = layout.fill(np.zeros((n_q, n_p)), np.eye(n_q))[..., 1]
+        S = np.zeros((len(Ep[0]), 2, n_p + 1, n_p + 1))
+        S[:, 0, 0, 1:] = S[:, 0, 1:, 0] = 0.5 * Ep.T
+        S[:, 1, 1:, 1:] = np.tensordot(Eq.T, square, 1)
+        # sums over all pairs i < j of rows, and over those with i, j >= 1,
+        # from the symmetric squares of A's 2 x 2 minors
+        m = len(S)
+        weights = np.full((m, m, 2), 0.5)
+        weights[0, :, 0] = weights[:, 0, 0] = 0.0
+        pair = (S.reshape(2 * m, n_p + 1, n_p + 1), weights.reshape(-1, 2))
+    return _ObjectiveShape(layout, square, at, pair)
+
+
+# A J = [-v u] for A = [u v]
+_SWAP = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@lru_cache(maxsize=None)
+def _lifted_map(family: CurveFamily):
+    """``_family_map``'s (c0, C1, C2) for ph = (1, p), P's coefficients
+    after a leading 1."""
+    _, c0, C1, C2, _ = _family_map(family)
+    return (np.concatenate(([1.0], c0)),
+            np.concatenate((np.zeros((len(C1), 1)), C1), axis=1),
+            np.concatenate((np.zeros(C2.shape[:2] + (1,)), C2), axis=2))
 
 
 class _CertObjective:
@@ -807,11 +841,13 @@ class _CertObjective:
     the solution s = A+ b of the consistent system A s = b is
     differentiated twice through the derivative of the pseudoinverse
     (Golub & Pereyra, 1973), rank-deficient systems included, where the
-    rank is constant near theta. An evaluation is a few small matrix
-    products and one SVD at one theta, and its cost is independent of the
-    number of data points. It returns the Hessian as a callable, so the
-    driver computes it only where it steps, and a bound on F's rounding:
-    w.(T p p) cancels terms far larger than itself."""
+    rank is constant near theta. At certificate degree 0, A has two
+    columns and A+ a closed form (``_evaluate_pair``); at higher degrees
+    an evaluation takes one SVD (``_evaluate_svd``). Either way an
+    evaluation is a few small matrix products at one theta, and its cost
+    is independent of the number of data points. It returns the Hessian as
+    a callable, so the driver computes it only where it steps, and a bound
+    on F's rounding: w.(T p p) cancels terms far larger than itself."""
 
     def __init__(self, family: CurveFamily, degree: int, mv: MomentVector):
         self.family = family
@@ -819,19 +855,32 @@ class _CertObjective:
         self.degree = degree
         self._map = _family_map(family)
         self.scale_free = self._map.scale_free
-        self._layout, self._square, keys, at = _objective_shape(
-            self._map.degree, degree)
-        self._T = np.array([float(mv.entry(*key)) for key in keys])[at]
+        self._layout, self._square, at, pair = _objective_shape(
+            self._map.degree, degree, mv.max_total_degree)
+        # the accumulator's sums, as ``entry`` reads them, in one gather
+        self._T = (mv._sum + mv._comp)[at]
         self._absT = np.abs(self._T)
+        # at degree 0: the forms of A's entries row by row, then T's, all
+        # on ph = (1, p); the minors' weights; the family map of ph
+        self._pair = None
+        if pair is not None:
+            S, weights = pair
+            T = np.zeros((1,) + S.shape[1:])
+            T[0, 1:, 1:] = self._T[0]
+            self._pair = (np.concatenate((S, T)), weights,
+                          _lifted_map(family))
 
     def theta_dict(self, vec) -> dict:
         return {k: float(v) for k, v in zip(self.names, vec)}
 
     def feasible(self, vec) -> bool:
-        if not np.all(np.isfinite(vec)):
+        """``family.validate`` of theta: its names are the family's own, so
+        what is left to check is finiteness and ``check_theta``."""
+        vals = vec.tolist()
+        if not all(map(math.isfinite, vals)):
             return False
         try:
-            self.family.validate(self.theta_dict(vec))
+            self.family.check_theta(dict(zip(self.names, vals)))
         except InvalidSpec:
             return False
         return True
@@ -839,6 +888,71 @@ class _CertObjective:
     def _evaluate(self, theta):
         """F, its gradient, a callable giving its Hessian, and F's rounding
         bound at a feasible theta."""
+        if self._pair is not None:
+            out = self._evaluate_pair(theta)
+            if out is not None:
+                return out
+        return self._evaluate_svd(theta)
+
+    def _evaluate_pair(self, theta):
+        """``_evaluate`` at certificate degree 0, where A = [u v] holds P's
+        and Q's coefficients u and v, each entry a quadratic form in ph =
+        (1, p), as is t = T[p, p]. With M_ij = u_i v_j - u_j v_i, the Gram
+        determinant of u and v is the sum over rows i < j of M_ij^2
+        (Lagrange's identity) and A+ = [-v'M; u'M] / det: neither cancels
+        when u and v are nearly parallel, as for a small circle. The pairs
+        i, j >= 1 alone sum to det times |A s - b|^2 (Cauchy-Binet with the
+        column b = e0): the least-squares residual, free of s's rounding.
+        None where det is not positive."""
+        S, weights, (c0, C1, C2) = self._pair
+        C2theta = theta @ C2
+        dph = C1 + C2theta
+        ph = c0 + theta @ (C1 + 0.5 * C2theta)
+        B = S @ ph
+        At = B @ ph
+        A = At[:-1].reshape(-1, 2)
+        AJ = A @ _SWAP  # [-v u]
+        M = AJ @ A.T
+        off, det = ((M * M).reshape(-1) @ weights).tolist()
+        if not (det > 0.0 and math.isfinite(det)):
+            return None
+        if not math.sqrt(off / det) <= _CERT_ACCEPT:
+            raise NumericalFailure(
+                f"certificate of degree 0 lost at "
+                f"theta={self.theta_dict(theta)}")
+        R = (M @ AJ) * (-1.0 / det)  # A+'
+        s = R[0]  # b is the first unit vector
+        w = float(s[1])
+        # half of dA_j and of dt_j; ds_j = -A+ dA_j s, the minimum-norm
+        # solution's derivative at full column rank and zero residual
+        dB = B @ dph.T
+        dA = dB[:-1].reshape(-1, 2, len(dph))
+        ds = -2.0 * (R.T @ (s @ dA))
+        dw = ds[1]
+        t = float(At[-1])
+        dt = 2.0 * dB[-1]
+        F = w * t
+        grad = dw * t + dt * w
+        size = abs(ph[1:])
+        noise = _CERT_ROUNDING * abs(w) * float(self._absT[0] @ size @ size)
+
+        def hess():
+            # d2w_jl = -y.(d2A_jl s + dA_j ds_l + dA_l ds_j) for y = A+'s W
+            # row; d2A_jl = 2 S[dph_j, dph_l] + 2 S[ph, C2_jl], so y.d2A s
+            # takes Sys, the forms S contracted with y and s
+            y = R[:, 1]
+            Sys = ((y[:, None] * s).reshape(-1)
+                   @ S[:-1].reshape(len(y) * 2, -1)).reshape(S.shape[1:])
+            X = 2.0 * (y @ dA.reshape(len(y), -1)).reshape(2, -1).T @ ds
+            # t d2w + w d2t, d2t_jl = 2 (T[dph_j, dph_l] + T[ph, C2_jl])
+            L = w * S[-1] - t * Sys
+            Z = dw[:, None] * dt - t * X
+            return 2.0 * (dph @ L @ dph.T + C2 @ (L @ ph)) + Z + Z.T
+
+        return F, grad, hess, noise
+
+    def _evaluate_svd(self, theta):
+        """``_evaluate`` through an SVD of A, at any certificate degree."""
         kc = len(self._layout.cols)
         _, c0, C1, C2, _ = self._map
         C2theta = theta @ C2
@@ -915,9 +1029,13 @@ class _CertObjective:
         t = vec / math.sqrt(vec @ vec)
 
         def projected():
+            # (I - t t') H (I - t t') + max|H| t t' = H - t y' - y t' for
+            # the symmetric H, with h = H t and y = h - (t.h + max|H|) t / 2
             H = hess()
-            proj = np.eye(len(t)) - np.outer(t, t)
-            return proj @ H @ proj + float(np.max(np.abs(H))) * np.outer(t, t)
+            h = H @ t
+            y = h - 0.5 * (float(t @ h) + float(abs(H).max())) * t
+            ty = t[:, None] * y
+            return H - ty - ty.T
 
         return F, g - (g @ t) * t, projected, noise
 

@@ -21,6 +21,7 @@ from gradfit.errors import (
     InvalidRadius,
     InvalidSpec,
     NoCircle,
+    NumericalFailure,
 )
 from gradfit import fitters
 from gradfit.families import FAMILIES, get_family
@@ -1036,6 +1037,95 @@ def test_exact_hessian_matches_gradient_differences(family, d):
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             H, H_ref = hess(), reference_hessian(obj, th)
             assert np.max(np.abs(H - H_ref)) <= 1e-6 * np.max(np.abs(H_ref))
+
+
+@pytest.mark.parametrize("family, offset", [
+    ("circle", (0.0, 0.0)), ("circle", "centroid"), ("circle", (0.2, -0.1)),
+    ("line", (0.0, 0.0))])
+def test_degree_zero_form_matches_the_svd_evaluation(family, offset):
+    fam = get_family(family)
+    rng = np.random.default_rng(70)
+    for _ in range(4):
+        pts = rng.normal(size=(int(rng.integers(20, 150)), 2)) * 1.3
+        at = tuple(pts.mean(axis=0)) if offset == "centroid" else offset
+        mv = MomentVector.from_points(pts, 4 if family == "circle" else 2,
+                                      offset=at)
+        obj = _CertObjective(fam, 0, mv)
+        for _ in range(5):
+            th = random_theta(family, rng)
+            F, g, hess, noise = obj._evaluate(th)
+            F_ref, g_ref, hess_ref, _ = obj._evaluate_svd(th)
+            assert abs(F - F_ref) <= noise
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            H, H_ref = hess(), hess_ref()
+            assert np.max(np.abs(H - H_ref)) <= 1e-10 * np.max(np.abs(H_ref))
+            if obj.scale_free:  # the driver's Hessian, projected
+                t = th / np.linalg.norm(th)
+                proj = np.eye(len(t)) - np.outer(t, t)
+                H_ref = (proj @ H_ref @ proj
+                         + np.max(np.abs(H_ref)) * np.outer(t, t))
+                H = obj.evaluate(th)[2]()
+                assert np.max(np.abs(H - H_ref)) <= 1e-10 * np.max(
+                    np.abs(H_ref))
+
+
+def test_degree_zero_system_of_rank_one_goes_to_the_svd(monkeypatch):
+    # at R = 0, Q = 4 (P - c) + 4 (a^2 + b^2) = 4 P: with dyadic a and b
+    # the columns are exactly parallel, their determinant is 0, and the SVD
+    # path refuses the system
+    obj = _CertObjective(get_family("circle"), 0, MomentVector.from_points(
+        np.random.default_rng(4).normal(size=(30, 2)), 4))
+    calls = []
+    svd = obj._evaluate_svd
+    monkeypatch.setattr(obj, "_evaluate_svd",
+                        lambda th: calls.append(1) or svd(th))
+    with pytest.raises(NumericalFailure, match="lost"):
+        obj._evaluate(np.array([0.5, -0.25, 0.0]))
+    assert calls == [1]
+    obj._evaluate(np.array([0.5, -0.25, 1.0]))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("R", [1e-3, 1e-4, 1e-5])
+def test_generic_small_circle_matches_the_reduced_fit(R):
+    # A's columns are nearly parallel, their Gram determinant about 32 R^4;
+    # an SVD's rounding of s leaves a residual near eps / R^2, above the
+    # acceptance level from R = 1e-4 down
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 2.0 * math.pi, 50)
+        pts = R * np.column_stack([np.cos(t), np.sin(t)])
+        pts += rng.normal(0.0, 0.01 * R, pts.shape)
+        mv = centered_mv(pts)
+        red = fit_circle_reduced(mv)
+        gen = fit_reduced_generic("circle", circle_cert(), mv)
+        assert gen.converged
+        for name in "abR":
+            assert abs(getattr(gen.params, name)
+                       - getattr(red.params, name)) <= 1e-9 * R
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_feasible_agrees_with_validate(name):
+    fam = FAMILIES[name]
+    k = len(fam.param_names)
+    obj = _CertObjective(fam, 0, MomentVector.from_points(
+        np.random.default_rng(2).normal(size=(20, 2)), 4))
+    rng = np.random.default_rng(3)
+    vecs = [rng.uniform(-2.0, 2.0, k) for _ in range(20)]
+    for j in range(k):
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            vec = np.ones(k)
+            vec[j] = bad
+            vecs.append(vec)
+    vecs += [np.zeros(k), np.array([1.0] * (k - 1) + [0.0])]
+    for vec in vecs:
+        try:
+            fam.validate(dict(zip(fam.param_names, vec.tolist())))
+            valid = True
+        except InvalidSpec:
+            valid = False
+        assert obj.feasible(vec) == valid, (name, vec)
 
 
 def line_cloud(seed, n=2000, sigma=0.01):
