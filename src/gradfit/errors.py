@@ -15,7 +15,9 @@ class DegenerateInput(GradfitError):
 
 
 class NumericalFailure(GradfitError):
-    """Root refinement could not reach the witness tolerance."""
+    """Root refinement could not reach the witness tolerance, an exact
+    certificate failed its verification (or the unit circle got none), or
+    the generic fit lost its certificate along its path."""
 
 
 class NonFiniteInput(GradfitError):

@@ -857,8 +857,7 @@ class _CertObjective:
         self.scale_free = self._map.scale_free
         self._layout, self._square, at, pair = _objective_shape(
             self._map.degree, degree, mv.max_total_degree)
-        # the accumulator's sums, as ``entry`` reads them, in one gather
-        self._T = (mv._sum + mv._comp)[at]
+        self._T = mv.sums()[at]
         self._absT = np.abs(self._T)
         # at degree 0: the forms of A's entries row by row, then T's, all
         # on ph = (1, p); the minors' weights; the family map of ph

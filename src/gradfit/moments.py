@@ -19,8 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -29,22 +27,15 @@ from .errors import DegreeMismatch, InvalidSpec, NonFiniteInput
 from .poly import monomial_index, monomials
 
 _CHUNK = 1 << 16
-# chunks of at most this many points gather each key's powers u^p and v^q
-# into two (K, k) blocks and multiply those in one call; longer chunks form
-# the products one row block per power of u, which copies nothing. At D = 4
-# (from_points, interleaved in-process medians on 2 cores) the gather takes
-# 0.8-0.9 of the row blocks' time from 384 to 1230 points (32 vs 39 us at
-# 384, 59 vs 75 at 1024), then 2.8 times theirs from 1260 on (183 vs 65
-# us); 1024 leaves a margin below that step. All give the same bits
-_GATHER_MAX = 1024
 
 FORMAT_TAG = "moment-vector/1"
 
 _EPS = 2.0 ** -52
 # the central moments' rounding in units of eps (sigma + rho)^d (see
-# ``MomentVector.central_circle_view``): over 1000 arcs of 0.2 rad to 2 pi,
-# 20 to 3000 points and centroids 0.5 to 1e4 radii from the offset, the
-# largest error measured against exact arithmetic was 13.3 units
+# ``MomentVector.central_circle_view``): over two sets of 1000 arcs of
+# 0.2 rad to 2 pi, 20 to 3000 points, radii 0.01 to 100 and centroids 0.5
+# to 1e4 radii from the offset, the largest error measured against exact
+# arithmetic was 25.5 and 21.5 units
 _CENTRAL_ROUNDING = 32.0
 
 
@@ -137,49 +128,38 @@ class MomentVector:
         y in row 1; a transposed (n, 2) array is not copied).
 
         Per chunk of ``_CHUNK`` points, the powers of (u, v) = (x, y) minus
-        the offset form one (D+1, 2, k) block, row j the product of row j-1
-        and row 1, and each moment's products u^p v^q are one contiguous
-        row summed pairwise on its own, exactly as ``np.sum`` of that
-        product would be.
+        the offset form one (2, D+1, k) block P, row j of each half the
+        product of row j-1 and row 1, and every sum of u^p v^q is entry
+        (p, q) of the one matrix product P[0] @ P[1].T. Its entries beyond
+        degree D may overflow without meaning anything, so the product is
+        silent and only the sums kept are checked.
 
         The chunks' sums are added with compensation, except a chunk into
         an accumulator whose sums and compensations are all zero (an empty
         one, but not one loaded with n = 0 and some sums): 0 + s is exact
         and leaves every compensation 0, so those sums are copied.
         NonFiniteInput, with the accumulator unchanged, if a coordinate is
-        not finite or the points' powers overflow a sum, or adding them
-        overflows the accumulator's (numpy warns of the overflow first)."""
+        not finite, a power of the points (numpy warns of it first) or one
+        of their sums overflows, or adding the sums overflows the
+        accumulator's (numpy warns of it first)."""
         if not np.isfinite(xy).all():
             raise NonFiniteInput("non-finite coordinate in the points")
         D = self.max_total_degree
         n = xy.shape[1]
         offset = np.array(self.offset).reshape(2, 1)
         layout = _layout(D)
-        width, K = min(n, _CHUNK), len(layout.keys)
-        # one allocation for the power block and the product rows: as two,
-        # malloc gave their pages back and faulted them in again on every
-        # call at some sizes (97 faults per 2000-point call at D = 4)
-        block = np.empty((2 * (D + 1) + K) * width)
-        powers = block[:2 * (D + 1) * width].reshape(D + 1, 2, width)
-        rows = block[2 * (D + 1) * width:].reshape(K, width)
+        powers = np.empty((2, D + 1, min(n, _CHUNK)))
         chunks = []
         for lo in range(0, n, _CHUNK):
             k = min(n - lo, _CHUNK)
             P = powers[:, :, :k]
-            P[0] = 1.0
+            P[:, 0] = 1.0
             if D:
-                np.subtract(xy[:, lo:lo + k], offset, out=P[1])
+                np.subtract(xy[:, lo:lo + k], offset, out=P[:, 1])
             for j in range(2, D + 1):
-                np.multiply(P[j - 1], P[1], out=P[j])
-            if k <= _GATHER_MAX:
-                sums = (P[layout.p, 0] * P[layout.q, 1]).sum(axis=1)
-            else:
-                lo_row = 0
-                for p in range(D + 1):
-                    np.multiply(P[p, 0], P[:D + 1 - p, 1],
-                                out=rows[lo_row:lo_row + D + 1 - p, :k])
-                    lo_row += D + 1 - p
-                sums = rows[:, :k].sum(axis=1)
+                np.multiply(P[:, j - 1], P[:, 1], out=P[:, j])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = (P[0] @ P[1].T)[layout.p, layout.q]
             if not np.isfinite(sums).all():
                 raise NonFiniteInput("the points' powers overflow the "
                                      "float moment sums")
@@ -226,6 +206,11 @@ class MomentVector:
 
     # -- views --------------------------------------------------------------
 
+    def sums(self) -> np.ndarray:
+        """Every accumulated sum, as ``entry`` reads it, in ``monomials(D)``
+        order, as a new array."""
+        return self._sum + self._comp
+
     def entry(self, p: int, q: int):
         """The accumulated sum of x^p y^q (in centered coordinates)."""
         i = _layout(self.max_total_degree).index.get((int(p), int(q)))
@@ -241,7 +226,7 @@ class MomentVector:
             raise DegreeMismatch("circle view needs moments of total degree 4")
         if self.n == 0:
             raise ValueError("empty accumulator has no centroid")
-        sums = (self._sum + self._comp).tolist()
+        sums = self.sums().tolist()
         at = _layout(self.max_total_degree).index
         n = self.n
         cx = sums[at[1, 0]] / n
@@ -285,7 +270,7 @@ class MomentVector:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        sums = (self._sum + self._comp).tolist()
+        sums = self.sums().tolist()
         return {
             "format": FORMAT_TAG,
             "max_total_degree": self.max_total_degree,
@@ -300,8 +285,8 @@ class MomentVector:
     def from_dict(cls, d: dict) -> "MomentVector":
         """The accumulator a ``to_dict`` record describes; ValueError naming
         the field or the moment unless it lists every moment of its degree
-        once, finite. An ``"exact": true`` record's ``"num/den"`` moments are
-        read as their nearest doubles."""
+        once, finite, and is not ``"exact": true`` (exact sums are no longer
+        read: every fit read them as doubles)."""
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"not a {FORMAT_TAG} record")
         offset = d["offset"]
@@ -309,7 +294,9 @@ class MomentVector:
             raise ValueError(f"offset must be two numbers, got {offset!r}")
         D = _field(d, "max_total_degree", int)
         offset = tuple(_number("offset", v) for v in offset)
-        exact = _field(d, "exact", bool)
+        if _field(d, "exact", bool):
+            raise ValueError("exact must be false: exact moment records are "
+                             "not read")
         n = _field(d, "n", int)
         values = {}
         for p, q, val in d["entries"]:
@@ -321,12 +308,6 @@ class MomentVector:
                 raise ValueError(f"moment {key} exceeds max_total_degree {D}")
             if key in values:
                 raise ValueError(f"moment {key} appears more than once")
-            if exact:
-                ratio = re.fullmatch(r"(-?\d+)/(\d+)", str(val))
-                if ratio is None or int(ratio[2]) == 0:
-                    raise ValueError(f"moment {key} must be 'num/den' with "
-                                     f"den > 0, got {val!r}")
-                val = Fraction(int(ratio[1]), int(ratio[2]))
             values[key] = _number(f"moment {key}", val)
         # the keys are distinct and within the degree, so if one is missing
         # the walk in key order meets it within len(values) + 1 steps
@@ -365,9 +346,9 @@ def _field(d: dict, name: str, kind: type):
 
 
 def _number(name: str, value) -> float:
-    """A finite number (a bool is not one), an integer or a Fraction as its
-    nearest double; beyond the float range, named without its digits."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+    """A finite number (a bool is not one), an integer as its nearest
+    double; beyond the float range, named without its digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)

@@ -233,6 +233,7 @@ def test_fit_moment_file_with_bad_entries_is_parse_error(circle_csv, tmp_path,
     rc, out, err = run(capsys, "fit", "--moments", str(mfile))
     assert rc == 3
     assert err.startswith("error:") and "not a moment file" in err
+    assert not exact or "exact must be false" in err
     assert out == ""
 
 
@@ -255,7 +256,8 @@ def test_fit_moment_file_with_bad_header_is_parse_error(tmp_path, capsys,
 
 def test_fit_exact_moment_file_beyond_the_float_range_is_parse_error(
         circle_csv, tmp_path, capsys):
-    # an exact sum of points near 1e100 has no double
+    # an exact sum of points near 1e100 has no double; exact records are
+    # refused before their sums are read
     mfile = tmp_path / "m.json"
     rc, _, _ = run(capsys, "fit", circle_csv, "--save-moments", str(mfile))
     assert rc == 0
@@ -265,7 +267,7 @@ def test_fit_exact_moment_file_beyond_the_float_range_is_parse_error(
     rc, out, err = run(capsys, "fit", "--moments", str(mfile))
     assert rc == 3
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "moment (4, 0) is beyond the float range" in err
+    assert "not a moment file: ValueError: exact must be false" in err
     assert "0" * 100 not in err
     assert out == ""
 
