@@ -285,8 +285,8 @@ class MomentVector:
     def from_dict(cls, d: dict) -> "MomentVector":
         """The accumulator a ``to_dict`` record describes; ValueError naming
         the field or the moment unless it lists every moment of its degree
-        once, finite, and is not ``"exact": true`` (exact sums are no longer
-        read: every fit read them as doubles)."""
+        once, finite, and is not ``"exact": true`` (the exact accumulator's
+        records, whose sums every fit read as doubles, are refused)."""
         if d.get("format") != FORMAT_TAG:
             raise ValueError(f"not a {FORMAT_TAG} record")
         offset = d["offset"]

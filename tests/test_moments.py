@@ -621,7 +621,7 @@ def test_roundtrip_float(tmp_path):
 
 # the exact (Fraction) accumulator of earlier versions wrote this record, and
 # the float one the record after it, of the same seven points; the points are
-# dyadic, so both hold the same sums, but exact records are no longer read
+# dyadic, so both hold the same sums; the exact record is refused
 _EXACT_FILE = {
     "format": "moment-vector/1", "max_total_degree": 4, "n": 7,
     "offset": [0.5, 0.0], "exact": True, "entries": [
