@@ -594,17 +594,6 @@ def decide_reduction(P: BivariatePoly,
     return ReductionDecision(None, solve_nullstellensatz(P, Q))
 
 
-def circle_certificate() -> ReductionCertificate:
-    """The unit circle's certificate. Every circle's minimal certificate has
-    the same degree, and the generic fit re-solves W at each iterate and
-    reads only that degree, so this one serves any circle fit."""
-    P = get_family("circle").poly({"a": 0.0, "b": 0.0, "R": 1.0})
-    decision = decide_reduction(P)
-    if not decision.admissible:
-        raise NumericalFailure("no certificate for the unit circle")
-    return decision.certificate
-
-
 @dataclass(frozen=True)
 class SampleReport:
     index: int

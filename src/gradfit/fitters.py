@@ -109,11 +109,6 @@ class CircleParams:
         if self.R <= 0.0:
             raise InvalidRadius(f"radius must be positive, got {self.R}")
 
-    @property
-    def c(self) -> float:
-        """The constant term a^2 + b^2 - R^2 of the expanded equation."""
-        return self.a * self.a + self.b * self.b - self.R * self.R
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -199,7 +194,9 @@ def _fa_val_grad_hess(view, a, b, R):
     """Value, gradient and Hessian of F(a,b,R) = E/R^2 for (a, b) about
     the centroid of ``view`` (a ``CentralCircleView``): E is the sum of
     (z - 2ax - 2by + c)^2 over the data, z = x^2 + y^2, c = a^2+b^2-R^2.
-    The Hessian as a zero-argument callable, built only when called."""
+    The Hessian as a zero-argument callable, built only when called.
+    Defined where ``_circle_feasible`` holds: there R^4, and so R^2 and
+    R^3, are positive doubles that the divisions need."""
     n = float(view.n)
     Mxx, Myy, Mxy, Mxz, Myz, Mzz = view.central
     # E's coefficients in a, b, c; those of a c and b c vanish here
@@ -215,13 +212,6 @@ def _fa_val_grad_hess(view, a, b, R):
     E_b = eb + 2.0 * b * ebb + a * eab + 2.0 * b * T
     E_R = -2.0 * R * T
     R2 = R * R
-    if R2 * R2 == 0.0 and not isinstance(R2, np.float64):
-        # R^4 underflows, and floats raise on dividing by it: numpy scalars
-        # divide to the inf or nan the driver refuses, here without warnings
-        with np.errstate(all="ignore"):
-            F, grad, hess = _fa_val_grad_hess(view, a, b, np.float64(R))
-            H = hess()
-        return F, grad, lambda: H
     R3 = R2 * R
     F = E / R2
     grad = np.array([E_a / R2, E_b / R2, E_R / R2 - 2.0 * E / R3])
@@ -274,7 +264,10 @@ def _read_start(names, p) -> dict:
 
 
 def _circle_feasible(th) -> bool:
-    return bool(np.all(np.isfinite(th)) and th[2] > 0.0)
+    """Finite (a, b, R) with R > 0 and R^4 a positive double."""
+    a, b, R = th.tolist()
+    return (math.isfinite(a) and math.isfinite(b) and math.isfinite(R)
+            and R > 0.0 and (R * R) * (R * R) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +495,23 @@ def fit_circle_reduced(mv: MomentVector, cfg: FitConfig = None) -> FitResult:
     Newton runs on the objective's statistics about the data's centroid,
     whatever the accumulator's offset, so its arithmetic cancels no more
     than that of a centred accumulator. NoCircle where ``pratt_init``
-    raises, whatever the start."""
+    raises, whatever the start; InvalidSpec for a start outside
+    ``_circle_feasible``, such as one whose R^4 underflows to 0."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     view, start = _moment_circle_start(mv)
     if cfg.init is not None:
         start = astuple(CircleParams(**_read_start(_CIRCLE.param_names,
                                                    cfg.init)))
     cx, cy = view.centroid
+    theta0 = np.array([start[0] - cx, start[1] - cy, start[2]])
+    if not _circle_feasible(theta0):
+        raise InvalidSpec(f"objective not finite at the start {start}: R^4 "
+                          "must be a positive double")
 
     def fun(th):
         return (*_fa_val_grad_hess(view, *th.tolist()), 0.0)
 
-    run = _damped_newton(fun, [start[0] - cx, start[1] - cy, start[2]], cfg,
-                         _circle_feasible)
+    run = _damped_newton(fun, theta0, cfg, _circle_feasible)
     a, b, R = run.theta.tolist()
     return _result("circle", CircleParams(a + cx, b + cy, R), run, 1,
                    init={"a": start[0], "b": start[1], "R": start[2]})
@@ -618,11 +615,16 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
     the weighted scatter matrix). O(n) per iteration.
 
     It iterates on the points moved to their centroid and divided by their
-    RMS distance from it (Hartley's normalization), then maps the conic
-    back; the objective and its trace are in the caller's frame, the
-    stationarity residual and ``smallest_eigenvalue`` in the normalized
-    one, so that they do not depend on where the data lie. It always
-    starts from unit weights: InvalidSpec if ``cfg.init`` gives a start."""
+    RMS distance s from it (Hartley's normalization), then maps the conic
+    back. The gradient-weighted residual of the mapped conic is s^2 times
+    that of the normalized one, whatever either's norm, so the objective
+    and its trace are the normalized ones times s^2: in the caller's frame
+    without a pass over its points. The stationarity residual and
+    ``smallest_eigenvalue`` are in the normalized frame, so that they do
+    not depend on where the data lie. ``data_passes`` counts the centroid,
+    the normalized design matrix, one pass per iteration and the
+    stationarity residual. It always starts from unit weights:
+    InvalidSpec if ``cfg.init`` gives a start."""
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     if cfg.init is not None:
         raise InvalidSpec("fit_conic_reweight takes no start: it begins "
@@ -656,7 +658,7 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
         step = math.inf if theta is None else min(
             float(np.linalg.norm(cand - theta)),
             float(np.linalg.norm(cand + theta)))
-        _, _, grad2 = _conic_grad2(cand, x, y)
+        px, py, grad2 = _conic_grad2(cand, x, y)
         # relative zero: a sample sitting at a singular point of the trial
         # conic has |grad|^2 at rounding-noise level of the others
         if np.any(grad2 <= 1e-24 * max(1.0, float(np.mean(grad2)))):
@@ -668,48 +670,43 @@ def fit_conic_reweight(points, cfg: FitConfig = None) -> FitResult:
                 "weight overflow: curve gradient is numerically zero at "
                 "a sample")
         theta = cand
-        trace.append(float(np.sum((Z @ theta) ** 2 * weights)))
+        resid = Z @ theta
+        trace.append(scale * scale * float(np.sum(resid ** 2 * weights)))
         iters += 1
         times.append(time.perf_counter() - t0)
         if step <= cfg.step_tol:
             converged = True
             break
-    stationarity = _conic_stationarity(theta, Z, x, y)
-    theta = _conic_unnormalized(theta, centre, scale)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    Z = _conic_design(x, y)
-    resid = Z @ theta
-    objective = float(np.sum(resid * resid / _conic_grad2(theta, x, y)[2]))
     return FitResult(
         family="conic",
-        params=ConicParams(*theta),
-        objective=objective,
+        params=ConicParams(*_conic_unnormalized(theta, centre, scale)),
+        objective=trace[-1],
         iterations=iters,
         converged=converged,
         iteration_seconds=tuple(times),
-        data_passes=2 + iters,
+        data_passes=3 + iters,
         diagnostics={
-            "stationarity_residual": stationarity,
-            "objective_trace": tuple(scale * scale * t for t in trace),
+            "stationarity_residual": _conic_stationarity(
+                theta, Z, resid, px, py, weights),
+            "objective_trace": tuple(trace),
             "smallest_eigenvalue": eig_min,
         },
     )
 
 
-def _conic_stationarity(theta, Z, x, y) -> float:
+def _conic_stationarity(theta, Z, P, px, py, w) -> float:
     """Infinity norm of the tangential full-objective gradient at theta,
-    including the term from differentiating the weights; reported as a
-    diagnostic — the freezing iteration does not drive it to zero."""
-    px, py, grad2 = _conic_grad2(theta, x, y)
-    w = 1.0 / grad2
-    P = Z @ theta
-    zeros = np.zeros_like(x)
-    ones = np.ones_like(x)
-    dpx = np.column_stack([2.0 * x, y, zeros, ones, zeros, zeros])
-    dpy = np.column_stack([zeros, x, 2.0 * y, zeros, ones, zeros])
-    dgrad2 = 2.0 * px[:, None] * dpx + 2.0 * py[:, None] * dpy
-    full = (2.0 * (P * w) @ Z) - ((P * P * w * w) @ dgrad2)
+    including the term from differentiating the weights w = 1/|grad P|^2,
+    from the residual P = Z theta and the gradient (px, py) that the last
+    iteration computed; reported as a diagnostic — the freezing iteration
+    does not drive it to zero."""
+    # the weights' term: (P w)^2 against |grad P|^2's derivative, 2 px (2x,
+    # y, 0, 1, 0, 0) + 2 py (0, x, 2y, 0, 1, 0); Z's last columns are x, y, 1
+    c = 2.0 * P * P * w * w
+    ax, ay, a1 = (c * px) @ Z[:, 3:]
+    bx, by, b1 = (c * py) @ Z[:, 3:]
+    weights_term = np.array([2.0 * ax, ay + bx, 2.0 * by, a1, b1, 0.0])
+    full = 2.0 * (P * w) @ Z - weights_term
     tangential = full - float(full @ theta) * theta
     return float(np.max(np.abs(tangential)))
 

@@ -89,7 +89,7 @@ def _add_compensated(s: np.ndarray, c: np.ndarray, vals: np.ndarray):
 class MomentVector:
     """Accumulator for raw moments up to a fixed total degree.
 
-    Single-writer: accumulate/extend mutate in place and return self.
+    Single-writer: extend mutates in place and returns self.
     Concurrent ingestion should use one accumulator per worker and ``merge``.
     """
 
@@ -109,14 +109,11 @@ class MomentVector:
 
     # -- ingestion ----------------------------------------------------------
 
-    def accumulate(self, x: float, y: float) -> "MomentVector":
-        """Absorb one point; every m[p,q] grows by x^p y^q."""
-        return self._absorb(np.array([[x], [y]], dtype=float))
-
     def extend(self, xs, ys) -> "MomentVector":
         """Absorb the points (xs[i], ys[i]), both of any shape with the same
-        number of entries; equals repeated ``accumulate`` within roundoff,
-        and bit for bit equals ``from_points`` of the same points."""
+        number of entries; equals extending by one point at a time within
+        roundoff, and bit for bit equals ``from_points`` of the same
+        points."""
         xs = np.asarray(xs, dtype=float).ravel()
         ys = np.asarray(ys, dtype=float).ravel()
         if xs.shape != ys.shape:

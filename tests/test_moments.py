@@ -31,7 +31,7 @@ def test_keys_cover_total_degree_simplex():
 
 
 def test_single_point_powers_of_one_and_zero():
-    mv = MomentVector(4).accumulate(1.0, 0.0)
+    mv = MomentVector(4).extend([1.0], [0.0])
     for p in range(5):
         assert mv.entry(p, 0) == 1.0
     for (p, q) in monomials(4):
@@ -41,7 +41,7 @@ def test_single_point_powers_of_one_and_zero():
 
 
 def test_single_point_direct_arithmetic():
-    mv = MomentVector(2).accumulate(2.0, 3.0)
+    mv = MomentVector(2).extend([2.0], [3.0])
     assert mv.entry(1, 0) == 2
     assert mv.entry(0, 1) == 3
     assert mv.entry(2, 0) == 4
@@ -50,7 +50,7 @@ def test_single_point_direct_arithmetic():
 
 
 def test_symmetric_pair_cancels_odd_moments():
-    mv = MomentVector(2).accumulate(1.0, 0.0).accumulate(-1.0, 0.0)
+    mv = MomentVector(2).extend([1.0], [0.0]).extend([-1.0], [0.0])
     assert mv.entry(1, 0) == 0.0
     assert mv.entry(2, 0) == 2.0
 
@@ -66,7 +66,7 @@ def test_count_tracks_entry_00():
 def test_rejects_non_finite():
     mv = MomentVector(2)
     with pytest.raises(NonFiniteInput):
-        mv.accumulate(float("nan"), 0.0)
+        mv.extend([float("nan")], [0.0])
     with pytest.raises(NonFiniteInput):
         mv.extend([1.0, float("inf")], [0.0, 0.0])
 
@@ -83,9 +83,9 @@ def test_merge_empty_is_identity():
 
 
 def test_merge_of_single_points_equals_two_point_accumulator():
-    a = MomentVector(4).accumulate(0.3, -1.2)
-    b = MomentVector(4).accumulate(2.5, 0.7)
-    both = MomentVector(4).accumulate(0.3, -1.2).accumulate(2.5, 0.7)
+    a = MomentVector(4).extend([0.3], [-1.2])
+    b = MomentVector(4).extend([2.5], [0.7])
+    both = MomentVector(4).extend([0.3], [-1.2]).extend([2.5], [0.7])
     m = a.merge(b)
     for k in monomials(4):
         assert m.entry(*k) == pytest.approx(both.entry(*k), rel=1e-14, abs=1e-14)
@@ -146,13 +146,14 @@ def _absorbed(entry, D, offset, xs, ys):
                                         offset=offset)
     mv = MomentVector(D, offset=offset)
     for x, y in zip(xs.tolist(), ys.tolist()):
-        mv.accumulate(x, y)
+        mv.extend([x], [y])
     return mv
 
 
 # on one chunk, on full chunks and on a partial last chunk, at every degree
 # up to 7 (at D = 0 the power block is the row of ones alone), through each
-# entry point, accumulate being a chunk of one point. The sizes: 1, where
+# entry point, and as "accumulate", extend called one point at a time, each
+# point a chunk of its own. The sizes: 1, where
 # the product is an outer product; 384 and 385, 1024 and 1025, on both
 # sides of the lengths where earlier kernels changed their order of
 # summation, in case a product blocked over the points changes its own
@@ -407,7 +408,7 @@ def test_from_points_refuses_anything_but_n_by_2(shape):
 
 def test_from_points_takes_pairs_a_single_pair_and_nothing():
     assert MomentVector.from_points((1.5, -2.0), 2).to_dict() == \
-        MomentVector(2).accumulate(1.5, -2.0).to_dict()
+        MomentVector(2).extend([1.5], [-2.0]).to_dict()
     pairs = [(1.5, -2.0), (0.25, 4.0), (-3.0, 1.0)]
     assert MomentVector.from_points(pairs, 3, offset=(1.0, 1.0)).to_dict() == \
         MomentVector(3, offset=(1.0, 1.0)).extend(*zip(*pairs)).to_dict()
@@ -443,7 +444,7 @@ def test_extend_matches_pointwise_accumulate():
     bulk = MomentVector(4).extend(xs, ys)
     slow = MomentVector(4)
     for x, y in zip(xs, ys):
-        slow.accumulate(x, y)
+        slow.extend([x], [y])
     for k in monomials(4):
         a, b = bulk.entry(*k), slow.entry(*k)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
@@ -485,15 +486,15 @@ def test_offset_shifts_the_accumulated_coordinates():
     centered = MomentVector(4, offset=(3.0, 5.0))
     plain = MomentVector(4)
     for x, y in pts:
-        centered.accumulate(x, y)
-        plain.accumulate(x - 3.0, y - 5.0)
+        centered.extend([x], [y])
+        plain.extend([x - 3.0], [y - 5.0])
     for k in monomials(4):
         assert centered.entry(*k) == pytest.approx(plain.entry(*k), abs=1e-12)
 
 
 def test_centroid_reports_raw_mean():
     mv = MomentVector(4, offset=(10.0, -10.0))
-    mv.accumulate(1.0, 2.0).accumulate(3.0, 6.0)
+    mv.extend([1.0], [2.0]).extend([3.0], [6.0])
     assert mv.central_circle_view().centroid == pytest.approx((2.0, 4.0))
 
 
@@ -582,7 +583,7 @@ def test_objective_of_central_view_equals_direct_sum(dist):
 
 def test_central_circle_view_requires_degree_four_and_data():
     with pytest.raises(DegreeMismatch):
-        MomentVector(3).accumulate(1.0, 0.0).central_circle_view()
+        MomentVector(3).extend([1.0], [0.0]).central_circle_view()
     with pytest.raises(ValueError):
         MomentVector(4).central_circle_view()
 
@@ -599,7 +600,7 @@ def test_contract_evaluates_polynomial_sums(contract):
 
 
 def test_contract_degree_guard(contract):
-    mv = MomentVector(2).accumulate(1.0, 1.0)
+    mv = MomentVector(2).extend([1.0], [1.0])
     with pytest.raises(DegreeMismatch):
         contract(mv, BivariatePoly({(3, 0): 1.0}))
 
@@ -653,7 +654,7 @@ def test_exact_file_is_refused_and_its_float_twin_fits():
 
 
 def test_dict_entries_are_lexicographic():
-    d = MomentVector(3).accumulate(1.0, 2.0).to_dict()
+    d = MomentVector(3).extend([1.0], [2.0]).to_dict()
     keys = [(p, q) for p, q, _ in d["entries"]]
     assert keys == sorted(keys)
     assert d["format"] == "moment-vector/1"
